@@ -44,31 +44,10 @@ type FragView [tile.FragElems]bf16.BF16
 
 // Decompress reconstructs the original matrix bit-for-bit. It walks
 // blocks and frags in storage order, decoding each FragTile with the
-// thread-local procedure of Algorithm 2 and discarding padding.
+// thread-local procedure of Algorithm 2 and copying it back one row at
+// a time through the FragTile-origin table, discarding padding.
 func Decompress(c *Compressed) (*bf16.Matrix, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	g := c.Grid
-	m := bf16.NewMatrix(g.Rows, g.Cols)
-	var fv FragView
-	for b := 0; b < g.NumBlocks(); b++ {
-		startH, startL := c.HighOff[b], c.FullOff[b]
-		for f := 0; f < tile.FragsPerBlock; f++ {
-			frag := b*tile.FragsPerBlock + f
-			c.decodeFrag(frag, startH, startL, &fv, nil)
-			for p := 0; p < tile.FragElems; p++ {
-				r, col := g.FromCoord(tile.Coord{Block: b, Frag: f, Pos: p})
-				if g.InBounds(r, col) {
-					m.Set(r, col, fv[p])
-				}
-			}
-			hi := popcount(c.Indicator(frag))
-			startH += int64(hi)
-			startL += int64(tile.FragElems - hi)
-		}
-	}
-	return m, nil
+	return decompress(c, nil)
 }
 
 // DecompressCounted is Decompress plus architectural event counting;
@@ -76,30 +55,39 @@ func Decompress(c *Compressed) (*bf16.Matrix, error) {
 // decompression benchmarks (Figure 13).
 func DecompressCounted(c *Compressed) (*bf16.Matrix, Counters, error) {
 	var ctr Counters
-	if err := c.Validate(); err != nil {
+	m, err := decompress(c, &ctr)
+	if err != nil {
 		return nil, ctr, err
+	}
+	ctr.BytesRead = int64(c.SizeBytes())
+	return m, ctr, nil
+}
+
+// decompress is the one decoding loop behind Decompress and
+// DecompressCounted, counting architectural events into ctr unless it
+// is nil.
+func decompress(c *Compressed, ctr *Counters) (*bf16.Matrix, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
 	}
 	g := c.Grid
 	m := bf16.NewMatrix(g.Rows, g.Cols)
+	exps := c.exponentTable()
 	var fv FragView
 	for b := 0; b < g.NumBlocks(); b++ {
+		br, bc := g.BlockOrigin(b)
 		startH, startL := c.HighOff[b], c.FullOff[b]
 		for f := 0; f < tile.FragsPerBlock; f++ {
-			frag := b*tile.FragsPerBlock + f
-			c.decodeFrag(frag, startH, startL, &fv, &ctr)
-			for p := 0; p < tile.FragElems; p++ {
-				r, col := g.FromCoord(tile.Coord{Block: b, Frag: f, Pos: p})
-				if g.InBounds(r, col) {
-					m.Set(r, col, fv[p])
-				}
+			hi := c.decodeFrag(b*tile.FragsPerBlock+f, startH, startL, &exps, &fv, ctr)
+			fr, fc := tile.FragOrigin(f)
+			for r := 0; r < tile.FragDim; r++ {
+				copy(fragRow(m, br+fr+r, bc+fc), fv[r*tile.FragDim:])
 			}
-			hi := popcount(c.Indicator(frag))
 			startH += int64(hi)
 			startL += int64(tile.FragElems - hi)
 		}
 	}
-	ctr.BytesRead = int64(c.SizeBytes())
-	return m, ctr, nil
+	return m, nil
 }
 
 // FragStarts returns the High and Full buffer offsets at which global
@@ -124,63 +112,59 @@ func (c *Compressed) FragStarts(frag int) (startH, startL int64) {
 // incrementally instead of calling FragStarts per tile.
 func (c *Compressed) DecodeFrag(frag int, out *FragView) {
 	startH, startL := c.FragStarts(frag)
-	c.decodeFrag(frag, startH, startL, out, nil)
+	c.DecodeFragAt(frag, startH, startL, out, nil)
 }
 
 // DecodeFragAt decodes FragTile frag given its known buffer offsets,
 // optionally counting architectural events into ctr (nil to skip).
 func (c *Compressed) DecodeFragAt(frag int, startH, startL int64, out *FragView, ctr *Counters) {
-	c.decodeFrag(frag, startH, startL, out, ctr)
+	exps := c.exponentTable()
+	c.decodeFrag(frag, startH, startL, &exps, out, ctr)
 }
 
 // decodeFrag implements the three-stage thread-local decompressor of
-// §4.3.2 for one 8×8 FragTile:
+// §4.3.2 for one 8×8 FragTile and returns its in-window element count:
 //
 //  1. Spatial bitmap indicator: M = B1 | B2 | B3 classifies every
 //     position as compressed (1) or fallback (0).
 //  2. Dynamic addressing: lane offsets are prefix popcounts over M —
 //     in-window elements index High by the count of 1s below their
 //     position, outliers index Full by the count of 0s.
-//  3. Fast exponent reassembly: exponent = BaseExp + code (implicit
-//     lookup), fused with the packed sign/mantissa byte into a BF16.
+//  3. Fast exponent reassembly: the codeword, gathered from all planes
+//     at once, indexes exps (c.exponentTable: BaseExp + code under the
+//     implicit lookup) and is fused with the packed sign/mantissa byte
+//     into a BF16.
 //
 // The loop nests lanes × slots rather than flat positions to mirror
 // warp execution: every lane runs the identical instruction sequence,
 // which is what the Counters tally models.
-func (c *Compressed) decodeFrag(frag int, startH, startL int64, out *FragView, ctr *Counters) {
-	n := c.Opts.CodewordBits
-	planes := c.Planes[frag*n : frag*n+n]
-	m := uint64(0)
-	for _, pl := range planes {
-		m |= pl
-	}
-	implicit := c.Opts.Selection == WindowSelection
+func (c *Compressed) decodeFrag(frag int, startH, startL int64, exps *[16]uint8, out *FragView, ctr *Counters) int {
+	var planes [4]uint64 // planes beyond CodewordBits stay zero
+	copy(planes[:], c.FragPlanes(frag))
+	m := planes[0] | planes[1] | planes[2] | planes[3]
+	high, full := c.High[startH:], c.Full[startL:]
 
 	for lane := 0; lane < tile.WarpLanes; lane++ {
 		for k := 0; k < tile.ElemsPerLane; k++ {
 			p := uint(tile.ElemsPerLane*lane + k)
-			mask := uint64(1)<<p - 1
-			idxH := popcount(m & mask)
+			idxH := popcount(m & (uint64(1)<<p - 1))
 			if m>>p&1 == 1 {
 				// Case A: high-frequency path.
-				packed := c.High[startH+int64(idxH)]
-				code := 0
-				for bit := 0; bit < n; bit++ {
-					code |= int(planes[bit]>>p&1) << bit
-				}
-				sign, mant := bf16.UnpackSignMantissa(packed)
-				out[p] = bf16.Assemble(sign, c.exponentForCode(code), mant)
+				code := planes[0]>>p&1 | planes[1]>>p&1<<1 | planes[2]>>p&1<<2 | planes[3]>>p&1<<3
+				sign, mant := bf16.UnpackSignMantissa(high[idxH])
+				out[p] = bf16.Assemble(sign, exps[code], mant)
 			} else {
 				// Case B: fallback path.
-				idxL := int(p) - idxH
-				out[p] = bf16.FromBits(c.Full[startL+int64(idxL)])
+				out[p] = bf16.FromBits(full[int(p)-idxH])
 			}
 		}
 	}
 
+	hi := popcount(m)
 	if ctr != nil {
-		ctr.Add(fragDecodeCost(n, popcount(m), implicit))
+		ctr.Add(fragDecodeCost(c.Opts.CodewordBits, hi, c.Opts.Selection == WindowSelection))
 	}
+	return hi
 }
 
 // DecodeALUOpsPerElement returns the expected integer-pipeline

@@ -193,32 +193,20 @@ func (c *Compressed) CoverageRatio() float64 {
 	return float64(len(c.High)) / float64(total)
 }
 
-// exponentForCode reconstructs the exponent of codeword code (1-based)
-// using the implicit base+code lookup under WindowSelection, or the
-// codebook table under TopFrequencySelection.
-func (c *Compressed) exponentForCode(code int) uint8 {
-	if c.Opts.Selection == WindowSelection {
-		return uint8(int(c.BaseExp) + code)
-	}
-	return c.Codebook[code-1]
-}
-
-// codeForExponent returns the 1-based codeword for exponent e, or 0 if
-// e is an outlier. Used by the encoder.
-func (c *Compressed) codeForExponent(e uint8) int {
-	if c.Opts.Selection == WindowSelection {
-		d := int(e) - int(c.BaseExp)
-		if d >= 1 && d <= c.Opts.WindowSize() {
-			return d
-		}
-		return 0
-	}
-	for i, ce := range c.Codebook {
-		if ce == e {
-			return i + 1
+// exponentTable maps every codeword to its exponent (entry 0, the
+// outlier codeword, is unused): BaseExp + code under WindowSelection —
+// the implicit lookup — or the codebook entry under
+// TopFrequencySelection. Decompress builds it once for the whole
+// matrix, DecodeFragAt once per call.
+func (c *Compressed) exponentTable() (t [16]uint8) {
+	for code := 1; code <= c.Opts.WindowSize(); code++ {
+		if c.Opts.Selection == WindowSelection {
+			t[code] = uint8(int(c.BaseExp) + code)
+		} else {
+			t[code] = c.Codebook[code-1]
 		}
 	}
-	return 0
+	return t
 }
 
 // Validate performs structural integrity checks: offset monotonicity,

@@ -51,16 +51,18 @@ func FuzzReadFrom(f *testing.F) {
 }
 
 // FuzzCompressDecompress feeds arbitrary bit patterns through the full
-// codec: the round trip must always be bit-exact.
+// codec: the round trip must always be bit-exact, and under the option
+// set optSel picks the table-driven codec must match the per-element
+// reference (reference_test.go) byte for byte.
 func FuzzCompressDecompress(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 2}, uint8(5), uint8(7))
-	f.Add([]byte{0xFF, 0x7F, 0x80, 0x00}, uint8(64), uint8(64))
+	f.Add([]byte{0, 0, 1, 2}, uint8(5), uint8(7), uint8(0))
+	f.Add([]byte{0xFF, 0x7F, 0x80, 0x00}, uint8(64), uint8(64), uint8(1))
 	// Degenerate corners: empty raw (an all-zero matrix), a single
 	// 1×1 element, and a large all-identical-symbol matrix.
-	f.Add([]byte{}, uint8(0), uint8(0))
-	f.Add([]byte{0x9a, 0x3d}, uint8(0), uint8(0))
-	f.Add(bytes.Repeat([]byte{0x9a, 0x3d}, 96*96), uint8(95), uint8(95))
-	f.Fuzz(func(t *testing.T, raw []byte, rowsSel, colsSel uint8) {
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(2))
+	f.Add([]byte{0x9a, 0x3d}, uint8(0), uint8(0), uint8(3))
+	f.Add(bytes.Repeat([]byte{0x9a, 0x3d}, 96*96), uint8(95), uint8(95), uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, rowsSel, colsSel, optSel uint8) {
 		rows := int(rowsSel%96) + 1
 		cols := int(colsSel%96) + 1
 		m := bf16.NewMatrix(rows, cols)
@@ -82,5 +84,6 @@ func FuzzCompressDecompress(f *testing.F) {
 		if !m.Equal(got) {
 			t.Fatalf("round trip not bit-exact at %d", m.FirstDiff(got))
 		}
+		checkAgainstReference(t, m, referenceOptions[int(optSel)%len(referenceOptions)])
 	})
 }

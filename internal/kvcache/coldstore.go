@@ -25,8 +25,9 @@ import (
 // is content-addressed and reproducible, which makes the compression
 // real (the codec runs on actual BF16 data, the store's Ratio() is a
 // measured number) and the round-trip verifiable: CheckInvariants
-// re-synthesizes every frozen block and compares the decompressed
-// tensor bit for bit.
+// re-synthesizes every frozen block, and every payload a thawed node
+// retains for its next freeze, and compares the decompressed tensor
+// bit for bit.
 
 // compressedKVCols is the column width of the synthesized per-block KV
 // tensor: one block compresses as a (BlockTokens × 256) BF16 matrix.
@@ -108,19 +109,25 @@ func (m *Manager) CodecFallbacks() int64 { return m.codecFallbacks }
 
 // freeze compresses a refcount-zero advertised block's content and
 // detaches the physical block, leaving the trie node advertising the
-// content from the compressed store. Returns false — the caller then
-// parks the block physically, the pre-compression behaviour — if the
-// codec rejects the content (unreachable for the synthesized tensors,
-// but the cache must degrade rather than lose content).
+// content from the compressed store. Content is compressed once per
+// node: a node thawed earlier still holds the payload its thaw took
+// out of the store, and since content is immutable and addressed by
+// key, re-attaching it stores exactly the bytes a fresh Put would.
+// Returns false — the caller then parks the block physically, the
+// pre-compression behaviour — if the codec rejects the content
+// (unreachable for the synthesized tensors, but the cache must degrade
+// rather than lose content).
 func (m *Manager) freeze(b int, node *prefixNode) bool {
 	if m.codecFault != nil && m.codecFault() {
 		m.codecFallbacks++
 		return false
 	}
-	kv := blockContent(node.key, m.cfg.BlockTokens)
 	m.frozenSeq++
 	id := m.frozenSeq
-	if err := m.compStore.Put(id, kv); err != nil {
+	if node.payload != nil {
+		m.compStore.attach(id, node.payload)
+		node.payload = nil
+	} else if err := m.compStore.Put(id, blockContent(node.key, m.cfg.BlockTokens)); err != nil {
 		m.frozenSeq--
 		m.codecFallbacks++
 		return false
@@ -133,7 +140,10 @@ func (m *Manager) freeze(b int, node *prefixNode) bool {
 }
 
 // thaw restores a frozen node's content into a freshly popped physical
-// block so a claim can reference it. The caller has verified capacity
+// block so a claim can reference it. The decompression through Get is
+// the claim's integrity check on the payload (Validate); the payload
+// then moves out of the store and its accounting onto the node, for
+// the node's next freeze to reuse. The caller has verified capacity
 // (frozen matches are charged as resurrections by LookupCost) and owns
 // the refcount it acquires here.
 func (m *Manager) thaw(n *prefixNode) error {
@@ -141,7 +151,7 @@ func (m *Manager) thaw(n *prefixNode) error {
 	if err != nil {
 		return fmt.Errorf("kvcache: thawing frozen block %d: %w", n.frozenID, err)
 	}
-	m.compStore.Delete(n.frozenID)
+	n.payload = m.compStore.detach(n.frozenID)
 	delete(m.prefix.frozen, n.frozenID)
 	n.frozenID = 0
 	b := m.pop()

@@ -234,3 +234,171 @@ func TestAdaptiveCacheHoldsUnderPressureWhenCompressed(t *testing.T) {
 		t.Fatalf("compressed pool cap after hits = %d, want ceiling 8", got)
 	}
 }
+
+// chainNodes returns the trie nodes spelling prompt's full blocks, root
+// first, stopping at the first unadvertised block.
+func chainNodes(m *Manager, prompt []int) []*prefixNode {
+	var out []*prefixNode
+	n := m.prefix.root
+	for _, key := range m.HashPrompt(prompt).keys {
+		if n = n.children[key]; n == nil {
+			break
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
+// TestRefreezeReattachesThawedPayload walks content through freeze →
+// thaw → freeze and checks it is compressed only once: the thaw moves
+// the store's payload onto the trie node, and the next freeze stores
+// that same payload (pointer-identical, so no re-encode) with the
+// accounting a store of fresh Puts would report. A codec fault during
+// the re-freeze still parks the block and counts a fallback, and
+// evicting the parked node drops its payload.
+func TestRefreezeReattachesThawedPayload(t *testing.T) {
+	m := newCompressedManager(t, 8, 0)
+	prompt := toks(40, 1) // 2 full cacheable blocks + a partial tail
+	if err := m.Allocate(1, 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CommitPrefix(1, prompt, 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free(1); err != nil {
+		t.Fatal(err)
+	}
+	mustInvariants(t, m)
+	nodes := chainNodes(m, prompt)
+	if len(nodes) != 2 {
+		t.Fatalf("trie advertises %d blocks of the prompt, want 2", len(nodes))
+	}
+	encoded := make([]*storedBlock, len(nodes))
+	for i, n := range nodes {
+		if encoded[i] = m.compStore.blocks[n.frozenID]; encoded[i] == nil {
+			t.Fatalf("node %d frozen under id %d but not in the store", i, n.frozenID)
+		}
+	}
+
+	// claimAndFree thaws the chain into sequence id, grows it past the
+	// prompt, and releases it again.
+	claimAndFree := func(id int) {
+		t.Helper()
+		if got, err := m.ClaimPrefix(id, prompt); err != nil || got != 32 {
+			t.Fatalf("ClaimPrefix(%d) = %d, %v; want 32", id, got, err)
+		}
+		for i, n := range nodes {
+			if n.payload != encoded[i] || n.frozenID != 0 {
+				t.Fatalf("thawed node %d holds payload %p (frozen id %d), want the store's %p",
+					i, n.payload, n.frozenID, encoded[i])
+			}
+		}
+		if m.CompressedBlocks() != 0 || m.CompressedKVBytes() != 0 {
+			t.Fatalf("store still charges %d blocks / %d bytes after the thaw",
+				m.CompressedBlocks(), m.CompressedKVBytes())
+		}
+		mustInvariants(t, m) // decodes every retained payload
+		if err := m.Extend(id, 8); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		if err := m.Free(id); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+	}
+
+	claimAndFree(2)
+	fresh := NewCompressedStore()
+	for i, n := range nodes {
+		if got := m.compStore.blocks[n.frozenID]; got != encoded[i] || n.payload != nil {
+			t.Fatalf("re-frozen node %d stores %p (retains %p), want the thawed payload %p",
+				i, got, n.payload, encoded[i])
+		}
+		if err := fresh.Put(i+1, blockContent(n.key, 16)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m.compStore.CompressedBytes() != fresh.CompressedBytes() ||
+		m.compStore.OrigBytes() != fresh.OrigBytes() || m.compStore.Ratio() != fresh.Ratio() {
+		t.Fatalf("re-frozen store comp=%d orig=%d ratio=%v, fresh Puts give comp=%d orig=%d ratio=%v",
+			m.compStore.CompressedBytes(), m.compStore.OrigBytes(), m.compStore.Ratio(),
+			fresh.CompressedBytes(), fresh.OrigBytes(), fresh.Ratio())
+	}
+
+	// A codec fault during the re-freeze degrades to physical parking;
+	// the parked nodes keep their payloads.
+	m.SetCodecFault(func() bool { return true })
+	fallbacks := m.CodecFallbacks()
+	claimAndFree(3)
+	if got := m.CodecFallbacks(); got != fallbacks+2 {
+		t.Fatalf("CodecFallbacks = %d, want %d", got, fallbacks+2)
+	}
+	if m.CachedBlocks() != 2 || m.CompressedBlocks() != 0 {
+		t.Fatalf("faulted re-freeze: %d parked, %d frozen; want 2 parked, 0 frozen",
+			m.CachedBlocks(), m.CompressedBlocks())
+	}
+	for i, n := range nodes {
+		if n.block < 0 || n.payload != encoded[i] {
+			t.Fatalf("parked node %d: block %d, payload %p; want a physical block and %p",
+				i, n.block, n.payload, encoded[i])
+		}
+	}
+
+	// Allocation pressure evicts both parked nodes, and their payloads
+	// go with them.
+	m.SetCodecFault(nil)
+	if err := m.Allocate(4, 8*16); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range nodes {
+		if n.payload != nil {
+			t.Fatalf("evicted node %d still retains its payload", i)
+		}
+	}
+	if got := m.Lookup(prompt); got != 0 {
+		t.Fatalf("Lookup after eviction = %d, want 0", got)
+	}
+	mustInvariants(t, m)
+}
+
+// TestInvariantsCheckRetainedPayloads: CheckInvariants fails when a
+// thawed node's retained payload no longer decodes to its key's
+// content, and when a frozen node holds a payload besides its stored
+// one.
+func TestInvariantsCheckRetainedPayloads(t *testing.T) {
+	m := newCompressedManager(t, 8, 0)
+	a, b := toks(32, 1), toks(32, 2)
+	for id, prompt := range map[int][]int{1: a, 2: b} {
+		if err := m.Allocate(id, 32); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CommitPrefix(id, prompt, 32); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.ClaimPrefix(3, a); err != nil {
+		t.Fatal(err)
+	}
+	mustInvariants(t, m)
+	thawed, frozen := chainNodes(m, a)[0], chainNodes(m, b)[0]
+
+	// A thawed node retaining another key's payload.
+	own := thawed.payload
+	thawed.payload = m.compStore.blocks[frozen.frozenID]
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a retained payload of different content")
+	}
+	thawed.payload = own
+
+	// A frozen node that also retains a payload.
+	frozen.payload = own
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a frozen node holding a retained payload")
+	}
+	frozen.payload = nil
+	mustInvariants(t, m)
+}

@@ -48,6 +48,19 @@ func NewCompressedStore() *CompressedStore {
 	return &CompressedStore{blocks: make(map[int]*storedBlock)}
 }
 
+// decode decompresses a stored block bit-exactly in its original
+// shape.
+func (sb *storedBlock) decode() (*bf16.Matrix, error) {
+	if sb.cm == nil {
+		return &bf16.Matrix{Rows: sb.rows, Cols: sb.cols, Data: []bf16.BF16{}}, nil
+	}
+	flat, err := core.Decompress(sb.cm)
+	if err != nil {
+		return nil, err
+	}
+	return &bf16.Matrix{Rows: sb.rows, Cols: sb.cols, Data: flat.Data[:sb.rows*sb.cols]}, nil
+}
+
 // Put compresses and stores the KV tensor of a block, replacing any
 // previous content.
 func (s *CompressedStore) Put(blockID int, kv *bf16.Matrix) error {
@@ -58,14 +71,7 @@ func (s *CompressedStore) Put(blockID int, kv *bf16.Matrix) error {
 			return fmt.Errorf("kvcache: compressing block %d: %w", blockID, err)
 		}
 	}
-	if old, ok := s.blocks[blockID]; ok {
-		s.origBytes -= old.origSize
-		s.compBytes -= old.compSize()
-	}
-	sb := &storedBlock{cm: cm, rows: kv.Rows, cols: kv.Cols, origSize: int64(kv.SizeBytes())}
-	s.blocks[blockID] = sb
-	s.origBytes += sb.origSize
-	s.compBytes += sb.compSize()
+	s.attach(blockID, &storedBlock{cm: cm, rows: kv.Rows, cols: kv.Cols, origSize: int64(kv.SizeBytes())})
 	return nil
 }
 
@@ -75,24 +81,33 @@ func (s *CompressedStore) Get(blockID int) (*bf16.Matrix, error) {
 	if !ok {
 		return nil, fmt.Errorf("kvcache: block %d not in store", blockID)
 	}
-	if sb.cm == nil {
-		return &bf16.Matrix{Rows: sb.rows, Cols: sb.cols, Data: []bf16.BF16{}}, nil
-	}
-	flat, err := core.Decompress(sb.cm)
-	if err != nil {
-		return nil, err
-	}
-	out := &bf16.Matrix{Rows: sb.rows, Cols: sb.cols, Data: flat.Data[:sb.rows*sb.cols]}
-	return out, nil
+	return sb.decode()
 }
 
 // Delete removes a block.
-func (s *CompressedStore) Delete(blockID int) {
-	if old, ok := s.blocks[blockID]; ok {
-		s.origBytes -= old.origSize
-		s.compBytes -= old.compSize()
-		delete(s.blocks, blockID)
+func (s *CompressedStore) Delete(blockID int) { s.detach(blockID) }
+
+// detach removes a block and its byte accounting from the store and
+// returns its payload (nil if absent), which attach can later store
+// again verbatim.
+func (s *CompressedStore) detach(blockID int) *storedBlock {
+	sb, ok := s.blocks[blockID]
+	if !ok {
+		return nil
 	}
+	s.origBytes -= sb.origSize
+	s.compBytes -= sb.compSize()
+	delete(s.blocks, blockID)
+	return sb
+}
+
+// attach stores a payload under blockID, replacing any previous
+// content, and charges it to the store's accounting.
+func (s *CompressedStore) attach(blockID int, sb *storedBlock) {
+	s.detach(blockID)
+	s.blocks[blockID] = sb
+	s.origBytes += sb.origSize
+	s.compBytes += sb.compSize()
 }
 
 // Has reports whether a block is stored, without decompressing it.
@@ -108,13 +123,18 @@ func (s *CompressedStore) Has(blockID int) bool {
 // reshape is skipped only when it could not change the tile layout
 // (the tensor is empty, or already exactly 64 rows) — row alignment
 // alone is not enough, since a 128×8 block is 64-row-aligned yet
-// still pays two half-empty tile rows unless reshaped to 64×16.
+// still pays two half-empty tile rows unless reshaped to 64×16. When
+// the elements fill whole 64-row columns (every 16×256 KV block does)
+// the view shares kv.Data; only a ragged tail needs a zero-padded copy.
 func reshapeForTiles(kv *bf16.Matrix) *bf16.Matrix {
 	n := kv.NumElements()
 	if n == 0 || kv.Rows == 64 {
 		return kv
 	}
 	cols := (n + 63) / 64
+	if n == 64*cols {
+		return &bf16.Matrix{Rows: 64, Cols: cols, Data: kv.Data[:n]}
+	}
 	flat := make([]bf16.BF16, 64*cols)
 	copy(flat, kv.Data)
 	return &bf16.Matrix{Rows: 64, Cols: cols, Data: flat}

@@ -122,6 +122,29 @@ func TestReshapeExactTileRowSkipped(t *testing.T) {
 	}
 }
 
+// TestReshapeSharesWholeColumns: when the elements fill whole 64-row
+// columns — every 16×256 KV block — the reshaped view shares the
+// block's data instead of copying it; only a ragged tail pays for a
+// zero-padded copy.
+func TestReshapeSharesWholeColumns(t *testing.T) {
+	kv := blockContent("reshape", DefaultBlockTokens)
+	got := reshapeForTiles(kv)
+	if got.Rows != 64 || got.Cols != 64 || &got.Data[0] != &kv.Data[0] {
+		t.Fatalf("16x256 block reshaped to %dx%d (shared data: %v), want a 64x64 view of the same elements",
+			got.Rows, got.Cols, &got.Data[0] == &kv.Data[0])
+	}
+	ragged := weights.Gaussian(3, 50, 1.0, 14) // 150 elements: 3 columns, 42 padding
+	got = reshapeForTiles(ragged)
+	if got.Rows != 64 || got.Cols != 3 || &got.Data[0] == &ragged.Data[0] {
+		t.Fatalf("3x50 block reshaped to %dx%d sharing its data, want a padded 64x3 copy", got.Rows, got.Cols)
+	}
+	for i, v := range got.Data {
+		if i < ragged.NumElements() && v != ragged.Data[i] || i >= ragged.NumElements() && v != 0 {
+			t.Fatalf("padded copy differs at %d", i)
+		}
+	}
+}
+
 // TestRatioEmptyStoreIsNeutral documents the empty-store convention:
 // Ratio() is 1.0 ("no compression applied yet"), the value stats and
 // compare consumers can divide by or chart without special-casing
@@ -198,4 +221,27 @@ func FuzzCompressedStoreRoundtrip(f *testing.F) {
 				s.Len(), s.OrigBytes(), s.CompressedBytes(), s.Ratio())
 		}
 	})
+}
+
+var kvBlockSink *bf16.Matrix
+
+// BenchmarkCompressedStoreKVBlock measures the codec at the real KV
+// block shape: Put then Get of one synthesized 16×256 block, which
+// reshapes to exactly one 64×64 BlockTile.
+func BenchmarkCompressedStoreKVBlock(b *testing.B) {
+	kv := blockContent("bench/kv-block", DefaultBlockTokens)
+	s := NewCompressedStore()
+	b.SetBytes(int64(kv.SizeBytes()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Put(1, kv); err != nil {
+			b.Fatal(err)
+		}
+		out, err := s.Get(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		kvBlockSink = out
+	}
 }

@@ -355,6 +355,18 @@ func (m *Manager) CheckInvariants() error {
 		if node.parent == nil || node.parent.children[node.key] != node {
 			return fmt.Errorf("kvcache: trie node for block %d detached from its parent", b)
 		}
+		if node.payload != nil {
+			// A payload kept from a thaw must still be exactly the
+			// content its key addresses, or the next freeze would store
+			// the wrong bytes.
+			kv, err := node.payload.decode()
+			if err != nil {
+				return fmt.Errorf("kvcache: payload retained by block %d unreadable: %w", b, err)
+			}
+			if !kv.Equal(blockContent(node.key, m.cfg.BlockTokens)) {
+				return fmt.Errorf("kvcache: payload retained by block %d differs from its key's content", b)
+			}
+		}
 		if m.refcnt[b] == 0 {
 			if _, parked := m.prefix.cached[b]; !parked {
 				return fmt.Errorf("kvcache: registered block %d unreferenced but not cached (leaked)", b)
@@ -380,6 +392,9 @@ func (m *Manager) CheckInvariants() error {
 			}
 			if n.block != -1 {
 				return fmt.Errorf("kvcache: frozen node %d still holds physical block %d", id, n.block)
+			}
+			if n.payload != nil {
+				return fmt.Errorf("kvcache: frozen node %d still holds a retained payload", id)
 			}
 			if n.parent == nil || n.parent.children[n.key] != n {
 				return fmt.Errorf("kvcache: frozen node %d detached from its parent", id)

@@ -36,6 +36,11 @@ type prefixNode struct {
 	block    int                    // physical block holding this content (-1 while frozen)
 	frozenID int                    // compressed-store key while frozen (0 = not frozen)
 	lastUse  int64                  // LRU tick of the last claim/commit
+
+	// payload is this content's compressed form, moved here out of the
+	// store by the last thaw so the next freeze re-attaches it instead
+	// of compressing again (nil = none; always nil while frozen).
+	payload *storedBlock
 }
 
 // addChild links c under n, allocating the child map lazily.
@@ -535,7 +540,8 @@ func (m *Manager) evictOne(includeFrozen bool) bool {
 
 // unregister detaches a node's whole subtree from the trie, returning
 // every physically cached block in it to the free list and dropping
-// frozen descendants from the compressed store.
+// frozen descendants from the compressed store and retained payloads
+// from the rest.
 func (m *Manager) unregister(n *prefixNode) {
 	delete(n.parent.children, n.key)
 	m.gen++ // removed advertisements change later lookups
@@ -547,6 +553,7 @@ func (m *Manager) unregister(n *prefixNode) {
 			x.frozenID = 0
 			m.prefix.evictions++
 		} else {
+			x.payload = nil
 			delete(m.prefix.byBlock, x.block)
 			if _, parked := m.prefix.cached[x.block]; parked {
 				delete(m.prefix.cached, x.block)

@@ -194,7 +194,17 @@ func TestRouterGoodputScales(t *testing.T) {
 	}
 
 	single := run(newServer(t, Config{Engine: testEngine(t, engine.BackendZipServ), QueueDepth: len(reqs)}))
-	router, _ := newTestRouter(t, 2, len(reqs))
+	// The fleet starts only once run has submitted the whole burst, as
+	// the single replica does: a running fleet would route against load
+	// snapshots that race its replicas' own progress.
+	backends := make([]Backend, 2)
+	for i := range backends {
+		backends[i] = newServer(t, Config{Engine: testEngine(t, engine.BackendZipServ), QueueDepth: len(reqs)})
+	}
+	router, err := NewRouter(backends...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fleet := run(router)
 
 	t.Logf("goodput: 1 replica %.3f req/s, 2-replica router %.3f req/s (%.2fx)",

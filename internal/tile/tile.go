@@ -115,6 +115,30 @@ func fragOrigin(frag int) (r, c int) {
 	return tcRow*TCDim + fr*FragDim, tcCol*TCDim + fc*FragDim
 }
 
+// fragOrigins is fragOrigin precomputed for every storage index.
+var fragOrigins = func() (t [FragsPerBlock][2]int) {
+	for f := range t {
+		t[f][0], t[f][1] = fragOrigin(f)
+	}
+	return t
+}()
+
+// FragOrigin returns the (row, col) of FragTile frag's top-left
+// element within its BlockTile, read from a table built once from the
+// layout above. A FragTile covers rows r..r+7 and columns c..c+7 of its
+// BlockTile, so a codec walks it as eight contiguous row slices with
+// no per-element coordinate transformation (§4.2).
+func FragOrigin(frag int) (r, c int) {
+	o := &fragOrigins[frag]
+	return o[0], o[1]
+}
+
+// BlockOrigin returns the padded-matrix (row, col) of BlockTile b's
+// top-left element; BlockTiles are numbered row-major over the grid.
+func (g Grid) BlockOrigin(b int) (r, c int) {
+	return b / g.BlockCols * BlockDim, b % g.BlockCols * BlockDim
+}
+
 // ToCoord maps padded-matrix coordinates (r, c) to a hierarchy Coord.
 // r and c may address padding (up to PaddedRows/PaddedCols).
 func (g Grid) ToCoord(r, c int) Coord {
@@ -132,9 +156,9 @@ func (g Grid) ToCoord(r, c int) Coord {
 
 // FromCoord maps a hierarchy Coord back to padded-matrix coordinates.
 func (g Grid) FromCoord(co Coord) (r, c int) {
-	br, bc := co.Block/g.BlockCols, co.Block%g.BlockCols
+	br, bc := g.BlockOrigin(co.Block)
 	fr, fc := fragOrigin(co.Frag)
-	return br*BlockDim + fr + co.Pos/FragDim, bc*BlockDim + fc + co.Pos%FragDim
+	return br + fr + co.Pos/FragDim, bc + fc + co.Pos%FragDim
 }
 
 // GlobalFrag returns the global FragTile index of a Coord: FragTiles

@@ -112,6 +112,26 @@ func TestFragColumnMajorWithinTensorCoreTile(t *testing.T) {
 	}
 }
 
+// TestOriginTablesMatchCoords pins the precomputed origins the codec
+// walks to the coordinate mapping: every element of FragTile f in block
+// b sits at BlockOrigin(b) + FragOrigin(f) + (Pos/8, Pos%8).
+func TestOriginTablesMatchCoords(t *testing.T) {
+	g := NewGrid(130, 200) // 3×4 blocks, partial on both edges
+	for b := 0; b < g.NumBlocks(); b++ {
+		br, bc := g.BlockOrigin(b)
+		for f := 0; f < FragsPerBlock; f++ {
+			fr, fc := FragOrigin(f)
+			for p := 0; p < FragElems; p++ {
+				r, c := g.FromCoord(Coord{Block: b, Frag: f, Pos: p})
+				if r != br+fr+p/FragDim || c != bc+fc+p%FragDim {
+					t.Fatalf("block %d frag %d pos %d: tables give (%d,%d), FromCoord (%d,%d)",
+						b, f, p, br+fr+p/FragDim, bc+fc+p%FragDim, r, c)
+				}
+			}
+		}
+	}
+}
+
 func TestPositionRowMajorWithinFrag(t *testing.T) {
 	g := NewGrid(64, 64)
 	if co := g.ToCoord(0, 0); co.Pos != 0 {
