@@ -388,6 +388,38 @@ func TestRoutedStats(t *testing.T) {
 	}
 }
 
+// TestGenerateMalformedKeepsHealthRouterHealthy: malformed generate
+// requests against a health-aware 3-replica router answer 400
+// invalid_request and never trip a replica's breaker.
+func TestGenerateMalformedKeepsHealthRouterHealthy(t *testing.T) {
+	reps := make([]serve.Backend, 3)
+	for i := range reps {
+		reps[i] = newLiveBackend(t, serve.Config{QueueDepth: 8})
+	}
+	router, err := serve.NewRouter(reps...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := router.EnableHealth(serve.HealthConfig{MaxConsecutiveFailures: 3}); err != nil {
+		t.Fatal(err)
+	}
+	router.Start()
+	srv := httptest.NewServer(NewLiveMux(router))
+	t.Cleanup(srv.Close)
+	for i := 0; i < 4; i++ {
+		resp, body := doJSON(t, srv, http.MethodPost, "/v1/generate", GenerateRequest{PromptLen: 0, OutputLen: 8})
+		var e struct {
+			Error apiError `json:"error"`
+		}
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil || e.Error.Code != ErrCodeInvalidRequest {
+			t.Fatalf("malformed generate %d: status %d body %s, want 400 %s", i, resp.StatusCode, body, ErrCodeInvalidRequest)
+		}
+	}
+	if st := router.Stats(); st.Ejections != 0 || st.ReplicasHealthy != 3 {
+		t.Errorf("ejections=%d replicas_healthy=%d, want 0 and 3", st.Ejections, st.ReplicasHealthy)
+	}
+}
+
 // TestMethodAndMalformedJSON sweeps every endpoint's wrong-method and
 // (for POST endpoints) malformed-body error paths.
 func TestMethodAndMalformedJSON(t *testing.T) {

@@ -272,12 +272,14 @@ func (r *Router) noteSubmitOK(b Backend) {
 	}
 }
 
-// noteSubmitErr records a failed dispatch. ErrNeverFits is the
-// request's fault, not the replica's, and never moves the breaker. A
-// failed probe re-arms the ejection; MaxConsecutiveFailures plain
-// failures in a row trip it.
+// noteSubmitErr records a failed dispatch. ErrNeverFits and
+// ErrInvalidRequest are the request's fault, not the replica's, and
+// never move the breaker: a probe such a request occupied proved
+// nothing, so it is released and stays due. A failed probe re-arms the
+// ejection; MaxConsecutiveFailures plain failures in a row trip it.
 func (r *Router) noteSubmitErr(b Backend, err error) {
-	if errors.Is(err, ErrNeverFits) {
+	if errors.Is(err, ErrNeverFits) || errors.Is(err, ErrInvalidRequest) {
+		r.releaseProbe(b)
 		return
 	}
 	h := r.healthMap[b]

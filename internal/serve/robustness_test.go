@@ -323,9 +323,47 @@ func TestHealthBreakerEjectsAndRoutesAround(t *testing.T) {
 	}
 }
 
+// TestHealthMalformedSubmitsKeepReplicasHealthy: a malformed request
+// is the client's fault, refused alike by every replica. A health
+// router must fail it at once with ErrInvalidRequest — counted as a
+// rejection, never failed over, never charged to a breaker — or a
+// burst of bad requests ejects a healthy fleet.
+func TestHealthMalformedSubmitsKeepReplicasHealthy(t *testing.T) {
+	r, err := NewRouter(newServer(t, Config{}), newServer(t, Config{}), newServer(t, Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := HealthConfig{MaxConsecutiveFailures: 3}
+	if err := r.EnableHealth(cfg); err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	n := cfg.MaxConsecutiveFailures + 1
+	for i := 0; i < n; i++ {
+		if _, err := r.Submit(Request{PromptLen: 0, OutputLen: 8}); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("malformed submit %d: err = %v, want ErrInvalidRequest", i, err)
+		}
+	}
+	st := r.Stats()
+	if st.Ejections != 0 || st.ReplicasHealthy != 3 {
+		t.Errorf("after %d malformed submits: ejections=%d replicas_healthy=%d, want 0 and 3",
+			n, st.Ejections, st.ReplicasHealthy)
+	}
+	if st.Rejected != int64(n) {
+		t.Errorf("Rejected = %d, want %d", st.Rejected, n)
+	}
+	tk, err := r.Submit(Request{PromptLen: 64, OutputLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := awaitResult(t, tk); res.Err != nil {
+		t.Fatalf("valid request after malformed burst: %v", res.Err)
+	}
+}
+
 // TestHealthBreakerStateMachine drives the breaker transitions
 // directly: eject on consecutive failures, reinstate on a successful
-// probe, never move on ErrNeverFits, demote on error rate.
+// probe, never move on a request fault, demote on error rate.
 func TestHealthBreakerStateMachine(t *testing.T) {
 	a := newServer(t, Config{})
 	b := newServer(t, Config{})
@@ -375,6 +413,14 @@ func TestHealthBreakerStateMachine(t *testing.T) {
 	r.releaseProbe(a)
 	if _, _, probes := r.healthRank(tier, Request{}); len(probes) != 1 {
 		t.Fatal("released probe not due again")
+	}
+	// So is a trial the request itself failed: it proved nothing about
+	// the replica.
+	for _, err := range []error{ErrNeverFits, ErrInvalidRequest} {
+		r.noteSubmitErr(a, err)
+		if _, _, probes := r.healthRank(tier, Request{}); len(probes) != 1 {
+			t.Fatalf("trial refused with %v not due again", err)
+		}
 	}
 	// A failed trial re-arms the ejection without a new ejection count.
 	r.noteSubmitErr(a, ErrStopped)

@@ -17,8 +17,8 @@ import (
 type Backend interface {
 	// Start launches the backend's scheduler goroutine(s).
 	Start()
-	// Submit offers a request without blocking (ErrQueueFull,
-	// ErrStopped, ErrNeverFits on failure).
+	// Submit offers a request without blocking (ErrInvalidRequest,
+	// ErrQueueFull, ErrStopped, ErrNeverFits on failure).
 	Submit(Request) (*Ticket, error)
 	// Stats returns an aggregate snapshot, safe for concurrent use.
 	Stats() Stats
@@ -110,19 +110,23 @@ func (r *Router) Start() {
 // returned error is the most retryable one observed: a full queue (the
 // caller should back off and retry) wins over a stopped replica;
 // ErrNeverFits is returned only when no running replica could ever
-// admit the request.
+// admit the request. A malformed request (ErrInvalidRequest) fails at
+// once: every replica would refuse it alike, so there is nothing to
+// fail over to, and the refusal says nothing about replica health.
 func (r *Router) Submit(req Request) (*Ticket, error) {
 	var queueFull, neverFits, lastErr error
 	for _, tier := range r.tiers() {
 		ranked, preferred, probes := r.healthRank(tier, req)
 		for i, b := range ranked {
 			tk, err := b.Submit(req)
-			if err == nil {
+			if err == nil || errors.Is(err, ErrInvalidRequest) {
 				// Any due probe this dispatch never reached stays due:
 				// release its trial flag before returning.
 				for j := i + 1; j < len(probes); j++ {
 					r.releaseProbe(probes[j])
 				}
+			}
+			if err == nil {
 				r.submitted.Add(1)
 				r.noteDispatch(b, preferred)
 				r.noteSubmitOK(b)
@@ -130,6 +134,9 @@ func (r *Router) Submit(req Request) (*Ticket, error) {
 			}
 			r.noteSubmitErr(b, err)
 			switch {
+			case errors.Is(err, ErrInvalidRequest):
+				r.rejected.Add(1)
+				return nil, err
 			case errors.Is(err, ErrQueueFull):
 				queueFull = err
 			case errors.Is(err, ErrNeverFits):
@@ -293,7 +300,6 @@ func aggregateStats(replicas []Stats) Stats {
 		agg.Completed += st.Completed
 		agg.Failed += st.Failed
 		agg.Preempted += st.Preempted
-		agg.PolicyFaults += st.PolicyFaults
 		agg.Queued += st.Queued
 		agg.Active += st.Active
 		agg.FreeKVBlocks += st.FreeKVBlocks

@@ -2,11 +2,11 @@ package serve
 
 // Bitmap-scoreboard scheduler core (docs/scheduling.md): bounded
 // bit-parallel ready queues that make every per-iteration admission and
-// victim decision O(1) in queue depth, replacing the linear rebuild-
-// and-scan the Policy interface's slice view implies. The idea follows
-// the same spirit as the paper's lookup-table compute — replace
-// repeated scans with precomputed bit-parallel structure — applied to
-// the serving layer's scheduler:
+// victim decision O(1) in queue depth, instead of rebuilding and
+// scanning the whole queue per admission slot. The idea follows the
+// same spirit as the paper's lookup-table compute — replace repeated
+// scans with precomputed bit-parallel structure — applied to the
+// serving layer's scheduler:
 //
 //   - A two-level 64×64 bitmap (bitset4096) tracks which of 4096 rank
 //     buckets are occupied. Two CTZ steps (math/bits.TrailingZeros64 on
@@ -21,9 +21,9 @@ package serve
 //   - Requests that collide into the same rank bucket chain on an
 //     intrusive doubly-linked list kept in exact key order, so bucket
 //     quantisation never changes a scheduling decision: the scoreboard
-//     policies schedule byte-identically to the linear-scan policies
-//     (enforced by FuzzPolicyEquivalence and the replay equivalence
-//     tests).
+//     schedules byte-identically to a linear scan of the policy's
+//     ordering (enforced by FuzzPolicyEquivalence against the linear
+//     reference in the tests, and by golden replay schedules).
 //
 // Selection is always O(1). Enqueue is O(1) for keys arriving in
 // non-decreasing order — the live path, where arrivals are stamped by a
@@ -90,8 +90,7 @@ func (b *bitset4096) max() int {
 
 // sbKey is a scoreboard entry's exact sort key: (k1, k2, id) ascending,
 // lexicographic. The policies map their ranking onto it — see
-// schedCore — and id is always the final tie-break, matching the
-// linear policies' fixed tie-break semantics.
+// schedCore — and id is always the final tie-break.
 type sbKey struct {
 	k1, k2 float64
 	id     int
@@ -297,9 +296,8 @@ const (
 	kindSLO
 )
 
-// schedCore is the incremental scheduling state the server maintains
-// for the built-in policies, replacing the per-slot eligible rebuild
-// and linear policy scan:
+// schedCore is the incremental scheduling state a server maintains
+// for its policy (built by Policy.newCore):
 //
 //   - future: a min-heap by (arrival, id) of requests whose virtual
 //     arrival is still ahead of the clock. Clock advances pop arrivals
@@ -317,10 +315,8 @@ const (
 //     (the ordering id is negated because the pick is a max) — is the
 //     reverse-CLZ max pick.
 //
-// Every pick therefore reproduces the corresponding linear policy's
-// choice exactly, including tie-breaks; the aging promotion uses the
-// same agedToInteractive float comparison as PriorityPolicy.Next so
-// the two paths can never disagree on a promotion boundary.
+// Every pick therefore reproduces the policy's documented ordering
+// exactly, including tie-breaks.
 type schedCore struct {
 	kind      policyKind
 	aging     float64
@@ -330,32 +326,8 @@ type schedCore struct {
 	running   *scoreboard
 }
 
-// newSchedCore returns the incremental core for a built-in policy, or
-// nil for a custom Policy implementation — those keep the legacy
-// linear-scan admission path, which tolerates (and surfaces)
-// out-of-contract behaviour.
-func newSchedCore(p Policy) *schedCore {
-	switch p := p.(type) {
-	case FIFOPolicy:
-		return &schedCore{kind: kindFIFO, elig: newScoreboard()}
-	case PriorityPolicy:
-		aging := p.AgingSeconds
-		if aging <= 0 {
-			aging = DefaultAgingSeconds
-		}
-		return &schedCore{kind: kindPriority, aging: aging, elig: newScoreboard(), eligBatch: newScoreboard()}
-	case SLOPolicy:
-		return &schedCore{kind: kindSLO, elig: newScoreboard(), running: newScoreboard()}
-	default:
-		return nil
-	}
-}
-
 // len counts every queued (future + eligible) request.
 func (sc *schedCore) len() int {
-	if sc == nil {
-		return 0
-	}
 	n := len(sc.future) + sc.elig.len()
 	if sc.eligBatch != nil {
 		n += sc.eligBatch.len()
@@ -365,8 +337,7 @@ func (sc *schedCore) len() int {
 
 // add queues a stamped call. Requests in the clock's past are promoted
 // to the eligible scoreboards by the next promote call, in (arrival,
-// id) order — the same order the linear path's eligibility filter and
-// fixed tie-breaks produce.
+// id) order.
 func (sc *schedCore) add(c *call) {
 	sc.future = append(sc.future, futureEnt{arrival: c.req.ArrivalSeconds, id: c.req.ID, c: c})
 	// Sift up.
@@ -431,7 +402,7 @@ func (sc *schedCore) promote(now float64) {
 	if sc.kind == kindPriority {
 		// The aging calendar: eligBatch's minimum is the earliest
 		// arrival, hence always the next request to age into the
-		// interactive rank. Same comparison as PriorityPolicy.Next.
+		// interactive rank.
 		for {
 			n, ok := sc.eligBatch.min()
 			if !ok || !agedToInteractive(now, n.key.k1, sc.aging) {
@@ -488,7 +459,7 @@ func (sc *schedCore) removeEligible(id int) {
 
 // runningAdd mirrors an admission into the victim scoreboard (SLO
 // only; the other policies never preempt). The entry's ordering id is
-// negated: the victim pick is a max, but SLOPolicy.Victim's final
+// negated: the victim pick is a max, but SLOPolicy's final victim
 // tie-break prefers the LOWEST submission id, so the largest ordering
 // id at a full (deadline, admitted) tie must belong to the lowest real
 // id. Lookup keys (index, remove) stay the real id.
@@ -510,10 +481,9 @@ func (sc *schedCore) runningRemove(id int) {
 // the reverse-CLZ max of the running scoreboard — the latest deadline,
 // ties toward the most recent admission, then the lowest id (ordering
 // ids are negated, see runningAdd) — and only when that deadline is
-// strictly later than the blocked request's, mirroring
-// SLOPolicy.Victim exactly: deadline is the primary key, so if the
-// global max fails the strictly-later filter, no running sequence can
-// pass it.
+// strictly later than the blocked request's (SLOPolicy): deadline is
+// the primary key, so if the global max fails the strictly-later
+// filter, no running sequence can pass it.
 func (sc *schedCore) victim(blockedDeadline float64) (int, bool) {
 	if sc.running == nil || math.IsInf(blockedDeadline, 1) {
 		return 0, false

@@ -1,19 +1,18 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"zipserv/internal/engine"
 )
-
-// linearOnly hides a built-in policy's concrete type from the server's
-// scoreboard detection (newSchedCore type-switch), forcing the legacy
-// linear-scan admission path with unchanged policy semantics — the
-// reference side of every differential test in this file.
-type linearOnly struct{ Policy }
 
 // --- bitset / key-transform properties -------------------------------
 
@@ -144,39 +143,6 @@ func TestScoreboardOrderAgainstReference(t *testing.T) {
 
 // --- satellite regressions -------------------------------------------
 
-// overshootPolicy returns an index past the eligible view — the
-// out-of-contract behaviour a buggy third-party policy exhibits. Before
-// the clamp, the loop treated it like a decline: a loaded system
-// stalled forever with no signal.
-type overshootPolicy struct{}
-
-func (overshootPolicy) Name() string { return "overshoot" }
-func (overshootPolicy) Next(now float64, eligible []Pending) int {
-	return len(eligible) + 3
-}
-func (overshootPolicy) Victim(now float64, blocked Pending, running []Running) int { return -1 }
-
-func TestPolicyNextOvershootClampedNotStalled(t *testing.T) {
-	s := newServer(t, Config{QueueDepth: 8, Policy: overshootPolicy{}})
-	var tickets []*Ticket
-	for i := 0; i < 4; i++ {
-		tk, err := s.Submit(Request{PromptLen: 64, OutputLen: 8, Arrival: float64(i) * 1e-3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets = append(tickets, tk)
-	}
-	s.Start()
-	for i, tk := range tickets {
-		if res := awaitResult(t, tk); res.Err != nil {
-			t.Fatalf("request %d failed under clamped overshoot policy: %v", i, res.Err)
-		}
-	}
-	if st := s.Stats(); st.PolicyFaults == 0 {
-		t.Error("policy overshoot completed but PolicyFaults == 0: fault not surfaced")
-	}
-}
-
 // TestPriorityOutOfOrderArrivalTieBreak pins PriorityPolicy.Next's
 // semantics on the inputs the old code got wrong: the pick must not
 // depend on the order the caller built the eligible slice in (ties at
@@ -233,7 +199,7 @@ func TestPriorityOutOfOrderArrivalTieBreak(t *testing.T) {
 // running sequences admitted in the same window carry identical
 // (deadline, admitted), and the pick must fall to the lowest id from
 // any slice order — the choice the historical scan made implicitly —
-// so linear and scoreboard paths agree.
+// so the reference and the scoreboard agree.
 func TestSLOVictimDeterministicIDTie(t *testing.T) {
 	p := SLOPolicy{}
 	blocked := Pending{ID: 99, Deadline: 5}
@@ -280,9 +246,10 @@ func fuzzPending(c *call) Pending {
 }
 
 // FuzzPolicyEquivalence drains randomized pending sets through a
-// built-in policy's linear scan and through the scoreboard core, then
-// does the same for victim selection over a randomized running batch,
-// asserting identical choices at every step. Keys are quantised to a
+// built-in policy's linear reference scan (policy_linear_test.go) and
+// through the scoreboard core, then does the same for victim selection
+// over a randomized running batch, asserting identical choices at
+// every step. Keys are quantised to a
 // coarse grid so full-key ties — where the two implementations are most
 // likely to diverge — occur constantly.
 func FuzzPolicyEquivalence(f *testing.F) {
@@ -292,7 +259,7 @@ func FuzzPolicyEquivalence(f *testing.F) {
 	f.Add(uint64(99), uint8(64), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, n, kind uint8) {
 		rng := rand.New(rand.NewSource(int64(seed)))
-		var p Policy
+		var p linearPolicy
 		switch kind % 3 {
 		case 0:
 			p = FIFOPolicy{}
@@ -301,10 +268,7 @@ func FuzzPolicyEquivalence(f *testing.F) {
 		case 2:
 			p = SLOPolicy{}
 		}
-		sc := newSchedCore(p)
-		if sc == nil {
-			t.Fatalf("newSchedCore(%T) = nil, want scoreboard core", p)
-		}
+		sc := p.newCore()
 		now := 8.0
 		count := int(n%64) + 1
 		calls := make([]*call, 0, count)
@@ -397,33 +361,56 @@ func FuzzPolicyEquivalence(f *testing.F) {
 	})
 }
 
-// TestScoreboardReplayMatchesLinear is the whole-server differential:
-// for every built-in policy, an identical trace replayed through the
-// scoreboard core and through the legacy linear path (policy wrapped in
-// linearOnly) must produce byte-identical schedules — admission,
-// first-token and finish stamps, and preemption counts.
-func TestScoreboardReplayMatchesLinear(t *testing.T) {
-	eng := testEngine(t, engine.BackendZipServ)
-	reqs := mixedTrace(48)
-	for _, p := range []Policy{FIFOPolicy{}, PriorityPolicy{}, SLOPolicy{}} {
-		cfg := Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8}
-		cfg.Policy = p
-		sb := replay(t, cfg, reqs)
-		cfg.Policy = linearOnly{p}
-		lin := replay(t, cfg, reqs)
-		for i := range sb {
-			if sb[i].Admitted != lin[i].Admitted || sb[i].FirstToken != lin[i].FirstToken ||
-				sb[i].Finished != lin[i].Finished || sb[i].Preempted != lin[i].Preempted {
-				t.Fatalf("policy %s request %d: scoreboard %+v vs linear %+v", p.Name(), i, sb[i], lin[i])
-			}
+// --- golden replay schedules -----------------------------------------
+
+// checkGoldenSchedule compares one scenario's replay against
+// testdata/golden/schedules.txt, recorded from the linear policy scan
+// and the scoreboard core while the server still ran both (the two
+// agreed byte for byte). Each line is "scenario request admitted
+// first_token finished preempted", virtual seconds in shortest
+// round-trip form so any bit of drift shows.
+func checkGoldenSchedule(t *testing.T, scenario string, results []Result) {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "golden", "schedules.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, scenario+" ") {
+			want = append(want, line)
+		}
+	}
+	if len(results) != len(want) {
+		t.Fatalf("%s: %d requests replayed, golden has %d", scenario, len(results), len(want))
+	}
+	g := func(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
+	for i, r := range results {
+		got := fmt.Sprintf("%s %d %s %s %s %d", scenario, i, g(r.Admitted), g(r.FirstToken), g(r.Finished), r.Preempted)
+		if got != want[i] {
+			t.Fatalf("%s request %d diverges from the golden schedule:\n got  %s\n want %s", scenario, i, got, want[i])
 		}
 	}
 }
 
-// TestScoreboardPreemptionMatchesLinear runs the preemption-heavy SLO
-// scenario (capacity-pinning hogs vs an urgent deadline, chunked
-// prefill) through both paths: victim choices — and hence the whole
-// schedule — must match exactly.
+// TestScoreboardReplayMatchesLinear is the whole-server differential:
+// for every built-in policy, the mixed trace replayed through the
+// server must reproduce the golden schedule recorded from the linear
+// path — admission, first-token and finish stamps, and preemption
+// counts, byte for byte.
+func TestScoreboardReplayMatchesLinear(t *testing.T) {
+	eng := testEngine(t, engine.BackendZipServ)
+	reqs := mixedTrace(48)
+	for _, p := range []Policy{FIFOPolicy{}, PriorityPolicy{}, SLOPolicy{}} {
+		cfg := Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: p}
+		checkGoldenSchedule(t, "replay/"+p.Name(), replay(t, cfg, reqs))
+	}
+}
+
+// TestScoreboardPreemptionMatchesLinear replays the preemption-heavy
+// SLO scenario (capacity-pinning hogs vs an urgent deadline, chunked
+// prefill): victim choices — and hence the whole schedule — must match
+// the golden schedule recorded from the linear path.
 func TestScoreboardPreemptionMatchesLinear(t *testing.T) {
 	eng := testEngine(t, engine.BackendZipServ)
 	plan := eng.Plan()
@@ -433,18 +420,12 @@ func TestScoreboardPreemptionMatchesLinear(t *testing.T) {
 		{PromptLen: hogTokens / 2, OutputLen: hogTokens - hogTokens/2, Arrival: 0, Class: ClassBatch},
 		{PromptLen: 256, OutputLen: 64, Arrival: 0.001, Class: ClassInteractive, TTFTDeadline: 1},
 	}
-	cfg := Config{Engine: eng, QueueDepth: 8, PrefillChunkTokens: 128}
-	cfg.Policy = SLOPolicy{}
-	sb := replay(t, cfg, reqs)
-	cfg.Policy = linearOnly{SLOPolicy{}}
-	lin := replay(t, cfg, reqs)
+	cfg := Config{Engine: eng, QueueDepth: 8, PrefillChunkTokens: 128, Policy: SLOPolicy{}}
+	results := replay(t, cfg, reqs)
+	checkGoldenSchedule(t, "preempt/slo", results)
 	preempts := 0
-	for i := range sb {
-		if sb[i].Admitted != lin[i].Admitted || sb[i].Finished != lin[i].Finished ||
-			sb[i].Preempted != lin[i].Preempted {
-			t.Fatalf("request %d: scoreboard %+v vs linear %+v", i, sb[i], lin[i])
-		}
-		preempts += sb[i].Preempted
+	for _, r := range results {
+		preempts += r.Preempted
 	}
 	if preempts == 0 {
 		t.Fatal("no preemption occurred: the differential is vacuous")

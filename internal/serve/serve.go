@@ -13,14 +13,15 @@
 //     engine.Stepper (the iteration-level continuous-batching state
 //     machine over the paged KV-cache plan) and loops over admission →
 //     prefill → decode, exactly as a vLLM-class engine loop does.
-//   - Policy — who runs next. Admission ordering is delegated to a
-//     pluggable Policy: FIFOPolicy (the default, head-of-line order),
+//   - Policy — who runs next. Admission ordering is one of three
+//     built-in policies: FIFOPolicy (the default, head-of-line order),
 //     PriorityPolicy (interactive before batch, starvation-free via
 //     aging), and SLOPolicy (earliest-TTFT-deadline-first, with
-//     preempt-and-requeue when an urgent request cannot fit). The
-//     Stepper's conservative prompt+output reservation is the
-//     preemption hook: evicting a victim returns every block it held,
-//     so the urgent admission can never fail mid-flight.
+//     preempt-and-requeue when an urgent request cannot fit), each
+//     run on an O(1) bitmap-scoreboard core. The Stepper's
+//     conservative prompt+output reservation is the preemption hook:
+//     evicting a victim returns every block it held, so the urgent
+//     admission can never fail mid-flight.
 //   - Backend / Router — where they run. Backend (Start/Submit/Stats/
 //     Stop) is the surface the HTTP layer binds to; *Server implements
 //     it for one engine, and Router implements it over N replica
@@ -29,7 +30,7 @@
 //     failover on a full or stopped replica.
 //
 // Each loop iteration: (1) drain the bounded submit channel into the
-// pending queue and admit requests, Policy-ordered, while their
+// scheduler core and admit requests, Policy-ordered, while their
 // conservative prompt+output KV reservation fits and the batch cap
 // allows; (2) prefill newly admitted prompts as one token-packed
 // (padding-free, varlen-style) batch, emitting each request's first
@@ -44,10 +45,11 @@
 //
 // Submit never blocks: when the admission queue is full it fails fast
 // with ErrQueueFull, which the HTTP layer maps to 429 Too Many
-// Requests. Each accepted request gets a Ticket carrying a streaming
-// event channel (admitted → first_token → finished, with preempted
-// interleaved when a policy evicts it) and a final Result with TTFT,
-// TPOT, queue wait and end-to-end latency.
+// Requests, and a malformed request fails with ErrInvalidRequest (400
+// Bad Request). Each accepted request gets a Ticket carrying a
+// streaming event channel (admitted → first_token → finished, with
+// preempted interleaved when a policy evicts it) and a final Result
+// with TTFT, TPOT, queue wait and end-to-end latency.
 package serve
 
 import (
@@ -71,6 +73,12 @@ var (
 	// ErrNeverFits means the request's KV reservation exceeds the
 	// device plan and could never be admitted (HTTP 422).
 	ErrNeverFits = errors.New("serve: request can never fit in KV memory")
+	// ErrInvalidRequest wraps every request-validation failure: a
+	// non-positive length, a prompt_len/Prompt mismatch, an unknown
+	// class, a NaN or +Inf arrival, a non-finite TTFT deadline. Every
+	// replica refuses such a request alike, so a router fails it at
+	// once instead of failing over (HTTP 400).
+	ErrInvalidRequest = errors.New("serve: invalid request")
 	// ErrRetriesExhausted means a request lost to replica failures was
 	// resurrected up to the health router's retry budget and failed
 	// every time (HTTP 503; see docs/robustness.md).
@@ -125,6 +133,7 @@ type Request struct {
 	// Arrival is the virtual arrival time in seconds. Use ArrivalNow
 	// (any negative value) for live requests; trace replays set the
 	// trace's arrival timestamps so queueing delays are reproduced.
+	// NaN and +Inf are rejected.
 	Arrival float64
 	// Class is the request's priority class. Empty defaults to
 	// ClassInteractive. Ignored by FIFOPolicy.
@@ -132,7 +141,7 @@ type Request struct {
 	// TTFTDeadline is the first-token SLO in seconds after arrival,
 	// consumed by SLOPolicy (earliest deadline first). Zero means no
 	// deadline: the request yields to every deadline-carrying one and
-	// is never admitted by preempting a victim.
+	// is never admitted by preempting a victim. Must be finite.
 	TTFTDeadline float64
 }
 
@@ -142,16 +151,16 @@ type Config struct {
 	Engine *engine.Engine
 	// QueueDepth bounds the admission queue; Submit fails with
 	// ErrQueueFull beyond it. Default 64. Per-slot scheduling cost is
-	// O(1) in queue depth for the built-in policies (the bitmap-
-	// scoreboard core, docs/scheduling.md), so depth can be sized for
-	// burst absorption alone; custom Policy implementations pay a
-	// linear scan per slot.
+	// O(1) in queue depth (the bitmap-scoreboard core,
+	// docs/scheduling.md), so depth can be sized for burst absorption
+	// alone.
 	QueueDepth int
 	// MaxBatch caps concurrently scheduled sequences (0 = KV capacity
 	// is the only limit).
 	MaxBatch int
-	// Policy orders admission (and selects preemption victims). Nil
-	// defaults to FIFOPolicy, PR 1's exact behaviour.
+	// Policy orders admission (and selects preemption victims): one of
+	// FIFOPolicy, PriorityPolicy or SLOPolicy, e.g. from PolicyByName.
+	// Nil defaults to FIFOPolicy.
 	Policy Policy
 	// PaddedPrefill disables token-packed prefill and prices prefill
 	// batches padded to the longest prompt, reproducing the offline
@@ -301,17 +310,13 @@ type Result struct {
 type Stats struct {
 	Submitted int64 `json:"submitted"`
 	// Rejected counts client-visible submit failures: queue-full fast
-	// failures and, on a router, submissions every replica refused
-	// (all stopped, or a request that can never fit).
+	// failures and, on a router, every refusal it returned (a malformed
+	// request, or one every replica refused: all stopped, or a request
+	// that can never fit).
 	Rejected  int64 `json:"rejected"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
 	Preempted int64 `json:"preempted"` // policy evictions (requeued, not failed)
-	// PolicyFaults counts out-of-contract Policy.Next returns (an index
-	// past the eligible view) the scheduler clamped to the queue head —
-	// always 0 for the built-in policies; a nonzero value means a custom
-	// policy is buggy and the loop is overriding it to stay live.
-	PolicyFaults int64 `json:"policy_faults,omitempty"`
 
 	Queued int `json:"queued"` // waiting for admission
 	Active int `json:"active"` // holding KV capacity

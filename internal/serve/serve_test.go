@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -57,17 +58,72 @@ func awaitResult(t *testing.T, tk *Ticket) Result {
 	}
 }
 
+// TestSubmitValidation: malformed requests fail with ErrInvalidRequest
+// and leave the replica live. A NaN arrival used to wedge the queue
+// head (NaN <= now never holds) so that no later request completed and
+// Stop never returned; +Inf jumped the clock to +Inf and poisoned every
+// later timing.
 func TestSubmitValidation(t *testing.T) {
-	s := newServer(t, Config{})
-	s.Start()
-	if _, err := s.Submit(Request{PromptLen: 0, OutputLen: 8}); err == nil {
-		t.Error("zero prompt accepted")
+	s, err := New(Config{Engine: testEngine(t, engine.BackendZipServ)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := s.Submit(Request{PromptLen: 8, OutputLen: -1}); err == nil {
-		t.Error("negative output accepted")
+	s.Start()
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"zero prompt", Request{PromptLen: 0, OutputLen: 8}},
+		{"negative output", Request{PromptLen: 8, OutputLen: -1}},
+		{"prompt_len mismatch", Request{PromptLen: 3, Prompt: []int{1, 2}, OutputLen: 8}},
+		{"unknown class", Request{PromptLen: 8, OutputLen: 8, Class: "vip"}},
+		{"NaN arrival", Request{PromptLen: 8, OutputLen: 8, Arrival: math.NaN()}},
+		{"+Inf arrival", Request{PromptLen: 8, OutputLen: 8, Arrival: math.Inf(1)}},
+		{"NaN deadline", Request{PromptLen: 8, OutputLen: 8, TTFTDeadline: math.NaN()}},
+		{"+Inf deadline", Request{PromptLen: 8, OutputLen: 8, TTFTDeadline: math.Inf(1)}},
+		{"-Inf deadline", Request{PromptLen: 8, OutputLen: 8, TTFTDeadline: math.Inf(-1)}},
+	} {
+		if _, err := s.Submit(tc.req); !errors.Is(err, ErrInvalidRequest) {
+			t.Errorf("%s: err = %v, want ErrInvalidRequest", tc.name, err)
+		}
 	}
 	if _, err := s.Submit(Request{PromptLen: 10, OutputLen: 100_000_000}); !errors.Is(err, ErrNeverFits) {
 		t.Errorf("impossible request: err = %v, want ErrNeverFits", err)
+	}
+
+	// Every negative arrival, -Inf included, still means ArrivalNow, and
+	// valid follow-ups complete with finite timings.
+	var tickets []*Ticket
+	for _, arrival := range []float64{ArrivalNow, -5, math.Inf(-1)} {
+		tk, err := s.Submit(Request{PromptLen: 16, OutputLen: 4, Arrival: arrival, TTFTDeadline: 1})
+		if err != nil {
+			t.Fatalf("arrival %v: %v", arrival, err)
+		}
+		tickets = append(tickets, tk)
+	}
+	for _, tk := range tickets {
+		select {
+		case res := <-tk.Result():
+			if res.Err != nil || math.IsNaN(res.TTFT) || math.IsInf(res.Latency, 0) || math.IsNaN(res.Latency) {
+				t.Errorf("request %d: err %v, TTFT %v, latency %v", tk.ID, res.Err, res.TTFT, res.Latency)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request %d never completed: the replica is wedged", tk.ID)
+		}
+	}
+	stopped := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		stopped <- s.Stop(ctx)
+	}()
+	select {
+	case err := <-stopped:
+		if err != nil {
+			t.Errorf("Stop: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop did not return: the replica is wedged")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"math"
 	"sort"
 	"sync"
@@ -68,26 +67,12 @@ type Server struct {
 	lastSummaryEpoch int64
 	lastSummaryClock float64
 
-	// Admission-loop scratch, reused across iterations so the hot loop
-	// builds its eligible views without allocating. Only the scheduler
-	// goroutine touches these (legacy linear path; custom policies).
-	eligScratch []Pending
-	idxScratch  []int
-
-	// core is the bitmap-scoreboard scheduler state for the built-in
-	// policies (scoreboard.go): eligible requests bucketed at enqueue
-	// time, the running batch mirrored into a deadline scoreboard, and
-	// every per-slot decision O(1) in queue depth. Nil for custom
-	// Policy implementations, which keep the linear-scan path. Only
+	// core is the policy's bitmap-scoreboard scheduler state
+	// (scoreboard.go): every queued request, eligible ones bucketed at
+	// enqueue time, the running batch mirrored into a deadline
+	// scoreboard, and every per-slot decision O(1) in queue depth. Only
 	// the scheduler goroutine touches it.
 	core *schedCore
-
-	// policyFaults counts out-of-contract Policy.Next returns (an
-	// index past the eligible view) the loop clamped to the queue
-	// head; surfaced as Stats.PolicyFaults so a buggy third-party
-	// policy cannot silently stall a loaded system.
-	policyFaults atomic.Int64
-	faultLogOnce sync.Once
 
 	startOnce sync.Once
 }
@@ -140,7 +125,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	return &Server{
 		cfg:       cfg,
-		core:      newSchedCore(cfg.Policy),
+		core:      cfg.Policy.newCore(),
 		submitCh:  make(chan *call, cfg.QueueDepth),
 		handoffCh: make(chan *handoff, cfg.QueueDepth),
 		ids:       new(atomic.Int64),
@@ -259,21 +244,32 @@ func (s *Server) Stop(ctx context.Context) error {
 }
 
 // Submit offers a request to the admission queue without blocking: it
-// fails fast with ErrQueueFull when the queue is at capacity,
-// ErrStopped after Stop, or ErrNeverFits when the request exceeds the
-// device's total KV plan.
+// fails fast with ErrInvalidRequest on a malformed request,
+// ErrQueueFull when the queue is at capacity, ErrStopped after Stop,
+// or ErrNeverFits when the request exceeds the device's total KV plan.
 func (s *Server) Submit(req Request) (*Ticket, error) {
 	if len(req.Prompt) > 0 {
 		if req.PromptLen == 0 {
 			req.PromptLen = len(req.Prompt)
 		} else if req.PromptLen != len(req.Prompt) {
-			return nil, fmt.Errorf("serve: prompt_len %d does not match %d prompt tokens",
-				req.PromptLen, len(req.Prompt))
+			return nil, fmt.Errorf("%w: prompt_len %d does not match %d prompt tokens",
+				ErrInvalidRequest, req.PromptLen, len(req.Prompt))
 		}
 	}
 	if req.PromptLen <= 0 || req.OutputLen <= 0 {
-		return nil, fmt.Errorf("serve: prompt/output lengths must be positive, got %d/%d",
-			req.PromptLen, req.OutputLen)
+		return nil, fmt.Errorf("%w: prompt/output lengths must be positive, got %d/%d",
+			ErrInvalidRequest, req.PromptLen, req.OutputLen)
+	}
+	// A NaN arrival never reaches the clock (NaN <= now is false), so it
+	// would wedge the queue head forever; +Inf would jump the clock to
+	// +Inf and poison every later request's timings. A non-finite
+	// deadline slips past the SLO victim guards.
+	if math.IsNaN(req.Arrival) || math.IsInf(req.Arrival, 1) {
+		return nil, fmt.Errorf("%w: arrival must be finite or negative (ArrivalNow), got %v",
+			ErrInvalidRequest, req.Arrival)
+	}
+	if math.IsNaN(req.TTFTDeadline) || math.IsInf(req.TTFTDeadline, 0) {
+		return nil, fmt.Errorf("%w: TTFT deadline must be finite, got %v", ErrInvalidRequest, req.TTFTDeadline)
 	}
 	if !s.cfg.Engine.FitsKV(req.PromptLen, req.OutputLen) {
 		return nil, fmt.Errorf("%w: needs %d KV blocks, plan has %d", ErrNeverFits,
@@ -292,7 +288,7 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 	default:
 		// Reject rather than default: an unknown class would silently
 		// schedule as top-priority interactive.
-		return nil, fmt.Errorf("serve: unknown request class %q", class)
+		return nil, fmt.Errorf("%w: unknown request class %q", ErrInvalidRequest, class)
 	}
 	id := int(s.ids.Add(1))
 	c := &call{
@@ -350,10 +346,9 @@ func (s *Server) Stats() Stats {
 	s.statsMu.Unlock()
 	st.Submitted = s.submitted.Load()
 	st.Rejected = s.rejected.Load()
-	st.PolicyFaults = s.policyFaults.Load()
-	// The published snapshot counts only the loop's pending list;
-	// requests still buffered in the submit and handoff channels are
-	// queued too.
+	// The published snapshot counts only what the loop holds (the
+	// scheduler core and pending handoffs); requests still buffered in
+	// the submit and handoff channels are queued too.
 	st.Queued += len(s.submitCh) + len(s.handoffCh)
 	if started := s.startedAt.Load(); started != 0 {
 		st.WallSeconds = time.Since(time.Unix(0, started)).Seconds()
@@ -372,7 +367,7 @@ func (s *Server) loop() {
 
 	sp, err := engine.NewStepper(s.cfg.Engine)
 	if err != nil {
-		s.failAll(nil, nil, nil, err)
+		s.failAll(nil, nil, err)
 		return
 	}
 	sp.PackedPrefill = !s.cfg.PaddedPrefill
@@ -385,24 +380,24 @@ func (s *Server) loop() {
 	}
 	if s.cfg.AdaptiveChunking {
 		if err := sp.EnableAdaptiveChunking(s.cfg.TargetStepTime, 0, 0); err != nil {
-			s.failAll(nil, nil, nil, err)
+			s.failAll(nil, nil, err)
 			return
 		}
 	}
 	if s.cfg.PrefixCache {
 		if err := sp.EnablePrefixCache(s.cfg.PrefixCacheBlocks); err != nil {
-			s.failAll(nil, nil, nil, err)
+			s.failAll(nil, nil, err)
 			return
 		}
 		if s.cfg.AdaptivePrefixCache {
 			if err := sp.EnableAdaptivePrefixCache(0, 0); err != nil {
-				s.failAll(nil, nil, nil, err)
+				s.failAll(nil, nil, err)
 				return
 			}
 		}
 		if s.cfg.CompressedCache {
 			if err := sp.EnableCompressedCache(); err != nil {
-				s.failAll(nil, nil, nil, err)
+				s.failAll(nil, nil, err)
 				return
 			}
 		}
@@ -418,17 +413,7 @@ func (s *Server) loop() {
 		}
 	}
 
-	// The pending queue and the admission view scratch are bounded by
-	// what the submit queue can feed them; one up-front backing array
-	// apiece replaces a doubling cascade per server.
-	seed := s.cfg.QueueDepth
-	if seed > 256 {
-		seed = 256
-	}
-	s.eligScratch = make([]Pending, 0, seed)
-	s.idxScratch = make([]int, 0, seed)
 	var (
-		pending   = make([]*call, 0, seed)
 		pendingHO []*handoff // handed-off sequences awaiting import
 		inflight  = make(map[int]*call)
 		agg       aggregate
@@ -439,18 +424,18 @@ func (s *Server) loop() {
 		// is abandoned — every undelivered request fails promptly.
 		select {
 		case <-s.kill:
-			s.failAll(pending, pendingHO, inflight, fmt.Errorf("%w: drain deadline exceeded", ErrStopped))
+			s.failAll(pendingHO, inflight, fmt.Errorf("%w: drain deadline exceeded", ErrStopped))
 			return
 		default:
 		}
 		// Scripted death next, on this replica's own virtual clock.
 		if f := s.cfg.Faults; f.active() {
 			if f.crashedAt(sp.Clock()) {
-				s.crash(pending, pendingHO, inflight)
+				s.crash(pendingHO, inflight)
 				return
 			}
 			if f.hungAt(sp.Clock()) {
-				s.hang(pending, pendingHO, inflight)
+				s.hang(pendingHO, inflight)
 				return
 			}
 		}
@@ -460,31 +445,31 @@ func (s *Server) loop() {
 		// window. Re-arming anywhere later would miss bursts whose
 		// first request lands between the end of one batch and the
 		// next iteration's drain.
-		if sp.InFlight() == 0 && len(pending)+s.core.len() == 0 && len(pendingHO) == 0 {
+		if sp.InFlight() == 0 && s.core.len() == 0 && len(pendingHO) == 0 {
 			wasIdle = true
 		}
-		pending = s.drain(sp, pending)
+		s.drain(sp)
 		pendingHO = s.drainHandoffs(pendingHO)
 
-		if sp.InFlight() == 0 && len(pending)+s.core.len() == 0 && len(pendingHO) == 0 {
+		if sp.InFlight() == 0 && s.core.len() == 0 && len(pendingHO) == 0 {
 			// Fully idle: block for the next submission, handoff or
 			// shutdown.
 			select {
 			case c := <-s.submitCh:
-				pending = s.arrive(sp, pending, c)
+				s.arrive(sp, c)
 				continue
 			case h := <-s.handoffCh:
 				pendingHO = append(pendingHO, h)
 				continue
 			case <-s.kill:
-				s.failAll(pending, pendingHO, inflight, fmt.Errorf("%w: drain deadline exceeded", ErrStopped))
+				s.failAll(pendingHO, inflight, fmt.Errorf("%w: drain deadline exceeded", ErrStopped))
 				return
 			case <-s.stop:
 				// Anything that raced past the gate before Stop is
 				// buffered; serve it before exiting.
-				pending = s.drain(sp, pending)
+				s.drain(sp)
 				pendingHO = s.drainHandoffs(pendingHO)
-				if len(pending)+s.core.len() > 0 || len(pendingHO) > 0 {
+				if s.core.len() > 0 || len(pendingHO) > 0 {
 					continue
 				}
 				return
@@ -498,14 +483,14 @@ func (s *Server) loop() {
 		// submission and would otherwise bypass the window.
 		if wasIdle {
 			wasIdle = false
-			pending = s.coalesce(sp, pending)
+			s.coalesce(sp)
 		}
 
 		// Land handed-off sequences before admission: an import advances
 		// the clock past its transfer, which can make queued arrivals
 		// eligible for the same batch.
 		pendingHO = s.importHandoffs(sp, pendingHO, inflight, &agg)
-		pending = s.admit(sp, pending, inflight, &agg)
+		s.admit(sp, inflight, &agg)
 
 		// Prefill newcomers (packed, at most one chunk budget's worth of
 		// prompt tokens), then one decode iteration.
@@ -522,7 +507,7 @@ func (s *Server) loop() {
 		if err != nil {
 			// Scheduler invariant broken (unreachable under the
 			// conservative reservation): fail everything and halt.
-			s.failAll(pending, pendingHO, inflight, err)
+			s.failAll(pendingHO, inflight, err)
 			return
 		}
 		// Claim each completion before counting it: a request that was
@@ -534,9 +519,7 @@ func (s *Server) loop() {
 		for _, m := range finished {
 			c := inflight[m.ID]
 			delete(inflight, m.ID)
-			if s.core != nil {
-				s.core.runningRemove(m.ID)
-			}
+			s.core.runningRemove(m.ID)
 			if c == nil || !c.claim() {
 				continue
 			}
@@ -552,7 +535,7 @@ func (s *Server) loop() {
 		sp.AdaptEpoch()
 		// Publish before delivering results: a caller that has seen a
 		// request's Result must observe stats that include it.
-		s.publish(sp, len(pending)+s.core.len()+len(pendingHO), len(inflight), &agg)
+		s.publish(sp, s.core.len()+len(pendingHO), len(inflight), &agg)
 		for i, j := range jobs {
 			c, m := j.c, j.m
 			c.emit(Event{Type: EventFinished, SimSeconds: m.Finished})
@@ -602,120 +585,34 @@ func (s *Server) pace(simElapsed float64) {
 // scheduling, so a burst spread over a few milliseconds prefills as
 // one batch. Shutdown cuts the window short; everything gathered is
 // still served.
-func (s *Server) coalesce(sp *engine.Stepper, pending []*call) []*call {
+func (s *Server) coalesce(sp *engine.Stepper) {
 	if s.cfg.AdmissionWindow <= 0 {
-		return pending
+		return
 	}
 	timer := time.NewTimer(s.cfg.AdmissionWindow)
 	defer timer.Stop()
 	for {
 		select {
 		case c := <-s.submitCh:
-			pending = s.arrive(sp, pending, c)
+			s.arrive(sp, c)
 		case <-timer.C:
-			return pending
+			return
 		case <-s.stop:
-			return pending
+			return
 		}
 	}
 }
 
-// admit fills the batch from the pending queue in Policy order:
-// eligible requests (arrived on the virtual clock) are offered to the
-// policy one admission slot at a time, each admitted while its
-// conservative KV reservation fits — with the policy's preemption hook
-// invoked when it does not — and the batch cap allows. Built-in
-// policies run on the scoreboard core (O(1) per slot); custom ones
-// take the linear view-rebuild path below.
-func (s *Server) admit(sp *engine.Stepper, pending []*call, inflight map[int]*call, agg *aggregate) []*call {
-	if s.core != nil {
-		s.admitScoreboard(sp, inflight, agg)
-		return pending
-	}
-	for len(pending) > 0 {
-		if s.cfg.MaxBatch > 0 && sp.InFlight() >= s.cfg.MaxBatch {
-			break
-		}
-		// Split pending into eligible (arrived) and future requests.
-		// The view buffers persist on the server so this per-iteration
-		// split never allocates in steady state.
-		eligible := s.eligScratch[:0]
-		idxs := s.idxScratch[:0]
-		nextArr := math.Inf(1)
-		for i, c := range pending {
-			if c.req.ArrivalSeconds <= sp.Clock() {
-				eligible = append(eligible, s.pendingView(c))
-				idxs = append(idxs, i)
-			} else if c.req.ArrivalSeconds < nextArr {
-				nextArr = c.req.ArrivalSeconds
-			}
-		}
-		s.eligScratch, s.idxScratch = eligible, idxs
-		if len(eligible) == 0 {
-			if sp.InFlight() > 0 {
-				break // future arrivals; keep decoding until then
-			}
-			sp.AdvanceTo(nextArr) // idle fast-forward to the next arrival
-			continue
-		}
-
-		pick := s.cfg.Policy.Next(sp.Clock(), eligible)
-		if pick >= len(eligible) {
-			// Out of contract: Next must return an index into eligible
-			// or a negative decline. Treating an over-long index like a
-			// decline would let a buggy third-party policy stall a
-			// loaded system indefinitely with no signal — so clamp to
-			// the queue head (the same override a decline gets on an
-			// idle system), count it, and say so once.
-			s.notePolicyFault(pick, len(eligible))
-			pick = 0
-		}
-		if pick < 0 {
-			if sp.InFlight() > 0 {
-				break // the policy defers to the running batch
-			}
-			pick = 0 // liveness guard: an idle system must admit
-		}
-		c := pending[idxs[pick]]
-		if !sp.CanAdmitRequest(c.req) {
-			pending = s.makeRoom(sp, pending, c, inflight, agg)
-			if !sp.CanAdmitRequest(c.req) {
-				if sp.InFlight() > 0 {
-					break // capacity frees up as sequences finish
-				}
-				// Defensive guard against a spin: unreachable while
-				// Submit's whole-plan check mirrors CanAdmit at an
-				// empty system, but admission must always make
-				// progress even if those drift apart.
-				agg.failed++
-				c.finish(Result{Err: fmt.Errorf("%w: %d+%d tokens vs %d-block plan",
-					ErrNeverFits, c.req.PromptLen, c.req.OutputLen, s.cfg.Engine.Plan().Blocks)})
-				pending = append(pending[:idxs[pick]], pending[idxs[pick]+1:]...)
-				continue
-			}
-		}
-		if err := sp.Admit(c.req); err != nil {
-			agg.failed++
-			c.finish(Result{Err: err})
-			pending = append(pending[:idxs[pick]], pending[idxs[pick]+1:]...)
-			continue
-		}
-		c.admittedAt = sp.Clock()
-		inflight[c.req.ID] = c
-		c.emit(Event{Type: EventAdmitted, SimSeconds: sp.Clock(),
-			CachedTokens: sp.CachedTokensOf(c.req.ID)})
-		pending = append(pending[:idxs[pick]], pending[idxs[pick]+1:]...)
-	}
-	return pending
-}
-
-// admitScoreboard is admit over the bitmap-scoreboard core: the
-// eligible view is maintained incrementally (clock advances promote
-// pending→eligible in arrival order; aged batch requests move rank)
-// instead of being rebuilt and re-ranked per slot, so each admission
-// decision — promote, peek, remove — is O(1) in queue depth and
-// allocation-free in steady state.
-func (s *Server) admitScoreboard(sp *engine.Stepper, inflight map[int]*call, agg *aggregate) {
+// admit fills the batch in Policy order: each admission slot takes the
+// policy's next eligible request (arrived on the virtual clock) while
+// its conservative KV reservation fits — with the policy's preemption
+// hook invoked when it does not — and the batch cap allows. The
+// eligible set lives on the scoreboard core and is maintained
+// incrementally (clock advances promote pending→eligible in arrival
+// order; aged batch requests move rank), so each admission decision —
+// promote, peek, remove — is O(1) in queue depth and allocation-free in
+// steady state.
+func (s *Server) admit(sp *engine.Stepper, inflight map[int]*call, agg *aggregate) {
 	sc := s.core
 	for sc.len() > 0 {
 		if s.cfg.MaxBatch > 0 && sp.InFlight() >= s.cfg.MaxBatch {
@@ -731,14 +628,15 @@ func (s *Server) admitScoreboard(sp *engine.Stepper, inflight map[int]*call, agg
 			continue
 		}
 		if !sp.CanAdmitRequest(c.req) {
-			s.makeRoomScoreboard(sp, c, inflight, agg)
+			s.makeRoom(sp, c, inflight, agg)
 			if !sp.CanAdmitRequest(c.req) {
 				if sp.InFlight() > 0 {
 					break // capacity frees up as sequences finish
 				}
-				// Same defensive guard as the linear path: admission
-				// must make progress even if Submit's whole-plan check
-				// and CanAdmit drift apart.
+				// Defensive guard against a spin: unreachable while
+				// Submit's whole-plan check mirrors CanAdmit at an
+				// empty system, but admission must always make
+				// progress even if those drift apart.
 				agg.failed++
 				c.finish(Result{Err: fmt.Errorf("%w: %d+%d tokens vs %d-block plan",
 					ErrNeverFits, c.req.PromptLen, c.req.OutputLen, s.cfg.Engine.Plan().Blocks)})
@@ -761,13 +659,13 @@ func (s *Server) admitScoreboard(sp *engine.Stepper, inflight map[int]*call, agg
 	}
 }
 
-// makeRoomScoreboard mirrors makeRoom on the core: the victim is the
-// running scoreboard's reverse-CLZ pick instead of a full scan over
-// the batch. Victims are requeued through the core with their original
-// arrival (and hence original rank keys), exactly like the linear
-// path's requeue-at-the-back — the policies' fixed tie-breaks make the
-// two orders indistinguishable.
-func (s *Server) makeRoomScoreboard(sp *engine.Stepper, blocked *call, inflight map[int]*call, agg *aggregate) {
+// makeRoom preempts the policy's victims until blocked fits or the
+// policy declines. The victim is the running scoreboard's reverse-CLZ
+// pick; its sequence is evicted from the stepper (returning every KV
+// block it held) and requeued through the core with its original
+// arrival, hence its original rank keys, to be re-admitted — and fully
+// recomputed — later.
+func (s *Server) makeRoom(sp *engine.Stepper, blocked *call, inflight map[int]*call, agg *aggregate) {
 	for !sp.CanAdmitRequest(blocked.req) {
 		vid, ok := s.core.victim(blocked.deadline())
 		if !ok {
@@ -785,76 +683,6 @@ func (s *Server) makeRoomScoreboard(sp *engine.Stepper, blocked *call, inflight 
 		vc.emit(Event{Type: EventPreempted, SimSeconds: sp.Clock()})
 		s.core.add(vc)
 	}
-}
-
-// notePolicyFault records an out-of-contract Policy.Next return:
-// counted every time (Stats.PolicyFaults), logged once per server.
-func (s *Server) notePolicyFault(pick, eligible int) {
-	s.policyFaults.Add(1)
-	s.faultLogOnce.Do(func() {
-		log.Printf("serve: policy %q returned index %d for %d eligible requests; clamping to 0 (counted in stats as policy_faults)",
-			s.cfg.Policy.Name(), pick, eligible)
-	})
-}
-
-// makeRoom asks the policy for preemption victims until blocked fits
-// or the policy declines. Each victim's sequence is evicted from the
-// stepper (returning every KV block it held), removed from the running
-// set and requeued at the back of the pending queue with its original
-// arrival, to be re-admitted — and fully recomputed — later.
-func (s *Server) makeRoom(sp *engine.Stepper, pending []*call, blocked *call, inflight map[int]*call, agg *aggregate) []*call {
-	for !sp.CanAdmitRequest(blocked.req) {
-		running := runningViews(inflight)
-		if len(running) == 0 {
-			return pending
-		}
-		v := s.cfg.Policy.Victim(sp.Clock(), s.pendingView(blocked), running)
-		if v < 0 || v >= len(running) {
-			return pending
-		}
-		req, ok := sp.Preempt(running[v].ID)
-		if !ok {
-			return pending // stale view; unreachable from the loop
-		}
-		vc := inflight[req.ID]
-		delete(inflight, req.ID)
-		vc.preempts++
-		agg.preempted++
-		vc.emit(Event{Type: EventPreempted, SimSeconds: sp.Clock()})
-		pending = append(pending, vc)
-	}
-	return pending
-}
-
-// pendingView projects a queued call for the policy.
-func (s *Server) pendingView(c *call) Pending {
-	return Pending{
-		ID:        c.req.ID,
-		PromptLen: c.req.PromptLen,
-		OutputLen: c.req.OutputLen,
-		Arrival:   c.req.ArrivalSeconds,
-		Class:     c.class,
-		Deadline:  c.deadline(),
-	}
-}
-
-// runningViews projects the in-flight set for victim selection, sorted
-// by submission ID so indices are deterministic across map iterations.
-func runningViews(inflight map[int]*call) []Running {
-	out := make([]Running, 0, len(inflight))
-	for _, c := range inflight {
-		out = append(out, Running{
-			ID:        c.req.ID,
-			PromptLen: c.req.PromptLen,
-			OutputLen: c.req.OutputLen,
-			Arrival:   c.req.ArrivalSeconds,
-			Admitted:  c.admittedAt,
-			Class:     c.class,
-			Deadline:  c.deadline(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // acceptHandoff offers an exported sequence to this replica without
@@ -902,9 +730,7 @@ func (s *Server) dispatchHandoffs(sp *engine.Stepper, prefilled []engine.Request
 			// crash victim's — resurrected by the health router when one
 			// is installed, failed to the client otherwise.
 			delete(inflight, m.ID)
-			if s.core != nil {
-				s.core.runningRemove(m.ID)
-			}
+			s.core.runningRemove(m.ID)
 			agg.handoffDrops++
 			agg.lost++
 			if s.onDeath != nil {
@@ -926,18 +752,14 @@ func (s *Server) dispatchHandoffs(sp *engine.Stepper, prefilled []engine.Request
 				// Unreachable: the export's footprint was resident here a
 				// moment ago and its reservation was just released.
 				delete(inflight, m.ID)
-				if s.core != nil {
-					s.core.runningRemove(m.ID)
-				}
+				s.core.runningRemove(m.ID)
 				agg.failed++
 				c.finish(Result{Err: imerr})
 			}
 			continue
 		}
 		delete(inflight, m.ID)
-		if s.core != nil {
-			s.core.runningRemove(m.ID)
-		}
+		s.core.runningRemove(m.ID)
 		agg.handoffs++
 		agg.handoffBytes += bytes
 	}
@@ -976,9 +798,7 @@ func (s *Server) importHandoffs(sp *engine.Stepper, hos []*handoff, inflight map
 		switch {
 		case err == nil:
 			inflight[h.exp.Req.ID] = h.c
-			if s.core != nil {
-				s.core.runningAdd(h.c)
-			}
+			s.core.runningAdd(h.c)
 			agg.handoffImports++
 			h.c.emit(Event{Type: EventHandoff, SimSeconds: sp.Clock()})
 		case errors.Is(err, engine.ErrSequenceInFlight):
@@ -1010,21 +830,20 @@ func (s *Server) drainHandoffs(hos []*handoff) []*handoff {
 }
 
 // drain empties the submit channel without blocking.
-func (s *Server) drain(sp *engine.Stepper, pending []*call) []*call {
+func (s *Server) drain(sp *engine.Stepper) {
 	for {
 		select {
 		case c := <-s.submitCh:
-			pending = s.arrive(sp, pending, c)
+			s.arrive(sp, c)
 		default:
-			return pending
+			return
 		}
 	}
 }
 
 // arrive stamps live submissions with the current virtual clock and
-// queues them: into the scoreboard core for built-in policies, or onto
-// the pending slice (submission order) for the legacy linear path.
-func (s *Server) arrive(sp *engine.Stepper, pending []*call, c *call) []*call {
+// queues them on the scoreboard core.
+func (s *Server) arrive(sp *engine.Stepper, c *call) {
 	if c.req.ArrivalSeconds < 0 {
 		// A resurrected call carries a deterministic sim-time backoff
 		// (retry count × the router's RetryBackoff): it arrives that far
@@ -1033,11 +852,7 @@ func (s *Server) arrive(sp *engine.Stepper, pending []*call, c *call) []*call {
 		c.req.ArrivalSeconds = sp.Clock() + c.backoff
 		c.backoff = 0
 	}
-	if s.core != nil {
-		s.core.add(c)
-		return pending
-	}
-	return append(pending, c)
+	s.core.add(c)
 }
 
 // aggregate accumulates completion statistics inside the loop.
@@ -1081,12 +896,11 @@ func (s *Server) publish(sp *engine.Stepper, queued, active int, agg *aggregate)
 		return
 	}
 	st := Stats{
-		Completed:    agg.completed,
-		Failed:       agg.failed,
-		Preempted:    agg.preempted,
-		PolicyFaults: s.policyFaults.Load(),
-		Queued:       queued,
-		Active:       active,
+		Completed: agg.completed,
+		Failed:    agg.failed,
+		Preempted: agg.preempted,
+		Queued:    queued,
+		Active:    active,
 
 		FreeKVBlocks:  sp.FreeBlocks(),
 		TotalKVBlocks: s.cfg.Engine.Plan().Blocks,
@@ -1191,7 +1005,7 @@ func (s *Server) pruneRecentLocked(now time.Time) {
 // snapshot — the loop is exiting, so no later publish will ever count
 // them, and without this a halted server would report failed=0 while
 // every caller holds an error.
-func (s *Server) failAll(pending []*call, hos []*handoff, inflight map[int]*call, err error) {
+func (s *Server) failAll(hos []*handoff, inflight map[int]*call, err error) {
 	s.gate.Lock()
 	if !s.stopped {
 		s.stopped = true
@@ -1207,16 +1021,11 @@ func (s *Server) failAll(pending []*call, hos []*handoff, inflight map[int]*call
 	for {
 		select {
 		case c := <-s.submitCh:
-			pending = append(pending, c)
+			fail(c)
 		case h := <-s.handoffCh:
 			hos = append(hos, h)
 		default:
-			for _, c := range pending {
-				fail(c)
-			}
-			if s.core != nil {
-				s.core.drainAll(fail)
-			}
+			s.core.drainAll(fail)
 			for _, h := range hos {
 				fail(h.c)
 			}
@@ -1237,8 +1046,8 @@ func (s *Server) failAll(pending []*call, hos []*handoff, inflight map[int]*call
 // counted in Stats.LostRequests, and either handed to the health
 // router's resurrection hook or failed to the client. The scheduler
 // goroutine exits afterwards; a later Stop returns immediately.
-func (s *Server) crash(pending []*call, hos []*handoff, inflight map[int]*call) {
-	s.die(pending, hos, inflight, fmt.Errorf("%w: replica crashed", ErrStopped))
+func (s *Server) crash(hos []*handoff, inflight map[int]*call) {
+	s.die(hos, inflight, fmt.Errorf("%w: replica crashed", ErrStopped))
 }
 
 // hang is a scripted livelock (FaultHang): the scheduler stops making
@@ -1246,30 +1055,36 @@ func (s *Server) crash(pending []*call, hos []*handoff, inflight map[int]*call) 
 // the queue fills, nothing completes, stats freeze. The stranded
 // requests are lost (resurrected or failed) only when the replica is
 // stopped, exactly like a real wedged process.
-func (s *Server) hang(pending []*call, hos []*handoff, inflight map[int]*call) {
+func (s *Server) hang(hos []*handoff, inflight map[int]*call) {
 	select {
 	case <-s.stop:
 	case <-s.kill:
 	}
-	s.die(pending, hos, inflight, fmt.Errorf("%w: replica hung", ErrStopped))
+	s.die(hos, inflight, fmt.Errorf("%w: replica hung", ErrStopped))
 }
 
 // die closes the gate, collects every request the replica still holds
 // into a deterministic lost set, counts it into Stats.LostRequests and
 // routes it through loseCalls.
-func (s *Server) die(pending []*call, hos []*handoff, inflight map[int]*call, reason error) {
+func (s *Server) die(hos []*handoff, inflight map[int]*call, reason error) {
 	s.gate.Lock()
 	if !s.stopped {
 		s.stopped = true
 		close(s.stop)
 	}
 	s.gate.Unlock()
+	lost := make([]*call, 0, s.core.len()+len(inflight)+len(hos))
+	collect := func(c *call) {
+		if !c.done.Load() {
+			lost = append(lost, c)
+		}
+	}
 	// Everything buffered raced past the gate before it closed; it
 	// goes down with the replica too.
 	for {
 		select {
 		case c := <-s.submitCh:
-			pending = append(pending, c)
+			collect(c)
 			continue
 		case h := <-s.handoffCh:
 			hos = append(hos, h)
@@ -1278,18 +1093,7 @@ func (s *Server) die(pending []*call, hos []*handoff, inflight map[int]*call, re
 		}
 		break
 	}
-	lost := make([]*call, 0, len(pending)+len(inflight)+len(hos))
-	collect := func(c *call) {
-		if !c.done.Load() {
-			lost = append(lost, c)
-		}
-	}
-	for _, c := range pending {
-		collect(c)
-	}
-	if s.core != nil {
-		s.core.drainAll(collect)
-	}
+	s.core.drainAll(collect)
 	for _, h := range hos {
 		collect(h.c)
 	}

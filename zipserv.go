@@ -21,7 +21,7 @@
 //     queue wait) and aggregate goodput, exposed over HTTP by
 //     cmd/zipserv-server as POST /v1/generate (429 on queue overflow,
 //     NDJSON streaming) and GET /v1/stats;
-//   - pluggable scheduling and sharded routing on top of it: admission
+//   - scheduling policies and sharded routing on top of it: admission
 //     order is a LivePolicy ("fifo" by default, "priority" for
 //     starvation-free interactive-before-batch classes, "slo" for
 //     earliest-TTFT-deadline-first with preempt-and-requeue), and the
@@ -351,10 +351,10 @@ func NewLiveServer(cfg LiveConfig) (*LiveServer, error) { return serve.New(cfg) 
 // ---- Scheduling policies and sharded routing ----
 
 // LivePolicy orders admission in the live scheduler and selects
-// preemption victims: who runs next, as a first-class pluggable
-// decision. Built-ins: FIFO (default), priority (interactive before
-// batch, starvation-free via aging) and slo
-// (earliest-TTFT-deadline-first with preempt-and-requeue).
+// preemption victims: who runs next. The set is closed — FIFO
+// (default), priority (interactive before batch, starvation-free via
+// aging) and slo (earliest-TTFT-deadline-first with
+// preempt-and-requeue) — built with LivePolicyByName.
 type LivePolicy = serve.Policy
 
 // LiveClass is a request priority class for the priority policy.
