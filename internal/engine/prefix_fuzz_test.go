@@ -11,7 +11,9 @@ import (
 // FuzzPrefixCacheInvariants drives random shared-prefix workloads —
 // prompts drawn from a small pool of common prefixes plus unique
 // suffixes — through a prefix-cached Stepper with random chunk
-// budgets, cache capacities and a mid-run preemption, checking the
+// budgets, cache capacities (cacheCap%64) and a mid-run preemption,
+// with cold blocks stored compressed when cacheCap&64 is set (so
+// freezes, thaws and the frozen pool run too), checking the
 // sharing invariants after every iteration: the allocator's refcounts
 // always equal the true table references (so no block is ever freed —
 // or reused — while referenced), every request's output is emitted
@@ -25,6 +27,7 @@ func FuzzPrefixCacheInvariants(f *testing.F) {
 	f.Add(int64(3), uint16(7), uint8(9), uint8(5), uint16(0))
 	f.Add(int64(4), uint16(64), uint8(12), uint8(200), uint16(17))
 	f.Add(int64(5), uint16(33), uint8(8), uint8(9), uint16(1))
+	f.Add(int64(12), uint16(48), uint8(11), uint8(4), uint16(64+40)) // compressed: thaws and cap evictions
 
 	model, err := weights.ByName("LLaMA3.1-8B")
 	if err != nil {
@@ -45,6 +48,11 @@ func FuzzPrefixCacheInvariants(f *testing.F) {
 		sp.PrefillChunkTokens = int(chunk % 512)
 		if err := sp.EnablePrefixCache(int(cacheCap % 64)); err != nil {
 			t.Fatal(err)
+		}
+		if cacheCap&64 != 0 {
+			if err := sp.EnableCompressedCache(); err != nil {
+				t.Fatal(err)
+			}
 		}
 
 		rng := rand.New(rand.NewSource(seed))

@@ -12,12 +12,12 @@ import (
 // and the physical block returns to the free list immediately. The trie
 // keeps advertising the content (the node survives with block = -1 and
 // a compressed-store key), so a later identical prompt still matches;
-// claiming such a "frozen" block pops a fresh physical block and
-// decompresses into it. The trade is the paper's §7 future-work
-// direction wired into the live path: cold prefix content costs only
-// compressed bytes instead of whole KV blocks, buying effective cache
-// capacity at a per-claim decompress price the engine cost model
-// charges explicitly (gpu.KVDecompressTime).
+// claiming such a "frozen" block pops a fresh physical block for it.
+// The trade is the paper's §7 future-work direction wired into the
+// live path: cold prefix content costs only compressed bytes instead
+// of whole KV blocks, buying effective cache capacity at a per-claim
+// decompress price the engine cost model charges explicitly
+// (gpu.KVDecompressTime).
 //
 // The engine is a discrete simulation — live blocks carry no real KV
 // tensors — so the block content fed to the codec is synthesized
@@ -27,7 +27,10 @@ import (
 // measured number) and the round-trip verifiable: CheckInvariants
 // re-synthesizes every frozen block, and every payload a thawed node
 // retains for its next freeze, and compares the decompressed tensor
-// bit for bit.
+// bit for bit. A claim itself only validates the payload it thaws
+// (load compressed, compute decompressed): nothing in the simulation
+// reads the decoded tensor, and the cost model charges the decompress
+// time regardless.
 
 // compressedKVCols is the column width of the synthesized per-block KV
 // tensor: one block compresses as a (BlockTokens × 256) BF16 matrix.
@@ -51,7 +54,6 @@ func (m *Manager) EnableCompressedCache() error {
 		return fmt.Errorf("kvcache: compressed cache already enabled")
 	}
 	m.compStore = NewCompressedStore()
-	m.prefix.frozen = make(map[int]*prefixNode)
 	return nil
 }
 
@@ -92,8 +94,8 @@ func (m *Manager) CompressionRatio() float64 {
 // decompress price for a whole block of prefill work saved.
 func (m *Manager) DecompressClaims() int64 { return m.decompClaims }
 
-// DecompressedBytes returns the total logical bytes decompressed by
-// prefix claims.
+// DecompressedBytes returns the total logical bytes of the frozen
+// blocks restored by prefix claims.
 func (m *Manager) DecompressedBytes() int64 { return m.decompBytes }
 
 // SetCodecFault installs a codec fault predicate: while it returns
@@ -135,31 +137,31 @@ func (m *Manager) freeze(b int, node *prefixNode) bool {
 	delete(m.prefix.byBlock, b)
 	node.block = -1
 	node.frozenID = id
-	m.prefix.frozen[id] = node
 	return true
 }
 
-// thaw restores a frozen node's content into a freshly popped physical
-// block so a claim can reference it. The decompression through Get is
-// the claim's integrity check on the payload (Validate); the payload
-// then moves out of the store and its accounting onto the node, for
-// the node's next freeze to reuse. The caller has verified capacity
+// thaw restores a frozen node into a freshly popped physical block so
+// a claim can reference it. The claim's integrity check on the payload
+// is the structural Validate that decoding runs first — once it
+// passes, decoding cannot fail — so the payload is never decoded here:
+// it moves out of the store and its accounting onto the node, for the
+// node's next freeze to reuse. The caller has verified capacity
 // (frozen matches are charged as resurrections by LookupCost) and owns
 // the refcount it acquires here.
 func (m *Manager) thaw(n *prefixNode) error {
-	kv, err := m.compStore.Get(n.frozenID)
+	sb, err := m.compStore.take(n.frozenID)
 	if err != nil {
 		return fmt.Errorf("kvcache: thawing frozen block %d: %w", n.frozenID, err)
 	}
-	n.payload = m.compStore.detach(n.frozenID)
-	delete(m.prefix.frozen, n.frozenID)
+	m.prefix.unpark(n)
+	n.payload = sb
 	n.frozenID = 0
 	b := m.pop()
 	n.block = b
 	m.prefix.byBlock[b] = n
 	m.refcnt[b] = 1
 	m.decompClaims++
-	m.decompBytes += int64(kv.SizeBytes())
+	m.decompBytes += sb.origSize
 	return nil
 }
 

@@ -100,8 +100,10 @@ func TestFreezeOnReleaseThawOnClaim(t *testing.T) {
 	if got := m.DecompressClaims(); got != 2 {
 		t.Fatalf("DecompressClaims = %d, want 2", got)
 	}
-	if got := m.DecompressedBytes(); got <= 0 {
-		t.Fatal("DecompressedBytes not positive after thaw")
+	// Each thaw reports its block's logical size without decoding it:
+	// 16 tokens × compressedKVCols BF16 values.
+	if got, want := m.DecompressedBytes(), int64(2*16*compressedKVCols*2); got != want {
+		t.Fatalf("DecompressedBytes after thaw = %d, want %d", got, want)
 	}
 	if got := m.CompressedBlocks(); got != 0 {
 		t.Fatalf("CompressedBlocks after thaw = %d, want 0", got)
@@ -401,4 +403,127 @@ func TestInvariantsCheckRetainedPayloads(t *testing.T) {
 	}
 	frozen.payload = nil
 	mustInvariants(t, m)
+}
+
+// TestThawRejectsCorruptPayload: a claim thaws without decoding, yet it
+// still rejects a structurally corrupt payload with the error decoding
+// would have raised, and rolls the whole claim back — the shallower
+// block it had already thawed refreezes, and no sequence, hit or
+// physical block leaks.
+func TestThawRejectsCorruptPayload(t *testing.T) {
+	m := newCompressedManager(t, 32, 0)
+	prompt := toks(32, 1)
+	if err := m.Allocate(1, 32); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CommitPrefix(1, prompt, 32); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free(1); err != nil {
+		t.Fatal(err)
+	}
+	nodes := chainNodes(m, prompt)
+	if len(nodes) != 2 {
+		t.Fatalf("trie advertises %d blocks of the prompt, want 2", len(nodes))
+	}
+	cm := m.compStore.blocks[nodes[1].frozenID].cm
+	high := cm.High
+	cm.High = high[:len(high)-1]
+
+	hits := m.PrefixHits()
+	got, err := m.ClaimPrefix(2, prompt)
+	const want = "core: final offsets 4060/36 do not match buffer lengths 4059/36"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ClaimPrefix over a corrupt payload = %d, %v; want an error containing %q", got, err, want)
+	}
+	if got := m.FreeBlocks(); got != 32 {
+		t.Fatalf("FreeBlocks after the failed claim = %d, want 32", got)
+	}
+	if got := m.PrefixHits(); got != hits {
+		t.Fatalf("PrefixHits after the failed claim = %d, want %d", got, hits)
+	}
+	if seqs := m.Sequences(); len(seqs) != 0 {
+		t.Fatalf("failed claim left sequences %v allocated", seqs)
+	}
+	cm.High = high
+	mustInvariants(t, m)
+}
+
+var summarySink *PrefixSummary
+
+// BenchmarkCompressedPoolChurn is the kvcache layer's freeze, thaw and
+// claim benchmark. A compressed manager's 1024-block pool is full of
+// eight tenants' frozen 32-block prompt prefixes and older unique
+// tails. One op claims a tenant prefix (32 thaws), prefills and
+// commits 4 unique blocks behind it, frees the sequence (36 freezes,
+// then 4 cap evictions of the oldest tails) and rebuilds the trie
+// digest, as a replica publishing stats after every admission does.
+func BenchmarkCompressedPoolChurn(b *testing.B) {
+	const (
+		tenants      = 8
+		prefixBlocks = 32
+		tailBlocks   = 4
+		poolCap      = 1024
+		bt           = DefaultBlockTokens
+	)
+	m, err := NewManager(Config{BlockTokens: bt, TotalBlocks: 2 * (prefixBlocks + tailBlocks)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := m.EnablePrefixCache(poolCap); err != nil {
+		b.Fatal(err)
+	}
+	if err := m.EnableCompressedCache(); err != nil {
+		b.Fatal(err)
+	}
+	prefixes := make([]HashedPrompt, tenants)
+	for i := range prefixes {
+		prefixes[i] = m.HashPrompt(toks(prefixBlocks*bt, i+1))
+	}
+	seq := 0
+	churn := func() int {
+		seq++
+		p, tail := prefixes[seq%tenants], m.HashPrompt(toks(tailBlocks*bt, 1000+seq))
+		hp := HashedPrompt{
+			tokens: append(p.tokens[:len(p.tokens):len(p.tokens)], tail.tokens...),
+			keys:   append(p.keys[:len(p.keys):len(p.keys)], tail.keys...),
+		}
+		matched, err := m.ClaimPrefixHashed(seq, hp)
+		if err == nil {
+			if matched == 0 {
+				err = m.Allocate(seq, hp.Len())
+			} else {
+				err = m.Extend(seq, hp.Len()-matched)
+			}
+		}
+		if err == nil {
+			err = m.CommitPrefixHashed(seq, hp, hp.Len())
+		}
+		if err == nil {
+			err = m.Free(seq)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		summarySink = m.PrefixSummary()
+		return matched
+	}
+	for m.CompressedBlocks() < poolCap {
+		churn()
+	}
+	thaws := m.DecompressClaims()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if churn() != prefixBlocks*bt {
+			b.Fatal("claim missed the frozen tenant prefix")
+		}
+	}
+	b.StopTimer()
+	if got := m.DecompressClaims() - thaws; got != int64(prefixBlocks*b.N) {
+		b.Fatalf("%d thaws over %d ops, want %d per op", got, b.N, prefixBlocks)
+	}
+	if got := m.CompressedBlocks(); got != poolCap {
+		b.Fatalf("pool holds %d frozen blocks, want a full %d", got, poolCap)
+	}
 }

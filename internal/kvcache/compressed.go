@@ -84,6 +84,22 @@ func (s *CompressedStore) Get(blockID int) (*bf16.Matrix, error) {
 	return sb.decode()
 }
 
+// take validates a stored block the way decoding would, without
+// decoding it, and detaches it (see detach). A block that fails
+// validation stays stored.
+func (s *CompressedStore) take(blockID int) (*storedBlock, error) {
+	sb, ok := s.blocks[blockID]
+	if !ok {
+		return nil, fmt.Errorf("kvcache: block %d not in store", blockID)
+	}
+	if sb.cm != nil {
+		if err := sb.cm.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	return s.detach(blockID), nil
+}
+
 // Delete removes a block.
 func (s *CompressedStore) Delete(blockID int) { s.detach(blockID) }
 

@@ -283,8 +283,11 @@ func (m *Manager) pop() int {
 // must equal the true table reference counts, free/cached/owned must
 // partition the block space, and cached blocks must be refcount-zero
 // and trie-advertised — i.e. no block is ever freed while referenced.
-// Tests and the engine's failure-injection suite call this after every
-// mutation batch.
+// The trie's derived state must match the trie: the flat node list is
+// exactly the reachable nodes, each node carries its path fingerprint,
+// and each pool heap holds exactly the pooled nodes of its kind in
+// heap order. Tests and the engine's failure-injection suite call this
+// after every mutation batch.
 func (m *Manager) CheckInvariants() error {
 	refs := make(map[int]int, m.cfg.TotalBlocks)
 	for id, st := range m.seqs {
@@ -320,6 +323,22 @@ func (m *Manager) CheckInvariants() error {
 		return nil
 	}
 
+	p := m.prefix
+	parked, err := p.cached.check(false)
+	if err != nil {
+		return err
+	}
+	frozen, err := p.frozen.check(true)
+	if err != nil {
+		return err
+	}
+	if m.compStore == nil && len(frozen) != 0 {
+		return fmt.Errorf("kvcache: %d frozen nodes without a compressed cache", len(frozen))
+	}
+	if err := m.checkTrie(); err != nil {
+		return err
+	}
+
 	tracked, shared := 0, 0
 	for b := 0; b < m.cfg.TotalBlocks; b++ {
 		want := refs[b]
@@ -332,20 +351,20 @@ func (m *Manager) CheckInvariants() error {
 		if want > 1 {
 			shared++
 		}
-		node, parked := m.prefix.cached[b]
-		if parked {
+		node, isParked := parked[b]
+		if isParked {
 			if want != 0 {
 				return fmt.Errorf("kvcache: block %d cached while referenced %d times", b, want)
 			}
-			if m.prefix.byBlock[b] == nil || node.block != b {
+			if p.byBlock[b] != node {
 				return fmt.Errorf("kvcache: cached block %d not advertised by the trie", b)
 			}
 		}
-		if _, seen := refs[b]; seen || parked {
+		if _, seen := refs[b]; seen || isParked {
 			tracked++
 		}
 	}
-	for b, node := range m.prefix.byBlock {
+	for b, node := range p.byBlock {
 		if node.block != b {
 			return fmt.Errorf("kvcache: trie node for block %d points at block %d", b, node.block)
 		}
@@ -368,7 +387,7 @@ func (m *Manager) CheckInvariants() error {
 			}
 		}
 		if m.refcnt[b] == 0 {
-			if _, parked := m.prefix.cached[b]; !parked {
+			if _, isParked := parked[b]; !isParked {
 				return fmt.Errorf("kvcache: registered block %d unreferenced but not cached (leaked)", b)
 			}
 		}
@@ -376,20 +395,17 @@ func (m *Manager) CheckInvariants() error {
 	if tracked != m.cfg.TotalBlocks {
 		return fmt.Errorf("kvcache: %d blocks tracked, want %d", tracked, m.cfg.TotalBlocks)
 	}
-	if m.prefix.shared != shared {
-		return fmt.Errorf("kvcache: shared-block counter %d, true count %d", m.prefix.shared, shared)
+	if p.shared != shared {
+		return fmt.Errorf("kvcache: shared-block counter %d, true count %d", p.shared, shared)
 	}
 	if m.compStore != nil {
 		// Frozen nodes hold no physical block but must stay advertised,
 		// be backed by the compressed store one-for-one, and decompress
 		// bit-exactly to the content their key addresses.
-		if got, want := len(m.prefix.frozen), m.compStore.Len(); got != want {
+		if got, want := len(frozen), m.compStore.Len(); got != want {
 			return fmt.Errorf("kvcache: %d frozen trie nodes, compressed store holds %d blocks", got, want)
 		}
-		for id, n := range m.prefix.frozen {
-			if n.frozenID != id {
-				return fmt.Errorf("kvcache: frozen node under id %d carries id %d", id, n.frozenID)
-			}
+		for id, n := range frozen {
 			if n.block != -1 {
 				return fmt.Errorf("kvcache: frozen node %d still holds physical block %d", id, n.block)
 			}
@@ -407,6 +423,93 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("kvcache: frozen node %d decompressed content differs from its key's", id)
 			}
 		}
+	}
+	return nil
+}
+
+// check verifies a pool heap's own structure — every slot's node is of
+// the pool's kind and records that slot, and no node sorts before its
+// heap parent — and indexes its nodes by their pool key: the physical
+// block for the cached pool, the compressed-store id for the frozen
+// one.
+func (h poolHeap) check(frozen bool) (map[int]*prefixNode, error) {
+	kind := "cached"
+	if frozen {
+		kind = "frozen"
+	}
+	byKey := make(map[int]*prefixNode, len(h))
+	for i, n := range h {
+		if n.heapIdx != i {
+			return nil, fmt.Errorf("kvcache: %s pool slot %d holds a node indexed %d", kind, i, n.heapIdx)
+		}
+		if i > 0 && evictsBefore(n, h[(i-1)/2]) {
+			return nil, fmt.Errorf("kvcache: %s pool slot %d sorts before its heap parent", kind, i)
+		}
+		if frozen != (n.frozenID != 0) {
+			return nil, fmt.Errorf("kvcache: %s pool slot %d holds a node of the other pool", kind, i)
+		}
+		key := n.block
+		if frozen {
+			key = n.frozenID
+		}
+		if _, dup := byKey[key]; dup {
+			return nil, fmt.Errorf("kvcache: %s pool holds key %d twice", kind, key)
+		}
+		byKey[key] = n
+	}
+	return byKey, nil
+}
+
+// checkTrie walks the trie from the root and verifies each node's
+// derived state against it: the parent link, the stored path
+// fingerprint, the slot in the flat node list (which must hold the
+// reachable nodes and nothing else) and pool membership, which must
+// hold exactly for frozen nodes and physically backed refcount-zero
+// ones.
+func (m *Manager) checkTrie() error {
+	p := m.prefix
+	if p.root.path != fnvOffset64 || p.root.heapIdx != -1 {
+		return fmt.Errorf("kvcache: trie root carries fingerprint %#x, pool slot %d", p.root.path, p.root.heapIdx)
+	}
+	reachable, pooledReachable := 0, 0
+	var walk func(*prefixNode) error
+	walk = func(x *prefixNode) error {
+		for key, c := range x.children {
+			reachable++
+			if c.parent != x || c.key != key {
+				return fmt.Errorf("kvcache: trie node %q detached from its parent", key)
+			}
+			if c.path != fnvString(x.path, key) {
+				return fmt.Errorf("kvcache: trie node for block %d carries a stale path fingerprint", c.block)
+			}
+			if c.listIdx < 0 || c.listIdx >= len(p.nodes) || p.nodes[c.listIdx] != c {
+				return fmt.Errorf("kvcache: trie node for block %d missing from the node list", c.block)
+			}
+			if c.frozenID == 0 && (c.block < 0 || p.byBlock[c.block] != c) {
+				return fmt.Errorf("kvcache: unfrozen trie node for block %d not advertised", c.block)
+			}
+			pooled := c.frozenID != 0 || m.refcnt[c.block] == 0
+			if h := *p.pool(c); pooled != (c.heapIdx >= 0 && c.heapIdx < len(h) && h[c.heapIdx] == c) {
+				return fmt.Errorf("kvcache: trie node for block %d (frozen id %d) pooled=%v but pool slot %d",
+					c.block, c.frozenID, pooled, c.heapIdx)
+			}
+			if pooled {
+				pooledReachable++
+			}
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(p.root); err != nil {
+		return err
+	}
+	if reachable != len(p.nodes) {
+		return fmt.Errorf("kvcache: node list holds %d nodes, trie reaches %d", len(p.nodes), reachable)
+	}
+	if pooled := len(p.cached) + len(p.frozen); pooled != pooledReachable {
+		return fmt.Errorf("kvcache: pools hold %d nodes, trie reaches %d pooled ones", pooled, pooledReachable)
 	}
 	return nil
 }

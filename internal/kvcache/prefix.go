@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"container/heap"
 	"encoding/binary"
 	"fmt"
 )
@@ -37,32 +38,74 @@ type prefixNode struct {
 	frozenID int                    // compressed-store key while frozen (0 = not frozen)
 	lastUse  int64                  // LRU tick of the last claim/commit
 
+	// path is the node's path fingerprint, fnvString(parent.path, key)
+	// (fnvOffset64 at the root), computed once at registration so the
+	// trie digest hashes nothing (see summary.go).
+	path    uint64
+	listIdx int // position in prefixIndex.nodes
+	heapIdx int // position in its pool's heap (-1 = not pooled)
+
 	// payload is this content's compressed form, moved here out of the
 	// store by the last thaw so the next freeze re-attaches it instead
 	// of compressing again (nil = none; always nil while frozen).
 	payload *storedBlock
 }
 
-// addChild links c under n, allocating the child map lazily.
-func (n *prefixNode) addChild(key string, c *prefixNode) {
-	if n.children == nil {
-		n.children = make(map[string]*prefixNode)
+// poolHeap is one pool's eviction order: a min-heap of pooled trie
+// nodes under evictsBefore, each node recording its own slot
+// (heapIdx) so a claim removes it, and a change to its key re-fixes
+// it, in O(log n).
+type poolHeap []*prefixNode
+
+func (h poolHeap) Len() int           { return len(h) }
+func (h poolHeap) Less(i, j int) bool { return evictsBefore(h[i], h[j]) }
+func (h poolHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].heapIdx, h[j].heapIdx = i, j
+}
+
+func (h *poolHeap) Push(x any) {
+	n := x.(*prefixNode)
+	n.heapIdx = len(*h)
+	*h = append(*h, n)
+}
+
+func (h *poolHeap) Pop() any {
+	old := *h
+	n := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	n.heapIdx = -1
+	return n
+}
+
+// evictsBefore is the victim order of both pools: trie leaves before
+// interior nodes, so prefix chains stay matchable, then least recently
+// used first. Every touch takes a fresh tick, so the order is strict.
+func evictsBefore(a, b *prefixNode) bool {
+	if aLeaf, bLeaf := len(a.children) == 0, len(b.children) == 0; aLeaf != bLeaf {
+		return aLeaf
 	}
-	n.children[key] = c
+	return a.lastUse < b.lastUse
 }
 
 // prefixIndex is the Manager's prefix-cache state.
 type prefixIndex struct {
 	root      *prefixNode
+	nodes     []*prefixNode       // every registered trie node, in no order
 	byBlock   map[int]*prefixNode // registered blocks (owned or cached)
-	cached    map[int]*prefixNode // refcount-zero registered blocks (reclaimable)
-	frozen    map[int]*prefixNode // frozenID → compressed cold nodes (compressed cache only)
+	cached    poolHeap            // refcount-zero registered blocks (reclaimable)
+	frozen    poolHeap            // compressed cold nodes (compressed cache only)
 	committed map[int]commitMark  // seqID → deepest committed trie position
 	cap       int                 // max pooled (cached + frozen) blocks retained (0 = unbounded)
 	tick      int64
 	shared    int // blocks with refcount > 1, maintained on transitions
 
 	ctl *cacheCtl // adaptive pool sizing (nil = static cap)
+
+	// onEvict, when set, sees each eviction victim before it is
+	// unregistered (a test seam; nil in production).
+	onEvict func(victim *prefixNode, includeFrozen bool)
 
 	walkScratch []*prefixNode // reusable matched-chain buffer for walk
 
@@ -71,6 +114,67 @@ type prefixIndex struct {
 	evictions   int64 // cached blocks reclaimed under pressure or cap
 	cowCopies   int64 // shared blocks copied before a write
 	walks       int64 // trie walks executed (lookup, claim, probe)
+}
+
+// pool returns the heap a pooled node belongs to: frozen nodes in the
+// frozen pool, physically parked ones in the cached pool.
+func (p *prefixIndex) pool(n *prefixNode) *poolHeap {
+	if n.frozenID != 0 {
+		return &p.frozen
+	}
+	return &p.cached
+}
+
+// park adds a refcount-zero (or just frozen) node to its pool.
+func (p *prefixIndex) park(n *prefixNode) { heap.Push(p.pool(n), n) }
+
+// unpark takes a pooled node out of its pool.
+func (p *prefixIndex) unpark(n *prefixNode) { heap.Remove(p.pool(n), n.heapIdx) }
+
+// refix restores a pooled node's heap position after its key changed.
+func (p *prefixIndex) refix(n *prefixNode) {
+	if n.heapIdx >= 0 {
+		heap.Fix(p.pool(n), n.heapIdx)
+	}
+}
+
+// touch stamps a node with a fresh LRU tick.
+func (p *prefixIndex) touch(n *prefixNode) {
+	p.tick++
+	n.lastUse = p.tick
+	p.refix(n)
+}
+
+// register creates the trie node advertising block b's content key
+// under parent: it links the node (a pooled parent gaining its first
+// child stops being a leaf), stores its path fingerprint and lists it.
+func (p *prefixIndex) register(parent *prefixNode, key string, b int) *prefixNode {
+	n := &prefixNode{
+		parent:  parent,
+		key:     key,
+		block:   b,
+		path:    fnvString(parent.path, key),
+		listIdx: len(p.nodes),
+		heapIdx: -1,
+	}
+	if parent.children == nil {
+		parent.children = make(map[string]*prefixNode)
+	}
+	parent.children[key] = n
+	if len(parent.children) == 1 {
+		p.refix(parent)
+	}
+	p.nodes = append(p.nodes, n)
+	p.byBlock[b] = n
+	return n
+}
+
+// unlist drops a node from the flat node list.
+func (p *prefixIndex) unlist(n *prefixNode) {
+	last := p.nodes[len(p.nodes)-1]
+	p.nodes[n.listIdx], last.listIdx = last, n.listIdx
+	p.nodes[len(p.nodes)-1] = nil
+	p.nodes = p.nodes[:len(p.nodes)-1]
 }
 
 // commitMark remembers how deep a sequence's prompt has already been
@@ -131,9 +235,8 @@ func (m *Manager) EnablePrefixCache(capBlocks int) error {
 		return fmt.Errorf("kvcache: prefix cache must be enabled on an empty manager")
 	}
 	m.prefix = &prefixIndex{
-		root:      &prefixNode{block: -1},
+		root:      &prefixNode{block: -1, path: fnvOffset64, heapIdx: -1},
 		byBlock:   make(map[int]*prefixNode),
-		cached:    make(map[int]*prefixNode),
 		committed: make(map[int]commitMark),
 		cap:       capBlocks,
 	}
@@ -344,19 +447,18 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 			continue
 		}
 		if m.refcnt[n.block] == 0 {
-			delete(m.prefix.cached, n.block)
+			m.prefix.unpark(n)
 		}
 		m.refcnt[n.block]++
 		if m.refcnt[n.block] == 2 {
 			m.prefix.shared++
 		}
-		m.prefix.tick++
-		n.lastUse = m.prefix.tick
+		m.prefix.touch(n)
 		st.table[i] = n.block
 	}
 	// Then restore the frozen matches: each thaw pops a fresh physical
-	// block (charged as a resurrection by LookupCost) and decompresses
-	// the cold content into it.
+	// block (charged as a resurrection by LookupCost) for the cold
+	// content.
 	for i, n := range nodes {
 		if st.table[i] >= 0 {
 			continue
@@ -373,8 +475,7 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 			m.gen++
 			return 0, err
 		}
-		m.prefix.tick++
-		n.lastUse = m.prefix.tick
+		m.prefix.touch(n)
 		st.table[i] = n.block
 	}
 	st.tokens = matched
@@ -438,17 +539,10 @@ func (m *Manager) CommitPrefixHashed(seqID int, hp HashedPrompt, prefilled int) 
 				// trie). Leave it; do not double-register.
 				break
 			}
-			child = &prefixNode{
-				parent: node,
-				key:    key,
-				block:  st.table[i],
-			}
-			node.addChild(key, child)
-			m.prefix.byBlock[st.table[i]] = child
+			child = m.prefix.register(node, key, st.table[i])
 			registered = true
 		}
-		m.prefix.tick++
-		child.lastUse = m.prefix.tick
+		m.prefix.touch(child)
 		node = child
 	}
 	if i > 0 {
@@ -473,16 +567,13 @@ func (m *Manager) releaseBlock(b int) {
 	}
 	m.gen++ // a refcount-zero transition changes later resurrect charges
 	if node := m.prefix.byBlock[b]; node != nil {
-		m.prefix.tick++
-		node.lastUse = m.prefix.tick
+		m.prefix.touch(node)
 		if m.compStore != nil && m.freeze(b, node) {
 			// Cold content lives on compressed; the physical block is
 			// real free capacity again.
 			m.freeList = append(m.freeList, b)
-			m.enforceCap()
-			return
 		}
-		m.prefix.cached[b] = node
+		m.prefix.park(node)
 		m.enforceCap()
 		return
 	}
@@ -506,33 +597,26 @@ func (m *Manager) enforceCap() {
 // trie leaf so interior prefix chains survive; if every pooled node
 // has children, the LRU interior node goes and its subtree is
 // unregistered (pooled descendants are dropped too, owned descendants
-// merely lose their trie advertisement). Allocation pressure passes
+// merely lose their trie advertisement). The victim is the smaller of
+// the two pool heaps' minima. Allocation pressure passes
 // includeFrozen=false — evicting a frozen node frees no physical block,
 // so only physically parked victims can relieve a dry free list — while
-// cap enforcement scans both pools. Returns false when no candidate
-// exists.
+// cap enforcement draws from both pools. Returns false when no
+// candidate exists.
 func (m *Manager) evictOne(includeFrozen bool) bool {
+	p := m.prefix
 	var victim *prefixNode
-	leaf := false
-	consider := func(n *prefixNode) {
-		nLeaf := len(n.children) == 0
-		switch {
-		case victim == nil,
-			nLeaf && !leaf,
-			nLeaf == leaf && n.lastUse < victim.lastUse:
-			victim, leaf = n, nLeaf
-		}
+	if len(p.cached) > 0 {
+		victim = p.cached[0]
 	}
-	for _, n := range m.prefix.cached {
-		consider(n)
-	}
-	if includeFrozen {
-		for _, n := range m.prefix.frozen {
-			consider(n)
-		}
+	if includeFrozen && len(p.frozen) > 0 && (victim == nil || evictsBefore(p.frozen[0], victim)) {
+		victim = p.frozen[0]
 	}
 	if victim == nil {
 		return false
+	}
+	if p.onEvict != nil {
+		p.onEvict(victim, includeFrozen)
 	}
 	m.unregister(victim)
 	return true
@@ -543,23 +627,28 @@ func (m *Manager) evictOne(includeFrozen bool) bool {
 // frozen descendants from the compressed store and retained payloads
 // from the rest.
 func (m *Manager) unregister(n *prefixNode) {
+	p := m.prefix
 	delete(n.parent.children, n.key)
+	if len(n.parent.children) == 0 {
+		p.refix(n.parent) // a pooled parent just became a leaf
+	}
 	m.gen++ // removed advertisements change later lookups
 	var dfs func(*prefixNode)
 	dfs = func(x *prefixNode) {
+		p.unlist(x)
+		if x.heapIdx >= 0 {
+			p.unpark(x)
+			p.evictions++
+			if x.frozenID == 0 {
+				m.freeList = append(m.freeList, x.block)
+			}
+		}
 		if x.frozenID != 0 {
 			m.compStore.Delete(x.frozenID)
-			delete(m.prefix.frozen, x.frozenID)
 			x.frozenID = 0
-			m.prefix.evictions++
 		} else {
 			x.payload = nil
-			delete(m.prefix.byBlock, x.block)
-			if _, parked := m.prefix.cached[x.block]; parked {
-				delete(m.prefix.cached, x.block)
-				m.freeList = append(m.freeList, x.block)
-				m.prefix.evictions++
-			}
+			delete(p.byBlock, x.block)
 		}
 		for _, c := range x.children {
 			dfs(c)

@@ -1,6 +1,9 @@
 package kvcache
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -368,4 +371,141 @@ func TestPrefixDisabledUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustInvariants(t, m)
+}
+
+// scanVictim is the eviction choice made by scanning, the oracle for
+// evictOne's pool heaps: over every pooled node (the frozen pool only
+// when includeFrozen), prefer a trie leaf, then the least recently
+// used.
+func scanVictim(m *Manager, includeFrozen bool) *prefixNode {
+	var victim *prefixNode
+	leaf := false
+	consider := func(n *prefixNode) {
+		nLeaf := len(n.children) == 0
+		switch {
+		case victim == nil,
+			nLeaf && !leaf,
+			nLeaf == leaf && n.lastUse < victim.lastUse:
+			victim, leaf = n, nLeaf
+		}
+	}
+	for _, n := range m.prefix.cached {
+		consider(n)
+	}
+	if includeFrozen {
+		for _, n := range m.prefix.frozen {
+			consider(n)
+		}
+	}
+	return victim
+}
+
+// TestPrefixPoolsMatchReferences drives a compressed manager with a
+// small pool cap through random commits, claims, frees, copy-on-write
+// growth, cap shrinks, codec faults (which park blocks physically, so
+// both pools fill) and allocation pressure. Some admissions prefill
+// privately instead of claiming, so their commit walks touch pooled
+// nodes another sequence registered. Every eviction's victim must be
+// the one the scan picks, and after every mutation the digest must
+// equal the one rebuilt by re-hashing the trie.
+func TestPrefixPoolsMatchReferences(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := newCompressedManager(t, 48, 12)
+		evicted := map[bool]int{}
+		m.prefix.onEvict = func(victim *prefixNode, includeFrozen bool) {
+			if want := scanVictim(m, includeFrozen); victim != want {
+				t.Fatalf("seed %d: evicted node (block %d, frozen id %d, lastUse %d), scan picks (block %d, frozen id %d, lastUse %d)",
+					seed, victim.block, victim.frozenID, victim.lastUse, want.block, want.frozenID, want.lastUse)
+			}
+			evicted[includeFrozen]++
+		}
+		fault := false
+		m.SetCodecFault(func() bool { return fault })
+		prompts := map[int][]int{}
+		nextID := 1
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3: // admit: claim the cached prefix, prefill the rest, commit
+				prompt := append(toks(16*rng.Intn(5), 1+rng.Intn(3)), toks(1+rng.Intn(40), 1000+step)...)
+				if rng.Intn(4) == 0 {
+					prompt = toks(16*(1+rng.Intn(4)), 1+rng.Intn(3)) // exact repeat, fully cached
+				}
+				if BlocksFor(len(prompt), 16)+1 > m.FreeBlocks() {
+					continue
+				}
+				id := nextID
+				nextID++
+				matched, err := 0, error(nil)
+				if rng.Intn(4) != 0 { // else prefill privately, as a batch-mate of the first writer would
+					if matched, err = m.ClaimPrefix(id, prompt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if matched == 0 {
+					err = m.Allocate(id, len(prompt))
+				} else if matched < len(prompt) {
+					err = m.Extend(id, len(prompt)-matched)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				prompts[id] = prompt
+				if err := m.CommitPrefix(id, prompt, rng.Intn(len(prompt)+1)); err != nil {
+					t.Fatal(err)
+				}
+			case op < 4 && len(prompts) > 0: // finish committing, then grow (copy-on-write)
+				id := anyKey(rng, prompts)
+				if err := m.CommitPrefix(id, prompts[id], len(prompts[id])); err != nil {
+					t.Fatal(err)
+				}
+				if m.FreeBlocks() > 2 {
+					if err := m.Extend(id, 1+rng.Intn(16)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case op < 7 && len(prompts) > 0: // free
+				id := anyKey(rng, prompts)
+				if err := m.Free(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(prompts, id)
+			case op < 8: // resize the pool, mostly shrinking
+				if err := m.SetPrefixCacheCap(2 + rng.Intn(14)); err != nil {
+					t.Fatal(err)
+				}
+			case op < 9: // allocation pressure: a private sequence drains the free list
+				if n := m.FreeBlocks(); n > 0 {
+					id := nextID
+					nextID++
+					if err := m.Allocate(id, 16*n); err != nil {
+						t.Fatal(err)
+					}
+					if err := m.Free(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+			default:
+				fault = !fault
+			}
+			mustInvariants(t, m)
+			if got, want := m.PrefixSummary(), referencePrefixSummary(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: PrefixSummary = %+v, reference %+v", seed, step, got, want)
+			}
+		}
+		if evicted[false] == 0 || evicted[true] == 0 {
+			t.Fatalf("seed %d: evictions under pressure %d, under the cap %d; want both exercised",
+				seed, evicted[false], evicted[true])
+		}
+	}
+}
+
+// anyKey returns a uniformly random key of m.
+func anyKey(rng *rand.Rand, m map[int][]int) int {
+	ids := make([]int, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids[rng.Intn(len(ids))]
 }

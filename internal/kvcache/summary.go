@@ -111,7 +111,8 @@ func bloomTest(words []uint64, k int, h uint64) bool {
 // PrefixSummary digests the current prefix trie, or returns nil when
 // prefix caching is off. The digest is memoized per trie generation:
 // polling it every scheduler iteration costs one comparison unless the
-// trie actually changed since the last build.
+// trie actually changed since the last build, and a build reads each
+// registered node's stored path fingerprint once, hashing nothing.
 func (m *Manager) PrefixSummary() *PrefixSummary {
 	if m.prefix == nil {
 		return nil
@@ -119,34 +120,25 @@ func (m *Manager) PrefixSummary() *PrefixSummary {
 	if m.summary != nil && m.summaryGen == m.gen {
 		return m.summary
 	}
-	var (
-		roots []uint64
-		paths []uint64
-	)
-	var dfs func(n *prefixNode, h uint64)
-	dfs = func(n *prefixNode, h uint64) {
-		for key, c := range n.children {
-			ch := fnvString(h, key)
-			if n == m.prefix.root {
-				roots = append(roots, ch)
-			}
-			paths = append(paths, ch)
-			dfs(c, ch)
+	nodes := m.prefix.nodes
+	var roots []uint64
+	for _, n := range nodes {
+		if n.parent == m.prefix.root {
+			roots = append(roots, n.path)
 		}
 	}
-	dfs(m.prefix.root, fnvOffset64)
 	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
 	s := &PrefixSummary{
 		BlockTokens: m.cfg.BlockTokens,
-		Blocks:      len(paths),
+		Blocks:      len(nodes),
 		Roots:       roots,
 		Epoch:       m.gen,
 	}
-	if len(paths) > 0 {
-		s.Bloom = make([]uint64, bloomBits(len(paths))/64)
+	if len(nodes) > 0 {
+		s.Bloom = make([]uint64, bloomBits(len(nodes))/64)
 		s.BloomK = summaryBloomK
-		for _, h := range paths {
-			bloomAdd(s.Bloom, s.BloomK, h)
+		for _, n := range nodes {
+			bloomAdd(s.Bloom, s.BloomK, n.path)
 		}
 	}
 	m.summary, m.summaryGen = s, m.gen

@@ -1,6 +1,9 @@
 package kvcache
 
-import "testing"
+import (
+	"sort"
+	"testing"
+)
 
 // commitPrompt prefills a prompt the long way and advertises its full
 // blocks in the trie.
@@ -180,4 +183,42 @@ func TestMergePrefixSummaries(t *testing.T) {
 	if MergePrefixSummaries(nil) != nil || MergePrefixSummaries([]*PrefixSummary{nil, nil}) != nil {
 		t.Fatal("all-nil merge should be nil")
 	}
+}
+
+// referencePrefixSummary is the digest built the direct way, the
+// oracle for PrefixSummary's stored fingerprints: recurse through the
+// trie's child maps from the root, re-hashing every node's path
+// fingerprint from its content key.
+func referencePrefixSummary(m *Manager) *PrefixSummary {
+	var (
+		roots []uint64
+		paths []uint64
+	)
+	var dfs func(n *prefixNode, h uint64)
+	dfs = func(n *prefixNode, h uint64) {
+		for key, c := range n.children {
+			ch := fnvString(h, key)
+			if n == m.prefix.root {
+				roots = append(roots, ch)
+			}
+			paths = append(paths, ch)
+			dfs(c, ch)
+		}
+	}
+	dfs(m.prefix.root, fnvOffset64)
+	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	s := &PrefixSummary{
+		BlockTokens: m.cfg.BlockTokens,
+		Blocks:      len(paths),
+		Roots:       roots,
+		Epoch:       m.gen,
+	}
+	if len(paths) > 0 {
+		s.Bloom = make([]uint64, bloomBits(len(paths))/64)
+		s.BloomK = summaryBloomK
+		for _, h := range paths {
+			bloomAdd(s.Bloom, s.BloomK, h)
+		}
+	}
+	return s
 }
