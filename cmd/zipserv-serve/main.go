@@ -1,90 +1,59 @@
 // Command zipserv-serve runs the end-to-end serving simulation (§6.5)
-// for one deployment and prints latency, throughput and the memory
-// plan, optionally comparing all four serving backends.
+// for one deployment. Each invocation runs exactly one mode. Selecting
+// two modes, setting a flag the selected mode does not read, or a
+// non-positive size, rate or time is a usage error (exit status 2).
 //
-// With -live it instead replays a synthetic Poisson trace through the
-// live continuous-batching scheduler (internal/serve) and through the
-// offline static-batch path, and reports the goodput gain of
-// iteration-level scheduling with token-packed prefill.
+// By default it prints latency, throughput and the memory plan of one
+// request batch; -compare runs all four serving backends side by side.
 //
-// With -compare-policies it replays one mixed interactive/batch trace
-// through the live scheduler under each admission policy (fifo,
-// priority, slo) and reports per-class TTFT percentiles — the
-// scheduling win of class- and deadline-aware admission over FIFO
+// With -live it replays a synthetic Poisson trace through the live
+// continuous-batching scheduler (internal/serve) and through the offline
+// static-batch path, and reports the goodput gain of iteration-level
+// scheduling with token-packed prefill.
+//
+// The -compare-X modes replay one workload through several live fleet
+// configurations and print one row per configuration. -csv writes the
+// same cells as CSV, and -require-X-win turns the comparison into a CI
+// gate that exits non-zero with a "perf regression" error when the win
+// does not hold. Each mode is one row of the scenario table in
+// scenarios.go, and -h names the workload flags each one reads. The
+// CSVs of all but -compare-disagg and -compare-affinity reproduce byte
+// for byte and are pinned in testdata/golden:
+//
+// -compare-policies replays one mixed interactive/batch trace under each
+// admission policy (fifo, priority, slo) and reports per-class TTFT
+// percentiles: class- and deadline-aware admission against FIFO
 // head-of-line blocking.
 //
-// With -compare-chunking it replays one trace that mixes long prompts
-// into a stream of short decoders under each prefill chunk budget
-// (monolithic, 64, 256, 1024 tokens) and reports decode TPOT p50/p99
-// and the worst inter-token stall — the cadence win of chunked
-// prefill. -csv additionally writes the table as CSV.
+// -compare-chunking replays short decoders mixed with 16x-long prompts
+// under each prefill chunk budget (monolithic, 64, 256, 1024 tokens)
+// and reports decode TPOT and the worst inter-token stall.
 //
-// With -compare-prefix it replays one shared-prefix workload (every
-// request repeats the same long prompt prefix, as system prompts and
-// few-shot templates do) with the KV prefix cache off and on, and
-// reports TTFT p50/p99 and the prefill tokens actually computed — the
-// reuse win of copy-on-write prefix caching. -require-prefix-win turns
-// the comparison into a CI gate.
+// -compare-prefix replays requests that share one long prompt prefix
+// with the KV prefix cache off and on, and reports TTFT and the prefill
+// tokens actually computed.
 //
-// With -compare-compress it replays one capacity-pressure shared-prefix
-// workload (shared-prefix requests interleaved with prompt-only
-// "flusher" requests sized to the whole KV plan) on a deliberately tiny
-// KV plan, with the compressed cold-block cache off and on, and reports
-// prefix hits, prefill work and the compression counters — the capacity
-// win of freezing cold prefix blocks into the TCA-TBE store instead of
-// parking them physically. -require-compress-win turns the comparison
-// into a CI gate: compression-on must retain strictly more prefix hits
-// with a byte-identical completion set.
+// -compare-compress replays shared-prefix requests interleaved with
+// flushers sized to a deliberately tiny KV plan, with the compressed
+// cold-block cache off and on: frozen TCA-TBE blocks keep prefix hits
+// that plain parking loses.
 //
-// With -compare-adaptive it replays one mixed long-prompt +
-// shared-prefix workload under each static prefill chunk budget and
-// under the adaptive controllers (closed-loop chunk budget derived
-// from the -target-step-time TPOT SLO, plus adaptive prefix-cache pool
-// sizing), and reports decode TPOT percentiles — the SLO win of
-// deriving the operating point per iteration instead of trusting an
-// operator constant. -require-adaptive-win turns the comparison into a
-// CI gate.
+// -compare-adaptive replays bursts of shared-prefix decoders and long
+// prompts under each static chunk budget and under the adaptive
+// controllers driven by -target-step-time, and reports decode TPOT.
 //
-// With -compare-disagg it replays one mixed long-prompt + chat
-// workload through a disaggregated fleet — one prefill replica running
-// prompts to first token and handing each sequence, KV compressed
-// through the TCA-TBE codec, to one decode replica — and through
-// co-located two-replica fleets (monolithic and chunked prefill), and
-// reports the chat decoders' TPOT percentiles: the interference win of
-// keeping long prefills off the decode replica entirely.
-// -require-disagg-win turns the comparison into a CI gate:
-// disaggregation must strictly beat the best co-located configuration
-// on decode TPOT p99 with an identical completion set and no fewer
-// completions.
+// -compare-disagg replays chat decoders with long prompts landing
+// mid-decode through co-located two-replica fleets and a disaggregated
+// prefill/decode pair whose KV handoff runs through the TCA-TBE codec.
 //
-// With -compare-affinity it drives one multi-tenant shared-prefix burst
-// workload — 8 tenants, each wave submitting two requests per tenant
-// that share that tenant's long prompt prefix, in a deterministically
-// shuffled order — through a 4-replica fleet twice: behind the plain
-// least-loaded router and behind the same router with prefix-affinity
-// dispatch enabled, and reports fleet prefix hits, affinity hit/spill
-// counters and TTFT percentiles — the locality win of steering requests
-// to the replica whose prefix-trie digest already covers their prompt.
-// Waves are submitted live and drained before the next wave starts, so
-// the replicas' published digests are warm when the router scores them.
-// -require-affinity-win turns the comparison into a CI gate: affinity
-// must produce strictly more fleet prefix hits AND a TTFT p50 no worse
-// than least-loaded, with an identical completion set.
+// -compare-affinity drives waves of multi-tenant shared-prefix requests
+// through four replicas behind the least-loaded router with and without
+// prefix-affinity dispatch, and reports fleet prefix hits and TTFT.
 //
-// With -compare-chaos it replays one deterministic workload through a
-// 3-replica fleet under a scripted fault plan (one replica crashes
-// mid-run, another runs 6x slow throughout) three times: twice with
-// health-aware routing enabled (breakers, retries and request
-// resurrection) and once without. All requests are submitted before
-// the fleet starts, so dispatch and the crash's victim set replay
-// identically; the two resilience-on runs must produce byte-identical
-// per-request outcome schedules. -require-chaos-win turns the drill
-// into a CI gate: resilience-on must complete the whole request set
-// with zero client-visible failures and at least one resurrection
-// while resilience-off loses requests to the same plan.
-//
-// Every compare mode shares -csv to export its table, and every
-// -require-*-win flag funnels through the same winGate helper.
+// -compare-chaos replays one workload through three replicas under a
+// scripted crash and slowdown, with and without health-aware routing,
+// twice each, and reports losses, resurrections and whether each replay
+// reproduced.
 //
 // Usage:
 //
@@ -102,12 +71,15 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"sort"
+	"strings"
+	"text/tabwriter"
 	"time"
 
 	"zipserv"
@@ -121,103 +93,124 @@ func main() {
 	batch := flag.Int("batch", 32, "request batch size")
 	prompt := flag.Int("prompt", 128, "prompt length in tokens")
 	out := flag.Int("out", 512, "output length in tokens")
-	compare := flag.Bool("compare", false, "run all four backends and compare")
+	compareBackends := flag.Bool("compare", false, "run all four backends and compare")
 	live := flag.Bool("live", false, "replay a synthetic trace through the live continuous-batching scheduler")
-	comparePolicies := flag.Bool("compare-policies", false,
-		"replay a mixed interactive/batch trace under each admission policy and compare per-class TTFT")
-	compareChunking := flag.Bool("compare-chunking", false,
-		"replay a long-prompt/decoder mix under each prefill chunk budget and compare decode TPOT p50/p99")
-	comparePrefix := flag.Bool("compare-prefix", false,
-		"replay a shared-prefix workload with the KV prefix cache off and on and compare TTFT and prefill work")
-	requirePrefixWin := flag.Bool("require-prefix-win", false,
-		"compare-prefix: exit non-zero unless prefix-on TTFT p50 <= prefix-off (CI perf-regression gate)")
-	compareCompress := flag.Bool("compare-compress", false,
-		"replay a capacity-pressure shared-prefix workload with the compressed cold-block cache off and on and compare prefix reuse")
-	requireCompressWin := flag.Bool("require-compress-win", false,
-		"compare-compress: exit non-zero unless compression-on retains strictly more prefix hits with identical outputs (CI gate)")
-	compareDisagg := flag.Bool("compare-disagg", false,
-		"replay a mixed long-prompt + chat workload through a disaggregated prefill/decode fleet and co-located two-replica fleets, comparing decode TPOT")
-	requireDisaggWin := flag.Bool("require-disagg-win", false,
-		"compare-disagg: exit non-zero unless disaggregation beats every co-located config on decode TPOT p99 with identical completions (CI gate)")
-	compareAffinity := flag.Bool("compare-affinity", false,
-		"drive a multi-tenant shared-prefix burst workload through a 4-replica fleet with least-loaded and prefix-affinity routing and compare fleet prefix hits and TTFT")
-	requireAffinityWin := flag.Bool("require-affinity-win", false,
-		"compare-affinity: exit non-zero unless affinity routing gets strictly more fleet prefix hits and a TTFT p50 no worse than least-loaded (CI gate)")
-	compareChaos := flag.Bool("compare-chaos", false,
-		"replay one deterministic workload through a 3-replica fleet under a scripted fault plan with health-aware routing off and on, comparing losses")
-	requireChaosWin := flag.Bool("require-chaos-win", false,
-		"compare-chaos: exit non-zero unless resilience-on completes everything with >=1 resurrection, resilience-off loses requests, and replays are byte-identical (CI gate)")
-	compareAdaptive := flag.Bool("compare-adaptive", false,
-		"replay a mixed long-prompt + shared-prefix workload under each static chunk budget and the adaptive controllers, comparing decode TPOT")
-	requireAdaptiveWin := flag.Bool("require-adaptive-win", false,
-		"compare-adaptive: exit non-zero unless adaptive decode TPOT p99 <= every static budget's (CI perf-regression gate)")
 	targetStepTime := flag.Duration("target-step-time", 30*time.Millisecond,
 		"compare-adaptive: the adaptive controller's combined step-time target (TPOT SLO)")
 	csvPath := flag.String("csv", "", "compare modes: also write the comparison as CSV to this path")
-	requests := flag.Int("requests", 64, "live mode: number of trace requests")
-	rate := flag.Float64("rate", 100, "live mode: Poisson arrival rate (req/s)")
-	seed := flag.Int64("seed", 7, "live mode: trace seed")
+	requests := flag.Int("requests", 64, "number of requests in the workload; a compare mode may round it up to whole bursts or waves")
+	rate := flag.Float64("rate", 100, "arrival rate in req/s: of the Poisson trace, or the steady spacing of -compare-prefix")
+	seed := flag.Int64("seed", 7, "seed of the Poisson trace")
+	selected, armed := make([]*bool, len(scenarios)), make([]*bool, len(scenarios))
+	for i, sc := range scenarios {
+		selected[i] = flag.Bool("compare-"+sc.name, false, fmt.Sprintf("%s (reads -%s)", sc.about, strings.Join(sc.reads, ", -")))
+		armed[i] = new(bool)
+		if sc.gate != "" {
+			armed[i] = flag.Bool("require-"+sc.name+"-win", false,
+				fmt.Sprintf("compare-%s: exit non-zero unless %s (CI gate)", sc.name, sc.gate))
+		}
+	}
 	flag.Parse()
 
-	var err error
-	switch {
-	case *compareChaos:
-		err = runCompareChaos(*model, *device, *gpus, *backend, *requests, *csvPath, *requireChaosWin)
-	case *compareAffinity:
-		err = runCompareAffinity(*model, *device, *gpus, *backend, *requests, *prompt, *csvPath, *requireAffinityWin)
-	case *compareDisagg:
-		err = runCompareDisagg(*model, *device, *gpus, *backend, *requests, *prompt, *csvPath, *requireDisaggWin)
-	case *compareCompress:
-		err = runCompareCompress(*model, *device, *gpus, *backend, *requests, *csvPath, *requireCompressWin)
-	case *compareAdaptive:
-		err = runCompareAdaptive(*model, *device, *gpus, *backend, *requests, *prompt, targetStepTime.Seconds(), *csvPath, *requireAdaptiveWin)
-	case *comparePrefix:
-		err = runComparePrefix(*model, *device, *gpus, *backend, *requests, *rate, *prompt, *out, *csvPath, *requirePrefixWin)
-	case *compareChunking:
-		err = runCompareChunking(*model, *device, *gpus, *backend, *requests, *rate, *prompt, *out, *seed, *csvPath)
-	case *comparePolicies:
-		err = runComparePolicies(*model, *device, *gpus, *backend, *requests, *rate, *prompt, *out, *seed, *csvPath)
-	case *live:
-		err = runLive(*model, *device, *gpus, *backend, *requests, *rate, *prompt, *out, *seed)
-	default:
-		err = run(*model, *device, *gpus, *backend, *batch, *prompt, *out, *compare)
+	// Resolve the one selected mode and the flags it reads beyond the
+	// deployment flags every mode reads.
+	mode, reads := "the offline mode", []string{"batch", "prompt", "out", "compare"}
+	var modes []string
+	if *live {
+		mode, reads = "-live", []string{"requests", "rate", "prompt", "out", "seed"}
+		modes = append(modes, mode)
 	}
+	var sc *scenario
+	var gated bool
+	for i := range scenarios {
+		if *selected[i] {
+			sc, gated = &scenarios[i], *armed[i]
+			mode, reads = "-compare-"+sc.name, append(append([]string(nil), sc.reads...), "csv")
+			if sc.gate != "" {
+				reads = append(reads, "require-"+sc.name+"-win")
+			}
+			modes = append(modes, mode)
+		}
+	}
+	if len(modes) > 1 {
+		usageError("%s each select a mode; pick one", strings.Join(modes, " and "))
+	}
+	allowed := map[string]bool{"model": true, "device": true, "gpus": true, "backend": true, strings.TrimPrefix(mode, "-"): true}
+	for _, name := range reads {
+		allowed[name] = true
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if !allowed[f.Name] {
+			usageError("-%s does not apply to %s, which reads -%s", f.Name, mode, strings.Join(reads, ", -"))
+		}
+	})
+	positive := map[string]bool{"gpus": *gpus > 0, "batch": *batch > 0, "prompt": *prompt > 0, "out": *out > 0,
+		"requests": *requests > 0, "rate": *rate > 0, "target-step-time": *targetStepTime > 0}
+	for _, name := range append(reads, "gpus") {
+		if ok, sized := positive[name]; sized && !ok {
+			usageError("-%s must be positive, got %s", name, flag.Lookup(name).Value)
+		}
+	}
+
+	m, err := zipserv.ModelByName(*model)
+	exitOn(err)
+	dev, err := zipserv.GPUByName(*device)
+	exitOn(err)
+	p := params{
+		serving:  zipserv.ServingConfig{Model: m, Device: dev, NumGPUs: *gpus, Backend: zipserv.ServingBackend(*backend)},
+		deploy:   fmt.Sprintf("%s on %dx %s", *model, *gpus, *device),
+		requests: *requests, rate: *rate, prompt: *prompt, out: *out, seed: *seed,
+		target: targetStepTime.Seconds(),
+	}
+	switch {
+	case sc != nil:
+		exitOn(compare(sc, p, *csvPath, gated))
+	case *live:
+		exitOn(runLive(p))
+	default:
+		runOffline(p, *batch, *compareBackends)
+	}
+}
+
+// exitOn ends the run with exit status 1 when err is set.
+func exitOn(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zipserv-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(modelName, device string, gpus int, backend string, batch, prompt, out int, compare bool) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	backends := []zipserv.ServingBackend{zipserv.ServingBackend(backend)}
+// usageError reports a flag combination no mode would honour and exits
+// with the status flag parsing errors use.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "zipserv-serve: "+format+"\n", args...)
+	fmt.Fprintln(os.Stderr, "usage: zipserv-serve [-compare | -live | -compare-<mode> [-require-<mode>-win] [-csv file]] [flags]; -h lists them")
+	os.Exit(2)
+}
+
+// runOffline prints one deployment's offline batch simulation, or all four
+// backends' with compare.
+func runOffline(p params, batch int, compare bool) {
+	backends := []zipserv.ServingBackend{p.serving.Backend}
 	if compare {
 		backends = []zipserv.ServingBackend{
 			zipserv.ServeZipServ, zipserv.ServeVLLM, zipserv.ServeTransformers, zipserv.ServeDFloat11,
 		}
 	}
 
-	fmt.Printf("deployment: %s on %dx %s, batch %d, prompt %d, output %d\n\n",
-		modelName, gpus, device, batch, prompt, out)
+	fmt.Printf("deployment: %s, batch %d, prompt %d, output %d\n\n", p.deploy, batch, p.prompt, p.out)
 	fmt.Printf("%-14s %12s %14s %10s %8s %12s %12s\n",
 		"backend", "latency(s)", "tput(tok/s)", "waves", "conc", "weights(GiB)", "KV cap(GiB)")
 	var base float64
 	for _, b := range backends {
-		eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-			Model: model, Device: dev, NumGPUs: gpus, Backend: b,
-		})
+		cfg := p.serving
+		cfg.Backend = b
+		eng, err := zipserv.NewEngine(cfg)
 		if err != nil {
 			fmt.Printf("%-14s does not fit: %v\n", b, err)
 			continue
 		}
-		m, err := eng.Run(batch, prompt, out)
+		m, err := eng.Run(batch, p.prompt, p.out)
 		if err != nil {
 			fmt.Printf("%-14s failed: %v\n", b, err)
 			continue
@@ -230,118 +223,39 @@ func run(modelName, device string, gpus int, backend string, batch, prompt, out 
 			fmt.Printf("%-14s   (ZipServ speedup: %.2fx)\n", "", base/m.Throughput)
 		}
 	}
-	return nil
-}
-
-// replayLive drives one request set through a fresh live server built
-// from cfg (caller supplies the engine and scheduling knobs): submit
-// everything, start the scheduler, drain the results in submission
-// order, stop with a 30s drain window, and snapshot the stats. All the
-// compare modes share this lifecycle.
-func replayLive(cfg zipserv.LiveConfig, reqs []zipserv.LiveRequest) ([]zipserv.LiveResult, zipserv.LiveStats, error) {
-	var stats zipserv.LiveStats
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = len(reqs)
-	}
-	srv, err := zipserv.NewLiveServer(cfg)
-	if err != nil {
-		return nil, stats, err
-	}
-	tickets := make([]*zipserv.LiveTicket, len(reqs))
-	for i, r := range reqs {
-		if tickets[i], err = srv.Submit(r); err != nil {
-			return nil, stats, err
-		}
-	}
-	srv.Start()
-	results := make([]zipserv.LiveResult, len(reqs))
-	for i, tk := range tickets {
-		results[i] = <-tk.Result()
-		if results[i].Err != nil {
-			return nil, stats, results[i].Err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Stop(ctx); err != nil {
-		return nil, stats, err
-	}
-	return results, srv.Stats(), nil
-}
-
-// replayRouted is replayLive for a replica fleet: submit everything
-// through the router's capacity-aware dispatch, start the fleet, drain
-// the results in submission order, stop with a 30s drain window, and
-// snapshot the fleet aggregate. The caller builds the router (plain or
-// pooled) and sizes each replica's queue for the whole trace.
-func replayRouted(r *zipserv.LiveRouter, reqs []zipserv.LiveRequest) ([]zipserv.LiveResult, zipserv.LiveStats, error) {
-	var stats zipserv.LiveStats
-	tickets := make([]*zipserv.LiveTicket, len(reqs))
-	var err error
-	for i, q := range reqs {
-		if tickets[i], err = r.Submit(q); err != nil {
-			return nil, stats, err
-		}
-	}
-	r.Start()
-	results := make([]zipserv.LiveResult, len(reqs))
-	for i, tk := range tickets {
-		results[i] = <-tk.Result()
-		if results[i].Err != nil {
-			return nil, stats, results[i].Err
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := r.Stop(ctx); err != nil {
-		return nil, stats, err
-	}
-	return results, r.Stats(), nil
 }
 
 // runLive replays one synthetic trace twice — through the live
 // continuous-batching scheduler and through the offline static-batch
 // path — and prints the goodput comparison.
-func runLive(modelName, device string, gpus int, backend string, n int, rate float64, prompt, out int, seed int64) error {
-	model, err := zipserv.ModelByName(modelName)
+func runLive(p params) error {
+	eng, err := zipserv.NewEngine(p.serving)
 	if err != nil {
 		return err
 	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-		Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-	})
-	if err != nil {
-		return err
-	}
-	trace := zipserv.SyntheticTrace(n, rate, prompt, out, seed)
-	if trace == nil {
-		return fmt.Errorf("invalid trace parameters")
-	}
-
+	trace := zipserv.SyntheticTrace(p.requests, p.rate, p.prompt, p.out, p.seed)
 	offline, _, err := eng.Serve(trace)
 	if err != nil {
 		return err
 	}
 
-	reqs := make([]zipserv.LiveRequest, len(trace))
-	for i, r := range trace {
-		reqs[i] = zipserv.LiveRequest{
-			PromptLen: r.PromptLen, OutputLen: r.OutputLen, Arrival: r.ArrivalSeconds,
-		}
+	w := &workload{}
+	for _, r := range trace {
+		w.reqs = append(w.reqs, zipserv.LiveRequest{PromptLen: r.PromptLen, OutputLen: r.OutputLen, Arrival: r.ArrivalSeconds})
 	}
-	_, st, err := replayLive(zipserv.LiveConfig{Engine: eng}, reqs)
+	b, err := fleet{replicas: make([]zipserv.LiveConfig, 1)}.backend(w, p)
+	if err != nil {
+		return err
+	}
+	_, st, err := replay(b, w)
 	if err != nil {
 		return err
 	}
 
 	liveGoodput := float64(st.Completed) / st.SimSeconds
 	offGoodput := float64(offline.Requests) / offline.MakespanSeconds
-	fmt.Printf("trace: %d requests, %.0f req/s Poisson, prompt~%d, output~%d (%s on %dx %s, %s)\n\n",
-		n, rate, prompt, out, modelName, gpus, device, backend)
+	fmt.Printf("trace: %d requests, %.0f req/s Poisson, prompt~%d, output~%d (%s, %s)\n\n",
+		p.requests, p.rate, p.prompt, p.out, p.deploy, p.serving.Backend)
 	fmt.Printf("%-26s %14s %14s %12s %12s\n", "scheduler", "makespan(s)", "goodput(r/s)", "meanTTFT(s)", "peak conc")
 	fmt.Printf("%-26s %14.2f %14.2f %12.3f %12d\n",
 		"offline static-batch", offline.MakespanSeconds, offGoodput, offline.MeanTTFT, offline.PeakConcurrency)
@@ -351,954 +265,324 @@ func runLive(modelName, device string, gpus int, backend string, n int, rate flo
 	return nil
 }
 
-// runComparePolicies replays one mixed trace — alternating interactive
-// requests (the flag lengths, a 250 ms TTFT deadline) and batch
-// requests (8× longer, no deadline) — through the live scheduler under
-// each admission policy, and prints per-class TTFT percentiles.
-func runComparePolicies(modelName, device string, gpus int, backend string, n int, rate float64, prompt, out int, seed int64, csvPath string) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	base := zipserv.SyntheticTrace(n, rate, prompt, out, seed)
-	if base == nil {
-		return fmt.Errorf("invalid trace parameters")
-	}
-	reqs := make([]zipserv.LiveRequest, len(base))
-	for i, r := range base {
-		reqs[i] = zipserv.LiveRequest{
-			PromptLen: prompt, OutputLen: out, Arrival: r.ArrivalSeconds,
-			Class: zipserv.LiveClassInteractive, TTFTDeadline: 0.25,
-		}
-		if i%2 == 1 {
-			reqs[i] = zipserv.LiveRequest{
-				PromptLen: 8 * prompt, OutputLen: 8 * out, Arrival: r.ArrivalSeconds,
-				Class: zipserv.LiveClassBatch,
-			}
-		}
-	}
-
-	fmt.Printf("mixed trace: %d requests, %.0f req/s Poisson, interactive %d/%d vs batch %d/%d (%s on %dx %s, %s)\n\n",
-		n, rate, prompt, out, 8*prompt, 8*out, modelName, gpus, device, backend)
-	fmt.Printf("%-10s %16s %16s %16s %14s %10s\n",
-		"policy", "int p50 TTFT(s)", "int p95 TTFT(s)", "bat p50 TTFT(s)", "goodput(r/s)", "preempted")
-	csv := newCSVTable("policy", "interactive_ttft_p50_s", "interactive_ttft_p95_s",
-		"batch_ttft_p50_s", "goodput_rps", "preempted")
-	for _, name := range zipserv.LivePolicyNames() {
-		policy, err := zipserv.LivePolicyByName(name)
-		if err != nil {
-			return err
-		}
-		eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-			Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-		})
-		if err != nil {
-			return err
-		}
-		results, st, err := replayLive(zipserv.LiveConfig{Engine: eng, Policy: policy}, reqs)
-		if err != nil {
-			return err
-		}
-		var intTTFT, batTTFT []float64
-		for i, res := range results {
-			if reqs[i].Class == zipserv.LiveClassBatch {
-				batTTFT = append(batTTFT, res.TTFT)
-			} else {
-				intTTFT = append(intTTFT, res.TTFT)
-			}
-		}
-		intP50, intP95, batP50 := percentile(intTTFT, 0.50), percentile(intTTFT, 0.95), percentile(batTTFT, 0.50)
-		fmt.Printf("%-10s %16.3f %16.3f %16.3f %14.2f %10d\n",
-			name, intP50, intP95, batP50, st.Goodput, st.Preempted)
-		csv.add(name, fmt.Sprintf("%.6f", intP50), fmt.Sprintf("%.6f", intP95),
-			fmt.Sprintf("%.6f", batP50), fmt.Sprintf("%.3f", st.Goodput), fmt.Sprintf("%d", st.Preempted))
-	}
-	return csv.write(csvPath)
+// params are the deployment and workload flag values a mode reads.
+type params struct {
+	serving               zipserv.ServingConfig // every replica's model, device, TP degree and backend
+	deploy                string                // "<model> on <gpus>x <device>" for headings
+	requests, prompt, out int
+	rate, target          float64 // arrivals per second; -target-step-time in seconds
+	seed                  int64
 }
 
-// runCompareChunking replays one trace — mostly short decoders at the
-// flag lengths, with every fifth request a 16×-long prompt — through
-// the live scheduler under each prefill chunk budget, and prints the
-// decode TPOT percentiles across the short requests plus the worst
-// inter-token stall. Monolithic prefill lets every long prompt wedge a
-// full-prompt stall between decode steps; the chunk budgets bound it.
-func runCompareChunking(modelName, device string, gpus int, backend string, n int, rate float64, prompt, out int, seed int64, csvPath string) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	base := zipserv.SyntheticTrace(n, rate, prompt, out, seed)
-	if base == nil {
-		return fmt.Errorf("invalid trace parameters")
-	}
-	reqs := make([]zipserv.LiveRequest, len(base))
-	for i, r := range base {
-		reqs[i] = zipserv.LiveRequest{PromptLen: prompt, OutputLen: out, Arrival: r.ArrivalSeconds}
-		if i%5 == 4 {
-			reqs[i] = zipserv.LiveRequest{PromptLen: 16 * prompt, OutputLen: 8, Arrival: r.ArrivalSeconds}
-		}
-	}
-
-	fmt.Printf("chunking mix: %d requests, %.0f req/s Poisson, decoders %d/%d with every 5th prompt %d tokens (%s on %dx %s, %s)\n\n",
-		n, rate, prompt, out, 16*prompt, modelName, gpus, device, backend)
-	fmt.Printf("%-12s %16s %16s %18s %14s\n",
-		"chunk", "dec TPOT p50(s)", "dec TPOT p99(s)", "max dec gap(s)", "goodput(r/s)")
-	csv := newCSVTable("chunk_tokens", "decode_tpot_p50_s", "decode_tpot_p99_s", "max_decode_gap_s", "goodput_rps")
-	for _, chunk := range []int{0, 64, 256, 1024} {
-		eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-			Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-		})
-		if err != nil {
-			return err
-		}
-		results, st, err := replayLive(zipserv.LiveConfig{Engine: eng, PrefillChunkTokens: chunk}, reqs)
-		if err != nil {
-			return err
-		}
-		var tpots []float64
-		for i, res := range results {
-			if i%5 != 4 { // the decoders, not the long prompts
-				tpots = append(tpots, res.TPOT)
-			}
-		}
-		label := "none"
-		if chunk > 0 {
-			label = fmt.Sprintf("%d tok", chunk)
-		}
-		p50, p99 := percentile(tpots, 0.50), percentile(tpots, 0.99)
-		fmt.Printf("%-12s %16.4f %16.4f %18.4f %14.2f\n", label, p50, p99, st.MaxDecodeGap, st.Goodput)
-		csv.add(fmt.Sprintf("%d", chunk), fmt.Sprintf("%.6f", p50), fmt.Sprintf("%.6f", p99),
-			fmt.Sprintf("%.6f", st.MaxDecodeGap), fmt.Sprintf("%.3f", st.Goodput))
-	}
-	return csv.write(csvPath)
+// scenario is one -compare-<name> mode: a workload replayed by each of
+// its fleets, the columns every fleet reports, and the win predicate
+// -require-<name>-win gates on.
+type scenario struct {
+	name  string   // selects the mode: -compare-<name>
+	about string   // what the mode replays and compares (flag usage)
+	reads []string // workload flags build reads
+	// build returns the workload every fleet replays; it may fit the
+	// deployment to the workload, as compress shrinks the KV plan.
+	build  func(p *params) (*workload, error)
+	fleets []fleet
+	key    string // heading of the fleet-label column
+	cols   []column
+	// win states the gate's requirements on the runs, in fleet order,
+	// and returns the verdict line; nil for an informational mode.
+	win  func(runs []*run, g *winGate) string
+	gate string // -require-<name>-win usage: the win it requires
 }
 
-// runComparePrefix replays one shared-prefix workload — every request
-// carries the same 8×prompt-token prefix (a system prompt / few-shot
-// template stand-in) plus a unique prompt-token suffix, arriving at a
-// steady 1/rate spacing — through the live scheduler with the KV
-// prefix cache off and on, and prints TTFT percentiles, the prefill
-// tokens actually computed, and the cache counters. With requireWin it
-// exits non-zero unless prefix-on TTFT p50 ≤ prefix-off — the CI
-// perf-regression gate for the prefix-cache path.
-func runComparePrefix(modelName, device string, gpus int, backend string, n int, rate float64, prompt, out int, csvPath string, requireWin bool) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	if n <= 1 || rate <= 0 || prompt <= 0 || out <= 0 {
-		return fmt.Errorf("invalid workload parameters")
-	}
-	prefixLen := 8 * prompt
-	prefix := make([]int, prefixLen)
-	for i := range prefix {
-		prefix[i] = 100003 + i*131
-	}
-	reqs := make([]zipserv.LiveRequest, n)
-	for i := range reqs {
-		tokens := append(append([]int(nil), prefix...), make([]int, prompt)...)
-		for j := 0; j < prompt; j++ {
-			tokens[prefixLen+j] = (i+2)*1000003 + j*131
-		}
-		reqs[i] = zipserv.LiveRequest{
-			Prompt: tokens, OutputLen: out, Arrival: float64(i) / rate,
-		}
-	}
-
-	type row struct {
-		mode          string
-		p50, p99      float64
-		prefillTokens int64
-		hits          int64
-		saved         int64
-		goodput       float64
-	}
-	rows := make([]row, 0, 2)
-	for _, enabled := range []bool{false, true} {
-		eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-			Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-		})
-		if err != nil {
-			return err
-		}
-		results, st, err := replayLive(zipserv.LiveConfig{Engine: eng, PrefixCache: enabled}, reqs)
-		if err != nil {
-			return err
-		}
-		ttfts := make([]float64, len(results))
-		for i, res := range results {
-			ttfts[i] = res.TTFT
-		}
-		mode := "prefix-off"
-		if enabled {
-			mode = "prefix-on"
-		}
-		rows = append(rows, row{
-			mode: mode, p50: percentile(ttfts, 0.50), p99: percentile(ttfts, 0.99),
-			prefillTokens: st.PrefillTokens, hits: st.PrefixHits, saved: st.PrefixTokensSaved,
-			goodput: st.Goodput,
-		})
-	}
-
-	fmt.Printf("shared-prefix workload: %d requests, %.0f req/s, prefix %d tokens + suffix %d, output %d (%s on %dx %s, %s)\n\n",
-		n, rate, prefixLen, prompt, out, modelName, gpus, device, backend)
-	fmt.Printf("%-12s %14s %14s %16s %12s %14s %14s\n",
-		"mode", "TTFT p50(s)", "TTFT p99(s)", "prefill tokens", "hits", "tokens saved", "goodput(r/s)")
-	csv := newCSVTable("mode", "ttft_p50_s", "ttft_p99_s", "prefill_tokens",
-		"prefix_hits", "prefix_tokens_saved", "goodput_rps")
-	for _, r := range rows {
-		fmt.Printf("%-12s %14.4f %14.4f %16d %12d %14d %14.2f\n",
-			r.mode, r.p50, r.p99, r.prefillTokens, r.hits, r.saved, r.goodput)
-		csv.add(r.mode, fmt.Sprintf("%.6f", r.p50), fmt.Sprintf("%.6f", r.p99),
-			fmt.Sprintf("%d", r.prefillTokens), fmt.Sprintf("%d", r.hits),
-			fmt.Sprintf("%d", r.saved), fmt.Sprintf("%.3f", r.goodput))
-	}
-	off, on := rows[0], rows[1]
-	if off.p50 > 0 {
-		fmt.Printf("\nprefix-on TTFT p50 speedup: %.2fx, prefill tokens saved: %d\n",
-			off.p50/on.p50, off.prefillTokens-on.prefillTokens)
-	}
-	if err := csv.write(csvPath); err != nil {
-		return err
-	}
-	gate := newWinGate(requireWin)
-	gate.require(on.p50 <= off.p50, "prefix-on TTFT p50 %.6fs > prefix-off %.6fs", on.p50, off.p50)
-	return gate.result()
+// workload is one scenario's request set; every fleet replays it
+// identically.
+type workload struct {
+	header string // one-line description printed above the table
+	reqs   []zipserv.LiveRequest
+	// wave, when set, submits reqs in order wave requests at a time:
+	// the first wave before the fleet starts, each later one once the
+	// previous wave has drained. Zero submits every request before the
+	// fleet starts.
+	wave int
+	// faults scripts replica failures. A workload with a plan is a
+	// drill: failed requests are outcomes to count, not errors, and
+	// each fleet replays twice to prove the failure schedule
+	// reproduces.
+	faults *zipserv.LiveFaultPlan
 }
 
-// runCompareCompress replays one capacity-pressure shared-prefix
-// workload with the compressed cold-block cache off and on, under the
-// same deliberately tiny physical KV plan, and prints prefix reuse and
-// compression counters. The workload alternates n shared-prefix
-// requests (a 64-token common prefix plus a unique 16-token suffix)
-// with "flusher" requests whose prompt+output footprint equals the
-// whole 14-block plan: each flusher forces every parked refcount-zero
-// block out of the physical pool, so with plain parking the prefix
-// content is gone by the time the next shared request arrives, while
-// the compressed cache holds it in frozen form outside the physical
-// budget and restores it on claim (decompress priced into that
-// prefill). MaxBatch 1 serialises the trace so the pressure pattern is
-// deterministic. With requireWin it exits non-zero unless
-// compression-on retains strictly more prefix hits (and at least as
-// many saved tokens) with a byte-identical completion set — the CI
-// gate for the compressed-KV path.
-func runCompareCompress(modelName, device string, gpus int, backend string, n int, csvPath string, requireWin bool) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	if n < 2 {
-		n = 2 // one reuse opportunity minimum
-	}
+// router selects how a multi-replica fleet dispatches.
+type router int
 
-	// Shrink the KV plan to exactly planBlocks blocks by growing the
-	// engine's reserved-memory headroom: probe the default plan, then
-	// hand the surplus KV bytes (minus half a block so flooring cannot
-	// drop below the target) back as reservation.
-	const (
-		blockTokens = 16 // kvcache.DefaultBlockTokens
-		planBlocks  = 14
-		prefixLen   = 4 * blockTokens // 4 whole cacheable blocks
-		suffixLen   = blockTokens
-		outputLen   = 2 * blockTokens
-	)
-	probe, err := zipserv.NewEngine(zipserv.ServingConfig{
-		Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-	})
-	if err != nil {
-		return err
-	}
-	bytesPerBlock := blockTokens * model.KVBytesPerToken() / int64(gpus)
-	surplus := probe.Plan().KVBytes - planBlocks*bytesPerBlock - bytesPerBlock/2
-	if surplus <= 0 {
-		return fmt.Errorf("device plan already below %d KV blocks", planBlocks)
-	}
-	reservedGiB := 3 + float64(surplus)/float64(int64(1)<<30)
+const (
+	leastLoaded router = iota // capacity-aware: fewest queued+active, then most free KV
+	pooled                    // prefill/decode tiers with compressed KV handoff
+	affinity                  // least-loaded plus prefix-affinity steering
+	health                    // least-loaded plus breakers, retries and resurrection
+)
 
-	// The flusher's footprint is the whole plan, admitted by PromptLen
-	// alone (no prompt tokens), so it allocates fresh blocks without
-	// touching the prefix trie.
-	flushPrompt := planBlocks*blockTokens - outputLen
-	prefix := make([]int, prefixLen)
-	for i := range prefix {
-		prefix[i] = 100003 + i*131
-	}
-	var reqs []zipserv.LiveRequest
-	for i := 0; i < n; i++ {
-		tokens := append(append([]int(nil), prefix...), make([]int, suffixLen)...)
-		for j := 0; j < suffixLen; j++ {
-			tokens[prefixLen+j] = (i+2)*1000003 + j*131
-		}
-		reqs = append(reqs, zipserv.LiveRequest{
-			Prompt: tokens, OutputLen: outputLen, Arrival: float64(len(reqs)) * 0.01,
-		})
-		if i < n-1 {
-			reqs = append(reqs, zipserv.LiveRequest{
-				PromptLen: flushPrompt, OutputLen: outputLen, Arrival: float64(len(reqs)) * 0.01,
-			})
-		}
-	}
-
-	type row struct {
-		mode          string
-		p50, p99      float64
-		prefillTokens int64
-		hits, saved   int64
-		completed     int64
-		compBlocks    int
-		ratio         float64
-		decompClaims  int64
-		goodput       float64
-	}
-	rows := make([]row, 0, 2)
-	var resultSets [2][]zipserv.LiveResult
-	for run, compressed := range []bool{false, true} {
-		eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-			Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-			ReservedGiB: reservedGiB,
-		})
-		if err != nil {
-			return err
-		}
-		if got := eng.Plan().Blocks; got != planBlocks {
-			return fmt.Errorf("constrained plan has %d KV blocks, want %d", got, planBlocks)
-		}
-		results, st, err := replayLive(zipserv.LiveConfig{
-			Engine: eng, MaxBatch: 1, PrefixCache: true, CompressedCache: compressed,
-		}, reqs)
-		if err != nil {
-			return err
-		}
-		resultSets[run] = results
-		ttfts := make([]float64, len(results))
-		for i, res := range results {
-			ttfts[i] = res.TTFT
-		}
-		mode := "compress-off"
-		if compressed {
-			mode = "compress-on"
-		}
-		rows = append(rows, row{
-			mode: mode, p50: percentile(ttfts, 0.50), p99: percentile(ttfts, 0.99),
-			prefillTokens: st.PrefillTokens, hits: st.PrefixHits, saved: st.PrefixTokensSaved,
-			completed: st.Completed, compBlocks: st.CompressedKVBlocks,
-			ratio: st.KVCompressionRatio, decompClaims: st.DecompressClaims,
-			goodput: st.Goodput,
-		})
-	}
-
-	fmt.Printf("capacity-pressure workload: %d shared-prefix requests (%d-token prefix + %d suffix) interleaved with %d-token flushers on a %d-block plan (%s on %dx %s, %s)\n\n",
-		n, prefixLen, suffixLen, flushPrompt, planBlocks, modelName, gpus, device, backend)
-	fmt.Printf("%-14s %12s %12s %14s %8s %12s %11s %10s %8s %10s\n",
-		"mode", "TTFT p50(s)", "TTFT p99(s)", "prefill toks", "hits", "toks saved", "comp blks", "ratio", "thaws", "goodput")
-	csv := newCSVTable("mode", "ttft_p50_s", "ttft_p99_s", "prefill_tokens", "prefix_hits",
-		"prefix_tokens_saved", "compressed_kv_blocks", "compression_ratio", "decompress_claims", "goodput_rps")
-	for _, r := range rows {
-		fmt.Printf("%-14s %12.4f %12.4f %14d %8d %12d %11d %10.2f %8d %10.2f\n",
-			r.mode, r.p50, r.p99, r.prefillTokens, r.hits, r.saved, r.compBlocks, r.ratio, r.decompClaims, r.goodput)
-		csv.add(r.mode, fmt.Sprintf("%.6f", r.p50), fmt.Sprintf("%.6f", r.p99),
-			fmt.Sprintf("%d", r.prefillTokens), fmt.Sprintf("%d", r.hits), fmt.Sprintf("%d", r.saved),
-			fmt.Sprintf("%d", r.compBlocks), fmt.Sprintf("%.4f", r.ratio),
-			fmt.Sprintf("%d", r.decompClaims), fmt.Sprintf("%.3f", r.goodput))
-	}
-	off, on := rows[0], rows[1]
-	fmt.Printf("\ncompress-on prefix hits: %d vs %d, prefill tokens saved: %d (decompressed %d frozen blocks)\n",
-		on.hits, off.hits, off.prefillTokens-on.prefillTokens, on.decompClaims)
-	if err := csv.write(csvPath); err != nil {
-		return err
-	}
-
-	// The completion sets must match byte for byte: same requests, same
-	// lengths, every error nil (replayLive already fails on errors).
-	// The simulated outputs are fully determined by (ID, PromptLen,
-	// OutputLen), and the compressed path's KV round-trip itself is
-	// bit-verified inside the allocator's invariant checks.
-	if len(resultSets[0]) != len(resultSets[1]) {
-		return fmt.Errorf("completion sets differ: %d vs %d results", len(resultSets[0]), len(resultSets[1]))
-	}
-	for i := range resultSets[0] {
-		a, b := resultSets[0][i], resultSets[1][i]
-		if a.ID != b.ID || a.PromptLen != b.PromptLen || a.OutputLen != b.OutputLen {
-			return fmt.Errorf("completion %d differs: off=(id %d, %d/%d) on=(id %d, %d/%d)",
-				i, a.ID, a.PromptLen, a.OutputLen, b.ID, b.PromptLen, b.OutputLen)
-		}
-	}
-	gate := newWinGate(requireWin)
-	gate.require(on.hits > off.hits, "compress-on prefix hits %d <= compress-off %d", on.hits, off.hits)
-	gate.require(on.saved >= off.saved, "compress-on tokens saved %d < compress-off %d", on.saved, off.saved)
-	return gate.result()
+// fleet is one configuration a scenario's workload replays through.
+type fleet struct {
+	label    string
+	replicas []zipserv.LiveConfig // one per replica; a lone replica serves without a router
+	router   router
 }
 
-// runCompareAdaptive replays one mixed long-prompt + shared-prefix
-// workload — bursts of short decoders sharing a prompt prefix, with
-// two long unique prompts riding every burst — through the live
-// scheduler under each static prefill chunk budget and under the
-// adaptive controllers (closed-loop chunk budget + prefix-cache pool
-// sizing), and prints the short decoders' TPOT percentiles, the worst
-// decode stall, goodput and the final controller operating point. The
-// regime-switching pattern (deep decode batch during a burst, idle
-// drain between bursts) is where a static budget must pick one regime
-// to lose; with requireWin it exits non-zero unless adaptive TPOT p99
-// matches or beats every static setting — the CI perf-regression gate
-// for the controller. n (-requests) sizes the trace, rounded up to
-// whole bursts of 8; the burst shape itself is fixed, so -rate, -out
-// and -seed do not apply here.
-func runCompareAdaptive(modelName, device string, gpus int, backend string, n, prompt int, target float64, csvPath string, requireWin bool) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
+// same returns n copies of one replica configuration.
+func same(n int, cfg zipserv.LiveConfig) []zipserv.LiveConfig {
+	cfgs := make([]zipserv.LiveConfig, n)
+	for i := range cfgs {
+		cfgs[i] = cfg
 	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	if n <= 0 || prompt <= 0 || target <= 0 {
-		return fmt.Errorf("invalid workload parameters")
-	}
-
-	// The workload mirrors the serve package's enforced comparison:
-	// bursts of 8 requests, 0.7s apart; per burst 6 decoders (shared
-	// 4×prompt-token prefix + unique prompt/4 suffix, 32 output tokens)
-	// and 2 long prompts (16×prompt unique tokens, 8 output tokens).
-	bursts := (n + 7) / 8
-	tokens := func(n, seed int) []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = seed*100003 + i*131
-		}
-		return out
-	}
-	prefix := tokens(4*prompt, 1)
-	var reqs []zipserv.LiveRequest
-	id := 0
-	for b := 0; b < bursts; b++ {
-		at := float64(b) * 0.7
-		for j := 0; j < 8; j++ {
-			id++
-			if j >= 6 {
-				reqs = append(reqs, zipserv.LiveRequest{
-					Prompt: tokens(16*prompt, 5000+id), OutputLen: 8, Arrival: at,
-				})
-				continue
-			}
-			p := append(append([]int(nil), prefix...), tokens(prompt/4, 100+id)...)
-			reqs = append(reqs, zipserv.LiveRequest{Prompt: p, OutputLen: 32, Arrival: at})
-		}
-	}
-	decoderTPOTs := func(results []zipserv.LiveResult) []float64 {
-		var tpots []float64
-		for i, res := range results {
-			if reqs[i].OutputLen > 8 {
-				tpots = append(tpots, res.TPOT)
-			}
-		}
-		return tpots
-	}
-
-	fmt.Printf("adaptive mix: %d requests in %d bursts, shared %d-token prefix + every 4th prompt %d tokens, %.0fms step target (%s on %dx %s, %s)\n\n",
-		len(reqs), bursts, 4*prompt, 16*prompt, target*1e3, modelName, gpus, device, backend)
-	fmt.Printf("%-14s %16s %16s %18s %14s %14s\n",
-		"mode", "dec TPOT p50(s)", "dec TPOT p99(s)", "max dec gap(s)", "goodput(r/s)", "chunk budget")
-	csv := newCSVTable("mode", "decode_tpot_p50_s", "decode_tpot_p99_s", "max_decode_gap_s",
-		"goodput_rps", "chunk_budget_tokens", "cache_pool_target_blocks")
-
-	newEngine := func() (*zipserv.Engine, error) {
-		return zipserv.NewEngine(zipserv.ServingConfig{
-			Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-		})
-	}
-	bestStatic := math.Inf(1)
-	var adaptiveP99 float64
-	for _, mode := range []struct {
-		label string
-		cfg   zipserv.LiveConfig
-	}{
-		{"static-64", zipserv.LiveConfig{PrefillChunkTokens: 64, PrefixCache: true}},
-		{"static-256", zipserv.LiveConfig{PrefillChunkTokens: 256, PrefixCache: true}},
-		{"static-1024", zipserv.LiveConfig{PrefillChunkTokens: 1024, PrefixCache: true}},
-		{"adaptive", zipserv.LiveConfig{
-			AdaptiveChunking: true, TargetStepTime: target,
-			PrefixCache: true, AdaptivePrefixCache: true,
-		}},
-	} {
-		eng, err := newEngine()
-		if err != nil {
-			return err
-		}
-		cfg := mode.cfg
-		cfg.Engine = eng
-		results, st, err := replayLive(cfg, reqs)
-		if err != nil {
-			return err
-		}
-		tpots := decoderTPOTs(results)
-		p50, p99 := percentile(tpots, 0.50), percentile(tpots, 0.99)
-		fmt.Printf("%-14s %16.4f %16.4f %18.4f %14.2f %14d\n",
-			mode.label, p50, p99, st.MaxDecodeGap, st.Goodput, st.ChunkBudget)
-		csv.add(mode.label, fmt.Sprintf("%.6f", p50), fmt.Sprintf("%.6f", p99),
-			fmt.Sprintf("%.6f", st.MaxDecodeGap), fmt.Sprintf("%.3f", st.Goodput),
-			fmt.Sprintf("%d", st.ChunkBudget), fmt.Sprintf("%d", st.CachePoolTarget))
-		if mode.label == "adaptive" {
-			adaptiveP99 = p99
-		} else if p99 < bestStatic {
-			bestStatic = p99
-		}
-	}
-	fmt.Printf("\nadaptive TPOT p99 vs best static: %.4fs vs %.4fs (%.2fx)\n",
-		adaptiveP99, bestStatic, bestStatic/adaptiveP99)
-	if err := csv.write(csvPath); err != nil {
-		return err
-	}
-	gate := newWinGate(requireWin)
-	gate.require(adaptiveP99 <= bestStatic, "adaptive decode TPOT p99 %.6fs > best static %.6fs", adaptiveP99, bestStatic)
-	return gate.result()
+	return cfgs
 }
 
-// runCompareDisagg replays one mixed long-prompt + chat workload —
-// per burst of 8, five chat decoders sharing a prompt prefix (32
-// output tokens) at the burst start and three 16×prompt unique long
-// prompts (4 output tokens) staggered through the burst window, so
-// every long prefill arrives while the chat decoders are mid-decode —
-// through two-replica fleets:
-//
-//   - co-located baselines: two mixed replicas behind the plain
-//     capacity-aware router, with monolithic and chunked prefill, so
-//     every replica interleaves long prefills with its decode batch;
-//   - disaggregated: one prefill replica that runs every prompt to its
-//     first token and hands the sequence — KV compressed through the
-//     TCA-TBE codec — to one decode replica, which decodes it to
-//     completion without ever running a long prefill.
-//
-// It prints the chat decoders' TPOT percentiles, the worst decode
-// stall, goodput and the handoff counters. With requireWin it exits
-// non-zero unless disaggregation strictly beats the best co-located
-// configuration on decode TPOT p99, completes no fewer requests, and
-// every fleet produced the identical completion set — the CI gate for
-// the disaggregation path. Completions are compared per submission
-// index on (prompt, output) lengths, not on sequence IDs: the pooled
-// fleet mints fleet-unique IDs from one shared counter while the plain
-// router's replicas each count from 1, so IDs are not comparable
-// across fleet shapes. n (-requests) sizes the trace, rounded up to
-// whole bursts of 8; -rate, -out and -seed do not apply.
-func runCompareDisagg(modelName, device string, gpus int, backend string, n, prompt int, csvPath string, requireWin bool) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	if n <= 0 || prompt <= 0 {
-		return fmt.Errorf("invalid workload parameters")
-	}
-
-	bursts := (n + 7) / 8
-	tokens := func(n, seed int) []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = seed*100003 + i*131
-		}
-		return out
-	}
-	prefix := tokens(4*prompt, 1)
-	var reqs []zipserv.LiveRequest
-	id := 0
-	for b := 0; b < bursts; b++ {
-		at := float64(b) * 0.7
-		for j := 0; j < 8; j++ {
-			id++
-			if j >= 5 {
-				// Long prompts land mid-decode, 0.15s apart: the
-				// interference a co-located replica must absorb into its
-				// decode cadence and a prefill replica absorbs alone.
-				reqs = append(reqs, zipserv.LiveRequest{
-					Prompt:    tokens(16*prompt, 5000+id),
-					OutputLen: 4, Arrival: at + 0.15*float64(j-4),
-				})
-				continue
-			}
-			p := append(append([]int(nil), prefix...), tokens(prompt/4, 100+id)...)
-			reqs = append(reqs, zipserv.LiveRequest{Prompt: p, OutputLen: 32, Arrival: at})
-		}
-	}
-
-	newServer := func(cfg zipserv.LiveConfig) (*zipserv.LiveServer, error) {
-		eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-			Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-		})
+// backend builds the fleet over fresh engines, each replica's queue
+// sized for the whole workload.
+func (f fleet) backend(w *workload, p params) (zipserv.LiveBackend, error) {
+	servers := make([]*zipserv.LiveServer, len(f.replicas))
+	backends := make([]zipserv.LiveBackend, len(f.replicas))
+	for i, cfg := range f.replicas {
+		eng, err := zipserv.NewEngine(p.serving)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Engine = eng
-		cfg.QueueDepth = len(reqs)
-		cfg.PrefixCache = true
-		return zipserv.NewLiveServer(cfg)
+		cfg.Engine, cfg.QueueDepth, cfg.Faults = eng, len(w.reqs), w.faults.Replica(i)
+		if cfg.AdaptiveChunking {
+			cfg.TargetStepTime = p.target // the -target-step-time TPOT SLO
+		}
+		if servers[i], err = zipserv.NewLiveServer(cfg); err != nil {
+			return nil, err
+		}
+		backends[i] = servers[i]
 	}
-	fleets := []struct {
-		label  string
-		disagg bool
-		cfgs   [2]zipserv.LiveConfig // one per replica
-	}{
-		{"colo-mono", false, [2]zipserv.LiveConfig{{}, {}}},
-		{"colo-chunk256", false, [2]zipserv.LiveConfig{
-			{PrefillChunkTokens: 256}, {PrefillChunkTokens: 256},
-		}},
-		{"colo-chunk1024", false, [2]zipserv.LiveConfig{
-			{PrefillChunkTokens: 1024}, {PrefillChunkTokens: 1024},
-		}},
-		// The prefill replica runs flat out, so every handoff is queued
-		// ahead of the decode replica's clock; the decode replica paces
-		// against the wall clock, so each import lands at its virtual
-		// ready time instead of wherever the goroutine race left the
-		// clock — that makes the cross-replica interleaving (and the
-		// gated TPOT numbers) deterministic. The co-located fleets have
-		// no cross-replica events, so pacing would only slow them down.
-		{"disagg-1p1d", true, [2]zipserv.LiveConfig{
-			{Pool: zipserv.LivePoolPrefill},
-			{Pool: zipserv.LivePoolDecode, TimeScale: 0.5},
-		}},
+	if len(servers) == 1 {
+		return servers[0], nil
 	}
+	if f.router == pooled {
+		return zipserv.NewPooledLiveRouter(servers...)
+	}
+	r, err := zipserv.NewLiveRouter(backends...)
+	if err != nil {
+		return nil, err
+	}
+	switch f.router {
+	case affinity:
+		// A generous band: tenant pinning concentrates load a little by
+		// design, and spilling on every transient imbalance would throw
+		// the cache away.
+		err = r.EnableAffinity(zipserv.LiveAffinityConfig{LoadBand: 16})
+	case health:
+		err = r.EnableHealth(zipserv.LiveHealthConfig{RetryBudget: 3})
+	}
+	return r, err
+}
 
-	fmt.Printf("disagg mix: %d requests in %d bursts, 5 chat decoders (shared %d-token prefix) + 3 staggered long %d-token prompts per burst, 2 replicas per fleet (%s on %dx %s, %s)\n\n",
-		len(reqs), bursts, 4*prompt, 16*prompt, modelName, gpus, device, backend)
-	fmt.Printf("%-16s %16s %16s %18s %14s %10s %14s\n",
-		"fleet", "dec TPOT p50(s)", "dec TPOT p99(s)", "max dec gap(s)", "goodput(r/s)", "handoffs", "handoff MiB")
-	csv := newCSVTable("fleet", "decode_tpot_p50_s", "decode_tpot_p99_s", "max_decode_gap_s",
-		"goodput_rps", "completed", "handoffs", "handoff_bytes", "handoff_failures")
-
-	type outcome struct {
-		results   []zipserv.LiveResult
-		p99       float64
-		completed int64
-	}
-	bestColo := outcome{p99: math.Inf(1)}
-	var bestColoLabel string
-	var disagg outcome
-	for _, f := range fleets {
-		a, err := newServer(f.cfgs[0])
-		if err != nil {
-			return err
-		}
-		b, err := newServer(f.cfgs[1])
-		if err != nil {
-			return err
-		}
-		var router *zipserv.LiveRouter
-		if f.disagg {
-			router, err = zipserv.NewPooledLiveRouter(a, b)
-		} else {
-			router, err = zipserv.NewLiveRouter(a, b)
-		}
-		if err != nil {
-			return err
-		}
-		results, st, err := replayRouted(router, reqs)
-		if err != nil {
-			return err
-		}
-		var tpots []float64
-		for i, res := range results {
-			if reqs[i].OutputLen > 8 { // the chat decoders, not the long prompts
-				tpots = append(tpots, res.TPOT)
+// replay drives w through b wave by wave, starting b once the first
+// wave is queued, collects the results in request order, stops b with
+// a drain window and snapshots its stats. Every result must describe
+// its request; outside a fault drill every request must succeed.
+func replay(b zipserv.LiveBackend, w *workload) ([]zipserv.LiveResult, zipserv.LiveStats, error) {
+	size := cmp.Or(w.wave, len(w.reqs))
+	results := make([]zipserv.LiveResult, len(w.reqs))
+	for lo := 0; lo < len(w.reqs); lo += size {
+		tickets := make([]*zipserv.LiveTicket, min(size, len(w.reqs)-lo))
+		for i := range tickets {
+			var err error
+			if tickets[i], err = b.Submit(w.reqs[lo+i]); err != nil {
+				return nil, zipserv.LiveStats{}, err
 			}
 		}
-		p50, p99 := percentile(tpots, 0.50), percentile(tpots, 0.99)
-		fmt.Printf("%-16s %16.4f %16.4f %18.4f %14.2f %10d %14.2f\n",
-			f.label, p50, p99, st.MaxDecodeGap, st.Goodput, st.Handoffs,
-			float64(st.HandoffBytes)/(1<<20))
-		csv.add(f.label, fmt.Sprintf("%.6f", p50), fmt.Sprintf("%.6f", p99),
-			fmt.Sprintf("%.6f", st.MaxDecodeGap), fmt.Sprintf("%.3f", st.Goodput),
-			fmt.Sprintf("%d", st.Completed), fmt.Sprintf("%d", st.Handoffs),
-			fmt.Sprintf("%d", st.HandoffBytes), fmt.Sprintf("%d", st.HandoffFailures))
-		o := outcome{results: results, p99: p99, completed: st.Completed}
+		if lo == 0 {
+			b.Start()
+		}
+		for i, t := range tickets {
+			results[lo+i] = <-t.Result()
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	// A crashed replica stops at once; the survivors drain.
+	if err := b.Stop(ctx); err != nil {
+		return nil, zipserv.LiveStats{}, err
+	}
+	for i, res := range results {
+		q := w.reqs[i]
 		switch {
-		case f.disagg:
-			disagg = o
-		case p99 < bestColo.p99:
-			bestColo, bestColoLabel = o, f.label
+		case res.Err != nil && w.faults == nil:
+			return nil, zipserv.LiveStats{}, res.Err
+		case res.Err == nil && (res.PromptLen != max(q.PromptLen, len(q.Prompt)) || res.OutputLen != q.OutputLen):
+			return nil, zipserv.LiveStats{}, fmt.Errorf("completion %d is %d/%d tokens, its request %d/%d",
+				i, res.PromptLen, res.OutputLen, max(q.PromptLen, len(q.Prompt)), q.OutputLen)
 		}
 	}
-	fmt.Printf("\ndisaggregated TPOT p99 vs best co-located (%s): %.4fs vs %.4fs (%.2fx)\n",
-		bestColoLabel, disagg.p99, bestColo.p99, bestColo.p99/disagg.p99)
-	if err := csv.write(csvPath); err != nil {
-		return err
-	}
-
-	// Completion identity: every fleet replays the same submissions and
-	// replayRouted fails on any per-request error, so the result at each
-	// index must describe the same (prompt, output) pair; the handoff's
-	// KV round-trip itself is bit-verified inside ImportSequence.
-	if len(disagg.results) != len(bestColo.results) {
-		return fmt.Errorf("completion sets differ: %d vs %d results", len(disagg.results), len(bestColo.results))
-	}
-	for i := range disagg.results {
-		d, c := disagg.results[i], bestColo.results[i]
-		if d.PromptLen != c.PromptLen || d.OutputLen != c.OutputLen {
-			return fmt.Errorf("completion %d differs: disagg=(%d/%d) colo=(%d/%d)",
-				i, d.PromptLen, d.OutputLen, c.PromptLen, c.OutputLen)
-		}
-	}
-	gate := newWinGate(requireWin)
-	gate.require(disagg.p99 < bestColo.p99,
-		"disaggregated decode TPOT p99 %.6fs >= best co-located (%s) %.6fs", disagg.p99, bestColoLabel, bestColo.p99)
-	gate.require(disagg.completed >= bestColo.completed,
-		"disaggregation completed %d requests, co-located %d", disagg.completed, bestColo.completed)
-	return gate.result()
+	return results, b.Stats(), nil
 }
 
-// runCompareAffinity drives one multi-tenant shared-prefix burst
-// workload through a 4-replica fleet twice — behind the plain
-// least-loaded router, then behind the same fleet shape with
-// prefix-affinity dispatch enabled — and prints fleet prefix reuse,
-// the router's affinity hit/spill counters, and TTFT percentiles.
-//
-// The workload models tenants hammering their own system prompts: 8
-// tenants, each owning a 4×prompt-token shared prefix; every wave
-// submits two requests per tenant (unique prompt/2-token suffixes, 32
-// output tokens), in an order shuffled by a deterministic LCG seeded
-// per wave. The shuffle matters: submitted in a fixed tenant order,
-// least-loaded round-robin would accidentally pin tenants to replicas
-// and look affinity-aware; shuffling scatters them, which is exactly
-// what real interleaved arrivals do. Waves are submitted live
-// (ArrivalNow) and fully drained before the next wave starts, so every
-// replica's published prefix-trie digest is current when the router
-// scores the next wave — the affinity signal path this mode exists to
-// measure. Both fleets replay identical submission orders.
-//
-// With requireWin it exits non-zero unless affinity routing produced
-// strictly more fleet prefix hits AND a TTFT p50 no worse than
-// least-loaded, with an identical completion set — the CI gate for the
-// affinity-routing path. n (-requests) sizes the trace, rounded up to
-// whole 16-request waves; -rate, -out and -seed do not apply.
-func runCompareAffinity(modelName, device string, gpus int, backend string, n, prompt int, csvPath string, requireWin bool) error {
-	model, err := zipserv.ModelByName(modelName)
-	if err != nil {
-		return err
-	}
-	dev, err := zipserv.GPUByName(device)
-	if err != nil {
-		return err
-	}
-	if n <= 0 || prompt <= 0 {
-		return fmt.Errorf("invalid workload parameters")
-	}
-
-	const (
-		fleetSize = 4
-		tenants   = 8
-		perTenant = 2 // requests per tenant per wave
-		outputLen = 32
-	)
-	perWave := tenants * perTenant
-	waves := (n + perWave - 1) / perWave
-	if waves < 2 {
-		waves = 2 // wave 1 only seeds the digests; the win needs a warm wave
-	}
-	total := waves * perWave
-	prefixLen, suffixLen := 4*prompt, prompt/2
-	if suffixLen == 0 {
-		suffixLen = 1
-	}
-	tokens := func(n, seed int) []int {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = seed*100003 + i*131
-		}
-		return out
-	}
-	prefixes := make([][]int, tenants)
-	for t := range prefixes {
-		prefixes[t] = tokens(prefixLen, 1000+t)
-	}
-	// Canonical request list, wave-major; submission order within a wave
-	// is a Fisher–Yates shuffle driven by an LCG seeded on the wave
-	// index, identical across both fleets.
-	reqs := make([]zipserv.LiveRequest, total)
-	for w := 0; w < waves; w++ {
-		for t := 0; t < tenants; t++ {
-			for k := 0; k < perTenant; k++ {
-				idx := w*perWave + t*perTenant + k
-				p := append(append([]int(nil), prefixes[t]...), tokens(suffixLen, 7000+idx)...)
-				reqs[idx] = zipserv.LiveRequest{
-					Prompt: p, OutputLen: outputLen, Arrival: zipserv.LiveArrivalNow,
-				}
-			}
-		}
-	}
-	waveOrder := func(w int) []int {
-		order := make([]int, perWave)
-		for i := range order {
-			order[i] = w*perWave + i
-		}
-		x := uint64(w)*2654435761 + 12345
-		for i := perWave - 1; i > 0; i-- {
-			x = x*6364136223846793005 + 1442695040888963407
-			j := int((x >> 33) % uint64(i+1))
-			order[i], order[j] = order[j], order[i]
-		}
-		return order
-	}
-
-	runFleet := func(affinity bool) ([]zipserv.LiveResult, zipserv.LiveStats, error) {
-		var stats zipserv.LiveStats
-		backends := make([]zipserv.LiveBackend, fleetSize)
-		for i := range backends {
-			eng, err := zipserv.NewEngine(zipserv.ServingConfig{
-				Model: model, Device: dev, NumGPUs: gpus, Backend: zipserv.ServingBackend(backend),
-			})
-			if err != nil {
-				return nil, stats, err
-			}
-			srv, err := zipserv.NewLiveServer(zipserv.LiveConfig{
-				Engine: eng, QueueDepth: total, PrefixCache: true,
-			})
-			if err != nil {
-				return nil, stats, err
-			}
-			backends[i] = srv
-		}
-		router, err := zipserv.NewLiveRouter(backends...)
-		if err != nil {
-			return nil, stats, err
-		}
-		if affinity {
-			// A generous band: tenant pinning concentrates load a little
-			// by design, and spilling on every transient imbalance would
-			// throw the cache away.
-			if err := router.EnableAffinity(zipserv.LiveAffinityConfig{LoadBand: 16}); err != nil {
-				return nil, stats, err
-			}
-		}
-		router.Start()
-		results := make([]zipserv.LiveResult, total)
-		for w := 0; w < waves; w++ {
-			order := waveOrder(w)
-			tickets := make([]*zipserv.LiveTicket, len(order))
-			for i, idx := range order {
-				if tickets[i], err = router.Submit(reqs[idx]); err != nil {
-					return nil, stats, err
-				}
-			}
-			for i, idx := range order {
-				results[idx] = <-tickets[i].Result()
-				if results[idx].Err != nil {
-					return nil, stats, results[idx].Err
-				}
-			}
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := router.Stop(ctx); err != nil {
-			return nil, stats, err
-		}
-		return results, router.Stats(), nil
-	}
-
-	type row struct {
-		mode        string
-		p50, p99    float64
-		hits, saved int64
-		affHits     int64
-		affSpills   int64
-		completed   int64
-		goodput     float64
-	}
-	rows := make([]row, 0, 2)
-	var resultSets [2][]zipserv.LiveResult
-	for run, affinity := range []bool{false, true} {
-		results, st, err := runFleet(affinity)
-		if err != nil {
-			return err
-		}
-		resultSets[run] = results
-		ttfts := make([]float64, len(results))
-		for i, res := range results {
-			ttfts[i] = res.TTFT
-		}
-		mode := "least-loaded"
-		if affinity {
-			mode = "affinity"
-		}
-		rows = append(rows, row{
-			mode: mode, p50: percentile(ttfts, 0.50), p99: percentile(ttfts, 0.99),
-			hits: st.PrefixHits, saved: st.PrefixTokensSaved,
-			affHits: st.PrefixAffinityHits, affSpills: st.AffinitySpills,
-			completed: st.Completed, goodput: st.Goodput,
-		})
-	}
-
-	fmt.Printf("affinity burst: %d tenants x %d waves x %d requests, %d-token shared prefix + %d suffix, %d replicas (%s on %dx %s, %s)\n\n",
-		tenants, waves, perTenant, prefixLen, suffixLen, fleetSize, modelName, gpus, device, backend)
-	fmt.Printf("%-14s %14s %14s %12s %14s %10s %10s %12s\n",
-		"routing", "TTFT p50(s)", "TTFT p99(s)", "hits", "tokens saved", "aff hits", "spills", "goodput(r/s)")
-	csv := newCSVTable("routing", "ttft_p50_s", "ttft_p99_s", "prefix_hits", "prefix_tokens_saved",
-		"prefix_affinity_hits", "affinity_spills", "completed", "goodput_rps")
-	for _, r := range rows {
-		fmt.Printf("%-14s %14.4f %14.4f %12d %14d %10d %10d %12.2f\n",
-			r.mode, r.p50, r.p99, r.hits, r.saved, r.affHits, r.affSpills, r.goodput)
-		csv.add(r.mode, fmt.Sprintf("%.6f", r.p50), fmt.Sprintf("%.6f", r.p99),
-			fmt.Sprintf("%d", r.hits), fmt.Sprintf("%d", r.saved),
-			fmt.Sprintf("%d", r.affHits), fmt.Sprintf("%d", r.affSpills),
-			fmt.Sprintf("%d", r.completed), fmt.Sprintf("%.3f", r.goodput))
-	}
-	base, aff := rows[0], rows[1]
-	fmt.Printf("\naffinity fleet prefix hits: %d vs %d, TTFT p50: %.4fs vs %.4fs",
-		aff.hits, base.hits, aff.p50, base.p50)
-	if aff.p50 > 0 {
-		fmt.Printf(" (%.2fx)", base.p50/aff.p50)
-	}
-	fmt.Println()
-	if err := csv.write(csvPath); err != nil {
-		return err
-	}
-
-	// Completion identity: both fleets replay the same submission orders
-	// and the runner fails on any per-request error, so each canonical
-	// index must describe the same (prompt, output) pair.
-	for i := range resultSets[0] {
-		b, a := resultSets[0][i], resultSets[1][i]
-		if b.PromptLen != a.PromptLen || b.OutputLen != a.OutputLen {
-			return fmt.Errorf("completion %d differs: least-loaded=(%d/%d) affinity=(%d/%d)",
-				i, b.PromptLen, b.OutputLen, a.PromptLen, a.OutputLen)
-		}
-	}
-	gate := newWinGate(requireWin)
-	gate.require(aff.hits > base.hits,
-		"affinity fleet prefix hits %d <= least-loaded %d", aff.hits, base.hits)
-	gate.require(aff.p50 <= base.p50,
-		"affinity TTFT p50 %.6fs > least-loaded %.6fs", aff.p50, base.p50)
-	gate.require(aff.completed == base.completed,
-		"affinity completed %d requests, least-loaded %d", aff.completed, base.completed)
-	return gate.result()
+// run is one fleet's replay of a scenario's workload.
+type run struct {
+	label    string
+	reqs     []zipserv.LiveRequest
+	results  []zipserv.LiveResult
+	st       zipserv.LiveStats
+	outcomes string // one "index: prompt/output served=bool resurrected=n" line per request
+	replayed string // the same log from the fleet's second run; equals outcomes outside a drill
 }
 
-// percentile returns the p-quantile (0..1) of xs by nearest rank.
-func percentile(xs []float64, p float64) float64 {
+func (r *run) replayIdentical() bool { return r.outcomes == r.replayed }
+
+// sample selects the requests a latency percentile covers.
+type sample func(i int, q zipserv.LiveRequest) bool
+
+// decoders are the chat decoders of a mix whose long prompts emit at
+// most 8 tokens.
+func decoders(_ int, q zipserv.LiveRequest) bool { return q.OutputLen > 8 }
+
+func ttftOf(res zipserv.LiveResult) float64 { return res.TTFT }
+func tpotOf(res zipserv.LiveResult) float64 { return res.TPOT }
+
+// pct returns the nearest-rank p-quantile of metric over the requests
+// keep selects, or over every request when keep is nil.
+func (r *run) pct(p float64, metric func(zipserv.LiveResult) float64, keep sample) float64 {
+	var xs []float64
+	for i, res := range r.results {
+		if keep == nil || keep(i, r.reqs[i]) {
+			xs = append(xs, metric(res))
+		}
+	}
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(math.Ceil(p*float64(len(s)))) - 1
-	if i < 0 {
-		i = 0
+	sort.Float64s(xs)
+	return xs[max(int(math.Ceil(p*float64(len(xs))))-1, 0)]
+}
+
+// fastest returns the run with the lowest metric, the first on ties.
+func fastest(runs []*run, metric func(*run) float64) *run {
+	best := runs[0]
+	for _, r := range runs[1:] {
+		if metric(r) < metric(best) {
+			best = r
+		}
 	}
-	return s[i]
+	return best
+}
+
+// column is one metric every fleet of a scenario reports; the cell is
+// fmt.Sprintf(format, value(run)) on stdout and in the CSV alike.
+type column struct {
+	name   string
+	format string
+	value  func(r *run) any
+}
+
+// pctCol is the p-quantile of metric over the requests keep selects.
+func pctCol(name string, metric func(zipserv.LiveResult) float64, p float64, keep sample) column {
+	return column{name, "%.6f", func(r *run) any { return r.pct(p, metric, keep) }}
+}
+
+// decodeP99 is the decoders' TPOT p99, the number the adaptive and
+// disagg gates compare.
+func decodeP99(r *run) float64 { return r.pct(0.99, tpotOf, decoders) }
+
+var (
+	ttftP50Col   = pctCol("ttft_p50_s", ttftOf, 0.50, nil)
+	ttftP99Col   = pctCol("ttft_p99_s", ttftOf, 0.99, nil)
+	decodeP50Col = pctCol("decode_tpot_p50_s", tpotOf, 0.50, decoders)
+	decodeP99Col = pctCol("decode_tpot_p99_s", tpotOf, 0.99, decoders)
+	goodputCol   = column{"goodput_rps", "%.3f", func(r *run) any { return r.st.Goodput }}
+	maxGapCol    = column{"max_decode_gap_s", "%.6f", func(r *run) any { return r.st.MaxDecodeGap }}
+	completedCol = column{"completed", "%d", func(r *run) any { return r.st.Completed }}
+	prefillCol   = column{"prefill_tokens", "%d", func(r *run) any { return r.st.PrefillTokens }}
+	hitsCol      = column{"prefix_hits", "%d", func(r *run) any { return r.st.PrefixHits }}
+	savedCol     = column{"prefix_tokens_saved", "%d", func(r *run) any { return r.st.PrefixTokensSaved }}
+)
+
+// compare replays sc's workload through each of its fleets, prints the
+// table and the verdict, writes the same cells as CSV to csvPath when
+// set, and returns the gate's verdict when armed.
+func compare(sc *scenario, p params, csvPath string, armed bool) error {
+	w, err := sc.build(&p)
+	if err != nil {
+		return err
+	}
+	reps := 1
+	if w.faults != nil {
+		reps = 2
+	}
+	var runs []*run
+	for _, f := range sc.fleets {
+		r := &run{label: f.label, reqs: w.reqs}
+		for rep := 0; rep < reps; rep++ {
+			b, err := f.backend(w, p)
+			if err != nil {
+				return err
+			}
+			results, st, err := replay(b, w)
+			if err != nil {
+				return fmt.Errorf("%s: %w", f.label, err)
+			}
+			var log strings.Builder
+			for i, res := range results {
+				fmt.Fprintf(&log, "%d: %d/%d served=%t resurrected=%d\n",
+					i, w.reqs[i].PromptLen, w.reqs[i].OutputLen, res.Err == nil, res.Resurrected)
+			}
+			if rep == 0 {
+				r.results, r.st, r.outcomes = results, st, log.String()
+			}
+			r.replayed = log.String()
+		}
+		runs = append(runs, r)
+	}
+
+	cells := [][]string{{sc.key}}
+	for _, c := range sc.cols {
+		cells[0] = append(cells[0], c.name)
+	}
+	for _, r := range runs {
+		row := []string{r.label}
+		for _, c := range sc.cols {
+			row = append(row, fmt.Sprintf(c.format, c.value(r)))
+		}
+		cells = append(cells, row)
+	}
+	fmt.Printf("%s (%s, %s)\n\n", w.header, p.deploy, p.serving.Backend)
+	tw := tabwriter.NewWriter(os.Stdout, 0, 0, 2, ' ', 0)
+	var csvText strings.Builder
+	for _, row := range cells {
+		fmt.Fprintln(tw, strings.Join(row, "\t"))
+		csvText.WriteString(strings.Join(row, ",") + "\n")
+	}
+	if err := tw.Flush(); err != nil {
+		return err
+	}
+	g := &winGate{armed: armed}
+	if sc.win != nil {
+		if verdict := sc.win(runs, g); verdict != "" {
+			fmt.Printf("\n%s\n", verdict)
+		}
+	}
+	if csvPath != "" {
+		if err := os.WriteFile(csvPath, []byte(csvText.String()), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", csvPath)
+	}
+	return g.err
+}
+
+// winGate is the CI perf-regression gate every -require-*-win flag
+// funnels through. A mode states its requirements in order; armed, the
+// first violated one fails the run with a uniform "perf regression"
+// error. Disarmed, the comparison is informational.
+type winGate struct {
+	armed bool
+	err   error
+}
+
+// require records a violation when the gate is armed and cond is false;
+// the first violation wins.
+func (g *winGate) require(cond bool, format string, args ...any) {
+	if g.armed && g.err == nil && !cond {
+		g.err = fmt.Errorf("perf regression: "+format, args...)
+	}
 }
