@@ -3,6 +3,7 @@ package httpapi
 import (
 	"os"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -39,11 +40,17 @@ func statsJSONKeys(t *testing.T, typ reflect.Type, into map[string]bool) {
 	}
 }
 
+// docKeyRow matches a stats-reference table row and captures the key
+// it documents.
+var docKeyRow = regexp.MustCompile("^\\| `([a-z0-9_]+)` \\|")
+
 // TestStatsReferenceDocumentsEveryKey fails when a key served by
 // /v1/stats — the flat serve.Stats surface, the routed extras, or the
 // nested prefix-summary digest — is missing from
-// docs/stats-reference.md. Adding a stats field without documenting its
-// unit and fleet aggregation rule is a doc regression, caught here.
+// docs/stats-reference.md, and when a table row there documents a key
+// none of them serves. Adding a stats field without documenting its
+// unit and fleet aggregation rule is a doc regression, and so is a row
+// left behind by a deleted one; both are caught here.
 func TestStatsReferenceDocumentsEveryKey(t *testing.T) {
 	keys := make(map[string]bool)
 	statsJSONKeys(t, reflect.TypeOf(serve.Stats{}), keys)
@@ -64,5 +71,22 @@ func TestStatsReferenceDocumentsEveryKey(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("docs/stats-reference.md is missing %d stats key(s): %s",
 			len(missing), strings.Join(missing, ", "))
+	}
+	rows := 0
+	var unserved []string
+	for _, line := range strings.Split(text, "\n") {
+		if m := docKeyRow.FindStringSubmatch(line); m != nil {
+			rows++
+			if !keys[m[1]] {
+				unserved = append(unserved, m[1])
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("docs/stats-reference.md: no documented key rows found")
+	}
+	if len(unserved) > 0 {
+		t.Errorf("docs/stats-reference.md documents %d key(s) no stats struct serves: %s",
+			len(unserved), strings.Join(unserved, ", "))
 	}
 }

@@ -222,3 +222,17 @@ func TestAdaptiveCacheNeverAdmitsFewer(t *testing.T) {
 	t.Logf("static: completed %d; adaptive: completed %d, pool target %d, pressure EWMA %.3f",
 		static.Completed, adaptive.Completed, adaptive.CachePoolTarget, adaptive.CachePressureEWMA)
 }
+
+// TestPreStartCachePoolTargetIsClamped: before its first iteration a
+// replica reports what its loop publishes. The sizing controller clamps
+// an AdaptivePrefixCache starting bound past the plan to the plan, so
+// the pre-start cache_pool_target_blocks must read the plan too, not
+// the configured bound.
+func TestPreStartCachePoolTargetIsClamped(t *testing.T) {
+	eng := testEngine(t, engine.BackendZipServ)
+	blocks := eng.Plan().Blocks
+	srv := newServer(t, Config{Engine: eng, PrefixCache: true, AdaptivePrefixCache: true, PrefixCacheBlocks: blocks + 1000})
+	if got := srv.Stats().CachePoolTarget; got != blocks {
+		t.Errorf("pre-start cache pool target %d blocks, want the %d-block plan", got, blocks)
+	}
+}

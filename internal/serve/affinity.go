@@ -2,8 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"zipserv/internal/engine"
 	"zipserv/internal/kvcache"
@@ -21,8 +19,9 @@ import (
 // least-loaded candidate, or its free blocks cannot hold the request's
 // reservation, the router spills to plain least-loaded dispatch —
 // cache locality is a latency optimisation, never a hotspot generator.
-// Dispatch stays deterministic: scoring reads one stats snapshot per
-// candidate and every ordering is a stable sort.
+// Scoring is one step of the router's dispatch order (Router.rank): it
+// reads the one stats snapshot taken per candidate, and every ordering
+// is a stable sort, so dispatch stays deterministic.
 
 // AffinityConfig tunes the router's prefix-affinity dispatch. The zero
 // value selects sane defaults for every field.
@@ -45,14 +44,6 @@ type AffinityConfig struct {
 	// idle operating point, meaning a loop with prefill headroom to
 	// spare — before free blocks. Default engine.DefaultAdaptiveChunkMax.
 	LongPromptTokens int
-	// MaxSummaryAge bounds how stale (virtual seconds since last
-	// change) a replica's prefix digest may be and still steer
-	// dispatch. Past it the digest is ignored — the candidate scores
-	// zero overlap and competes least-loaded — and the dispatch counts
-	// in Stats.StaleDigestRoutes: the graceful-degradation path for a
-	// replica publishing frozen stats (docs/robustness.md). 0
-	// (default) trusts digests of any age.
-	MaxSummaryAge float64
 }
 
 func (cfg *AffinityConfig) defaults() {
@@ -85,9 +76,6 @@ func (r *Router) EnableAffinity(cfg AffinityConfig) error {
 	if cfg.LongPromptTokens < 0 {
 		return fmt.Errorf("serve: affinity LongPromptTokens must be >= 0, got %d", cfg.LongPromptTokens)
 	}
-	if math.IsNaN(cfg.MaxSummaryAge) || math.IsInf(cfg.MaxSummaryAge, 0) || cfg.MaxSummaryAge < 0 {
-		return fmt.Errorf("serve: affinity MaxSummaryAge must be finite and >= 0, got %v", cfg.MaxSummaryAge)
-	}
 	cfg.defaults()
 	r.affinity = &cfg
 	return nil
@@ -95,150 +83,6 @@ func (r *Router) EnableAffinity(cfg AffinityConfig) error {
 
 // AffinityEnabled reports whether prefix-affinity dispatch is on.
 func (r *Router) AffinityEnabled() bool { return r.affinity != nil }
-
-// affinityCandidate is one replica's scored view for a dispatch.
-type affinityCandidate struct {
-	b           Backend
-	idx         int // original tier index, the final determinism tie-break
-	load        int // queued+active
-	free        int // free KV blocks
-	overlap     int // estimated cached prompt tokens from the trie digest
-	blockTokens int // the candidate's digest granularity (0 = no digest)
-	idle        bool
-}
-
-// rankForRequest orders a tier for one request. Without affinity (or
-// without prompt tokens) it is plain least-loaded ranking and preferred
-// is nil. With affinity it snapshots each candidate once, scores the
-// estimated prefix overlap against the request, and — when some
-// candidate's overlap clears MinOverlapTokens — puts the best
-// in-band-and-fitting one first. preferred then names the replica the
-// request *wants* (the best overlap, in or out of band): landing there
-// counts as an affinity hit, landing anywhere else as a spill.
-func (r *Router) rankForRequest(tier []Backend, req Request) (ranked []Backend, preferred Backend) {
-	if r.affinity == nil || len(req.Prompt) == 0 {
-		return rankByLoad(tier), nil
-	}
-	cfg := r.affinity
-	// PromptLen may be omitted when tokens are given (Server.Submit
-	// defaults it later); score with the effective length.
-	promptLen := req.PromptLen
-	if promptLen == 0 {
-		promptLen = len(req.Prompt)
-	}
-	longPrompt := promptLen >= cfg.LongPromptTokens
-
-	cands := make([]affinityCandidate, 0, len(tier))
-	hashed := make(map[int]kvcache.HashedPrompt, 1) // per block granularity
-	staleSeen := false
-	minLoad := -1
-	for i, b := range tier {
-		st := b.Stats()
-		c := affinityCandidate{
-			b: b, idx: i,
-			load: st.Queued + st.Active,
-			free: st.FreeKVBlocks,
-			// Budget pinned at its ceiling = the adaptive controller's
-			// idle operating point: the loop has prefill headroom to
-			// spare, a good home for a long prompt.
-			idle: st.AdaptiveChunking && st.ChunkBudgetMax > 0 && st.ChunkBudget >= st.ChunkBudgetMax,
-		}
-		if s := st.PrefixSummary; s != nil {
-			if cfg.MaxSummaryAge > 0 && st.SummaryAgeSeconds > cfg.MaxSummaryAge {
-				// The digest outlived its trust bound (a stalled or
-				// stale-stats replica): ignore it rather than steer
-				// shared-prefix traffic onto content that may be gone.
-				// The candidate still competes least-loaded.
-				staleSeen = true
-			} else {
-				hp, ok := hashed[s.BlockTokens]
-				if !ok {
-					hp = kvcache.HashPromptTokens(req.Prompt, s.BlockTokens)
-					hashed[s.BlockTokens] = hp
-				}
-				c.overlap = s.MatchTokens(hp)
-				c.blockTokens = s.BlockTokens
-			}
-		}
-		if minLoad < 0 || c.load < minLoad {
-			minLoad = c.load
-		}
-		cands = append(cands, c)
-	}
-	if staleSeen {
-		r.staleDigest.Add(1)
-	}
-
-	// The replica the request wants: best overlap, band or no band.
-	// Ties break toward lower load, then tier order.
-	want := -1
-	for i, c := range cands {
-		if c.overlap < cfg.MinOverlapTokens {
-			continue
-		}
-		if want < 0 || c.overlap > cands[want].overlap ||
-			(c.overlap == cands[want].overlap && c.load < cands[want].load) {
-			want = i
-		}
-	}
-
-	// Least-loaded order for everything else (and the spill path), with
-	// the long-prompt idle-loop tie-break folded in.
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
-		}
-		if longPrompt && cands[i].idle != cands[j].idle {
-			return cands[i].idle
-		}
-		return cands[i].free > cands[j].free
-	})
-
-	ranked = make([]Backend, 0, len(cands))
-	if want >= 0 {
-		preferred = tier[want]
-		pc := cands[0] // locate the wanted candidate post-sort
-		for _, c := range cands {
-			if c.idx == want {
-				pc = c
-				break
-			}
-		}
-		// Affinity wins only in band and with room for the reservation:
-		// the preferred replica moves to the front of the ranking.
-		// Out of band or under the floor the dispatch deliberately
-		// spills — the preferred replica is demoted to last-resort
-		// failover, so the request goes somewhere with room even when
-		// the starved replica is momentarily the least-loaded (failover
-		// may still reach it when everything else rejects, which then
-		// counts as a hit).
-		bt := pc.blockTokens
-		if bt <= 0 {
-			bt = kvcache.DefaultBlockTokens
-		}
-		need := kvcache.BlocksFor(promptLen+req.OutputLen, bt)
-		if pc.load <= minLoad+cfg.LoadBand && pc.free >= need && pc.free >= cfg.MinFreeBlocks {
-			ranked = append(ranked, preferred)
-			for _, c := range cands {
-				if c.b != preferred {
-					ranked = append(ranked, c.b)
-				}
-			}
-		} else {
-			for _, c := range cands {
-				if c.b != preferred {
-					ranked = append(ranked, c.b)
-				}
-			}
-			ranked = append(ranked, preferred)
-		}
-		return ranked, preferred
-	}
-	for _, c := range cands {
-		ranked = append(ranked, c.b)
-	}
-	return ranked, preferred
-}
 
 // noteDispatch records where an affinity-scored request actually
 // landed: on the replica it wanted (hit) or anywhere else (spill).

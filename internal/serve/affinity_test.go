@@ -29,7 +29,7 @@ func (s *acceptStub) Stop(context.Context) error { return nil }
 // summaryOf builds a real prefix-trie digest advertising the given
 // prompts, via an actual kvcache manager — stub replicas then claim
 // cached content they do not have, which is exactly what a router sees.
-func summaryOf(t *testing.T, prompts ...[]int) *kvcache.PrefixSummary {
+func summaryOf(t testing.TB, prompts ...[]int) *kvcache.PrefixSummary {
 	t.Helper()
 	m, err := kvcache.NewManager(kvcache.Config{BlockTokens: kvcache.DefaultBlockTokens, TotalBlocks: 1024})
 	if err != nil {

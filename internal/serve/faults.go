@@ -40,9 +40,8 @@ import (
 //	              ownership, nothing arrives (one event per directive;
 //	              lost requests resurrect or fail like a crash's).
 //	stalestats  — the replica's published stats snapshot freezes for a
-//	              window: routers rank it on stale load and a stale
-//	              prefix digest, the degradation affinity's
-//	              MaxSummaryAge guard exists for.
+//	              window, load, prefix digest and digest age alike:
+//	              routers keep ranking it on what it last published.
 
 // FaultKind names one injectable fault type in a FaultPlan.
 type FaultKind string

@@ -175,81 +175,43 @@ func (r *Router) EnableHealth(cfg HealthConfig) error {
 // HealthEnabled reports whether the health state machine is on.
 func (r *Router) HealthEnabled() bool { return r.health != nil }
 
-// healthRank builds one dispatch's candidate order under the state
-// machine: due half-open probes first (the submission IS the trial),
-// then the healthy candidates under the usual affinity/least-loaded
-// ranking, then degraded candidates as fallback. Ejected replicas are
-// excluded entirely. probes aliases ranked[:len(probes)] so the caller
-// can release the probe flag of any trial the dispatch never reached.
-// Liveness guard: when the whole tier is ejected with no probe due,
-// every replica is tried — a fully tripped breaker must degrade to
-// plain dispatch, not to guaranteed failure.
-func (r *Router) healthRank(tier []Backend, req Request) (ranked []Backend, preferred Backend, probes []Backend) {
-	if r.health == nil {
-		ranked, preferred = r.rankForRequest(tier, req)
-		return ranked, preferred, nil
+// classify places replica b in the breaker state machine, judging a
+// live replica's step-time bound against its snapshot st. With arm set
+// (client submissions only) an ejected replica counts one more
+// submission toward its probe cadence, and armed reports that this call
+// made its half-open trial due: the caller's dispatch is the probe. An
+// untracked Backend (possible only before EnableHealth saw it), and
+// every replica of a router without health routing, is healthy.
+func (r *Router) classify(b Backend, st *Stats, arm bool) (state HealthState, armed bool) {
+	h := r.healthMap[b]
+	if h == nil {
+		return HealthHealthy, false
 	}
-	healthy, degraded, probes := r.healthPartition(tier)
-	if len(healthy)+len(degraded)+len(probes) == 0 {
-		return rankByLoad(tier), nil, nil
-	}
-	ranked = append([]Backend(nil), probes...)
-	var affRanked []Backend
-	affRanked, preferred = r.rankForRequest(healthy, req)
-	ranked = append(ranked, affRanked...)
-	if len(degraded) > 0 {
-		ranked = append(ranked, rankByLoad(degraded)...)
-	}
-	return ranked, preferred, probes
-}
-
-// healthPartition classifies a tier's replicas for one dispatch and
-// advances the probe cadence of ejected ones. An untracked Backend
-// (possible only before EnableHealth saw it) counts as healthy.
-func (r *Router) healthPartition(tier []Backend) (healthy, degraded, probes []Backend) {
 	cfg := r.health
-	for _, b := range tier {
-		h := r.healthMap[b]
-		if h == nil {
-			healthy = append(healthy, b)
-			continue
-		}
-		h.mu.Lock()
-		if h.probing {
-			// Another dispatch is mid-trial on this replica; keep it out
-			// of ranking until the trial's outcome lands.
-			h.mu.Unlock()
-			continue
-		}
-		if h.ejected {
+	h.mu.Lock()
+	switch {
+	case h.probing:
+		state = HealthProbing // another dispatch is mid-trial on it
+	case h.ejected:
+		state = HealthEjected
+		if arm {
 			h.sinceEject++
-			due := cfg.ProbeEvery > 0 && h.sinceEject >= cfg.ProbeEvery
-			if due {
+			if armed = h.sinceEject >= cfg.ProbeEvery; armed {
 				h.sinceEject = 0
 				h.probing = true
 			}
-			h.mu.Unlock()
-			if due {
-				r.healthProbes.Add(1)
-				probes = append(probes, b)
-			}
-			continue
 		}
-		degradedNow := h.recentCount >= cfg.MinSamples &&
-			float64(h.recentFails) > cfg.MaxErrorRate*float64(h.recentCount)
-		h.mu.Unlock()
-		if !degradedNow && cfg.MaxStepTimeEWMA > 0 {
-			if st := b.Stats(); st.StepTimeEWMA > cfg.MaxStepTimeEWMA {
-				degradedNow = true
-			}
-		}
-		if degradedNow {
-			degraded = append(degraded, b)
-		} else {
-			healthy = append(healthy, b)
-		}
+	case h.recentCount >= cfg.MinSamples && float64(h.recentFails) > cfg.MaxErrorRate*float64(h.recentCount),
+		cfg.MaxStepTimeEWMA > 0 && st.StepTimeEWMA > cfg.MaxStepTimeEWMA:
+		state = HealthDegraded
+	default:
+		state = HealthHealthy
 	}
-	return healthy, degraded, probes
+	h.mu.Unlock()
+	if armed {
+		r.healthProbes.Add(1)
+	}
+	return state, armed
 }
 
 // noteSubmitOK records a successful dispatch: the failure streak
@@ -322,33 +284,6 @@ func (r *Router) releaseProbe(b Backend) {
 	h.mu.Unlock()
 }
 
-// liveCandidates filters a tier down to its non-ejected replicas for
-// dispatch paths that rank but never probe (handoff dispatch). Probe
-// cadences are untouched — a handoff is not a half-open trial. The
-// liveness guard applies: a fully ejected tier is returned whole.
-func (r *Router) liveCandidates(tier []Backend) []Backend {
-	if r.health == nil {
-		return tier
-	}
-	live := make([]Backend, 0, len(tier))
-	for _, b := range tier {
-		h := r.healthMap[b]
-		if h != nil {
-			h.mu.Lock()
-			out := h.ejected || h.probing
-			h.mu.Unlock()
-			if out {
-				continue
-			}
-		}
-		live = append(live, b)
-	}
-	if len(live) == 0 {
-		return tier
-	}
-	return live
-}
-
 // decayLocked halves the recent-outcome counters when the window
 // fills. Caller holds h.mu.
 func (h *replicaHealth) decayLocked() {
@@ -358,41 +293,28 @@ func (h *replicaHealth) decayLocked() {
 	}
 }
 
-// healthStateOf classifies a replica for the stats surface, reusing an
-// already-taken snapshot for the step-time bound.
-func (r *Router) healthStateOf(b Backend, st *Stats) HealthState {
-	cfg := r.health
-	h := r.healthMap[b]
-	if h == nil {
-		return HealthHealthy
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	switch {
-	case h.probing:
-		return HealthProbing
-	case h.ejected:
-		return HealthEjected
-	case h.recentCount >= cfg.MinSamples &&
-		float64(h.recentFails) > cfg.MaxErrorRate*float64(h.recentCount):
-		return HealthDegraded
-	case cfg.MaxStepTimeEWMA > 0 && st != nil && st.StepTimeEWMA > cfg.MaxStepTimeEWMA:
-		return HealthDegraded
-	}
-	return HealthHealthy
-}
-
 // resurrect is the Server.onDeath hook: a dying replica hands over the
 // requests it lost, and the router resubmits each one elsewhere. Runs
-// on the dying replica's scheduler goroutine; the lost set arrives
-// sorted by scheduler id, and targets are ranked once per batch, so a
-// scripted crash resurrects identically on every replay. Requests past
-// the retry budget — and requests no live replica will take — fail to
-// the client with ErrRetriesExhausted, counted in Stats.RetryExhausted
-// and folded into the fleet's Failed.
-func (r *Router) resurrect(from *Server, lost []*call) {
+// on the dying replica's scheduler goroutine. The rescue candidates —
+// every other leaf replica, tier by tier — are ranked once per batch,
+// least-loaded and never as probes (rescue traffic is not trial
+// traffic), with the liveness guard spanning every tier; the lost set
+// arrives sorted by scheduler id, so a scripted crash resurrects
+// identically on every replay. Requests past the retry budget — and
+// requests no replica will take — fail to the client with
+// ErrRetriesExhausted, counted in Stats.RetryExhausted and folded into
+// the fleet's Failed.
+func (r *Router) resurrect(from Backend, lost []*call) {
 	cfg := r.health
-	targets := r.resurrectTargets(from)
+	tiers := make([][]Backend, len(r.tiers))
+	for t, tier := range r.tiers {
+		for _, b := range tier {
+			if _, ok := b.(leaf); ok && b != from {
+				tiers[t] = append(tiers[t], b)
+			}
+		}
+	}
+	rk := r.rank(tiers, Request{}, false)
 	for _, c := range lost {
 		if c.done.Load() {
 			continue // a duplicate already delivered; nothing to save
@@ -406,58 +328,11 @@ func (r *Router) resurrect(from *Server, lost []*call) {
 		}
 		c.retries.Add(1)
 		c.backoff = cfg.RetryBackoff * float64(n+1)
-		delivered := false
-		for _, srv := range targets {
-			err := srv.resubmit(c)
-			if err == nil {
-				r.noteSubmitOK(srv)
-				r.resurrections.Add(1)
-				delivered = true
-				break
-			}
-			r.noteSubmitErr(srv, err)
-		}
-		if !delivered {
-			if c.finish(Result{Err: fmt.Errorf("%w: no replica accepted the resurrection", ErrRetriesExhausted)}) {
-				r.retryExhausted.Add(1)
-			}
+		var refused error
+		if r.offer(rk, func(b Backend) error { return b.(leaf).resubmit(c) }, &refused) {
+			r.resurrections.Add(1)
+		} else if c.finish(Result{Err: fmt.Errorf("%w: no replica accepted the resurrection", ErrRetriesExhausted)}) {
+			r.retryExhausted.Add(1)
 		}
 	}
-}
-
-// resurrectTargets ranks the live rescue candidates for a dying
-// replica's lost requests: every non-ejected *Server in tier order,
-// least-loaded first, excluding the dead replica. When the breaker has
-// everything ejected, every live server is tried anyway (the liveness
-// guard again). Probe cadences are not advanced — resurrection is
-// rescue traffic, not trial traffic.
-func (r *Router) resurrectTargets(from *Server) []*Server {
-	pick := func(includeEjected bool) []*Server {
-		var out []*Server
-		for _, tier := range r.tiers() {
-			for _, b := range rankByLoad(tier) {
-				srv, ok := b.(*Server)
-				if !ok || srv == from {
-					continue
-				}
-				if !includeEjected {
-					if h := r.healthMap[b]; h != nil {
-						h.mu.Lock()
-						ejected := h.ejected
-						h.mu.Unlock()
-						if ejected {
-							continue
-						}
-					}
-				}
-				out = append(out, srv)
-			}
-		}
-		return out
-	}
-	targets := pick(false)
-	if len(targets) == 0 {
-		targets = pick(true)
-	}
-	return targets
 }

@@ -49,9 +49,8 @@ func NewPooledRouter(servers ...*Server) (*Router, error) {
 	var (
 		backends = make([]Backend, len(servers))
 		submit   []Backend
-		fallback []Backend
+		decode   []Backend
 		prefills []*Server
-		decodes  []*Server
 	)
 	for i, sv := range servers {
 		if sv == nil {
@@ -63,17 +62,16 @@ func NewPooledRouter(servers ...*Server) (*Router, error) {
 			submit = append(submit, sv)
 			prefills = append(prefills, sv)
 		case PoolDecode:
-			fallback = append(fallback, sv)
-			decodes = append(decodes, sv)
+			decode = append(decode, sv)
 		default:
 			submit = append(submit, sv)
 		}
 	}
-	if len(prefills) > 0 && len(decodes) == 0 {
+	if len(prefills) > 0 && len(decode) == 0 {
 		return nil, fmt.Errorf("serve: a prefill pool needs at least one decode replica")
 	}
 	if len(submit) == 0 {
-		submit, fallback = fallback, nil // all-decode fleet: co-located
+		submit, decode = decode, nil // all-decode fleet: co-located
 	}
 	// One id source across the fleet: a sequence keeps its id across a
 	// prefill→decode handoff, so ids minted by different replicas must
@@ -82,52 +80,33 @@ func NewPooledRouter(servers ...*Server) (*Router, error) {
 	for _, sv := range servers {
 		sv.ids = ids
 	}
-	r := &Router{replicas: backends, submitTier: submit, fallbackTier: fallback}
+	r := &Router{replicas: backends, tiers: [][]Backend{submit, decode}}
 	for _, p := range prefills {
-		p.handoffFn = r.dispatchHandoff(decodes)
+		p.handoffFn = r.dispatchHandoff
 	}
 	return r, nil
 }
 
-// dispatchHandoff builds the prefill replicas' export-dispatch hook:
-// it offers an export to the decode replicas least-loaded first — or,
-// when the router has affinity enabled, to the decode replica whose
-// prefix-trie digest best overlaps the sequence's prompt (the import
-// dedups prompt blocks against the target's trie, so a matching target
-// both shrinks the effective transfer and seeds future submissions'
-// affinity). Acceptance only queues the handoff — the import happens on
-// the target's scheduler goroutine — so a target that dies after
-// accepting still serves it through its drain path. When every replica
-// rejects (stopped or full) the error sends the caller down its
-// co-located fallback.
-func (r *Router) dispatchHandoff(decodes []*Server) func(*handoff) error {
-	targets := make([]Backend, len(decodes))
-	for i, d := range decodes {
-		targets[i] = d
+// dispatchHandoff is the prefill replicas' export-dispatch hook: it
+// offers an export down the decode tier's ranking (Router.rank) —
+// least-loaded, or with affinity enabled the decode replica whose
+// prefix-trie digest best overlaps the sequence's prompt first (the
+// import dedups prompt blocks against the target's trie, so a matching
+// target both shrinks the effective transfer and seeds future
+// submissions' affinity). A handoff never arms a half-open probe, but
+// its accepts and refusals feed the breakers, so a decode replica that
+// sees only handoff traffic can still eject. Acceptance only queues the
+// handoff — the import happens on the target's scheduler goroutine — so
+// a target that dies after accepting still serves it through its drain
+// path. When every replica refuses (stopped or full) the error sends
+// the caller down its co-located fallback.
+func (r *Router) dispatchHandoff(h *handoff) error {
+	refused := fmt.Errorf("serve: no decode replica accepted the handoff")
+	req := Request{Prompt: h.exp.Req.Prompt, PromptLen: h.exp.Req.PromptLen, OutputLen: h.exp.Req.OutputLen}
+	if r.offer(r.rank(r.tiers[1:], req, false), func(b Backend) error { return b.(leaf).acceptHandoff(h) }, &refused) {
+		return nil
 	}
-	return func(h *handoff) error {
-		// Health-aware: ejected decode replicas drop out of the handoff
-		// candidate set (they will lose the sequence again); breaker
-		// state advances on each accept/refusal so a dead decode replica
-		// ejects even when it sees only handoff traffic.
-		ranked, preferred := r.rankForRequest(r.liveCandidates(targets), Request{
-			Prompt:    h.exp.Req.Prompt,
-			PromptLen: h.exp.Req.PromptLen,
-			OutputLen: h.exp.Req.OutputLen,
-		})
-		err := fmt.Errorf("serve: no decode replica accepted the handoff")
-		for _, b := range ranked {
-			if e := b.(*Server).acceptHandoff(h); e == nil {
-				r.noteSubmitOK(b)
-				r.noteDispatch(b, preferred)
-				return nil
-			} else {
-				r.noteSubmitErr(b, e)
-				err = e
-			}
-		}
-		return err
-	}
+	return refused
 }
 
 // PoolAggregate groups per-replica snapshots by pool role and folds

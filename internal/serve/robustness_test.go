@@ -375,7 +375,11 @@ func TestHealthBreakerStateMachine(t *testing.T) {
 	if err := r.EnableHealth(cfg); err != nil {
 		t.Fatal(err)
 	}
-	state := func(bk Backend) HealthState { return r.healthStateOf(bk, nil) }
+	state := func(bk Backend) HealthState {
+		st, _ := r.classify(bk, &Stats{}, false)
+		return st
+	}
+	rankAB := func() ranking { return r.rank([][]Backend{{a, b}}, Request{}, true) }
 
 	// ErrNeverFits is the request's fault: the breaker must not move.
 	for i := 0; i < 5; i++ {
@@ -398,27 +402,22 @@ func TestHealthBreakerStateMachine(t *testing.T) {
 
 	// The ejected replica leaves ranking; the probe comes due after
 	// ProbeEvery considerations and ranks first.
-	tier := []Backend{a, b}
-	if _, _, probes := r.healthRank(tier, Request{}); len(probes) != 0 {
+	if rk := rankAB(); rk.probes != 0 {
 		t.Fatal("probe due immediately after ejection")
 	}
-	ranked, _, probes := r.healthRank(tier, Request{})
-	if len(probes) != 1 || probes[0] != a {
-		t.Fatalf("second consideration: probes = %v, want the ejected replica", probes)
-	}
-	if ranked[0] != a {
-		t.Fatal("due probe not ranked first")
+	if rk := rankAB(); rk.probes != 1 || rk.order[0] != a {
+		t.Fatalf("second consideration: order %v with %d probes, want the ejected replica probed first", rk.order, rk.probes)
 	}
 	// An undispatched trial is released and due again immediately.
 	r.releaseProbe(a)
-	if _, _, probes := r.healthRank(tier, Request{}); len(probes) != 1 {
+	if rk := rankAB(); rk.probes != 1 {
 		t.Fatal("released probe not due again")
 	}
 	// So is a trial the request itself failed: it proved nothing about
 	// the replica.
 	for _, err := range []error{ErrNeverFits, ErrInvalidRequest} {
 		r.noteSubmitErr(a, err)
-		if _, _, probes := r.healthRank(tier, Request{}); len(probes) != 1 {
+		if rk := rankAB(); rk.probes != 1 {
 			t.Fatalf("trial refused with %v not due again", err)
 		}
 	}
@@ -451,9 +450,8 @@ func TestHealthBreakerStateMachine(t *testing.T) {
 		t.Fatalf("state at 2/3 recent errors = %q, want degraded", got)
 	}
 	// Degraded replicas still rank — last.
-	ranked, _, _ = r.healthRank(tier, Request{})
-	if len(ranked) != 2 || ranked[len(ranked)-1] != b {
-		t.Fatalf("degraded replica not ranked last: %v", ranked)
+	if rk := rankAB(); len(rk.order) != 2 || rk.order[1] != b {
+		t.Fatalf("degraded replica not ranked last: %v", rk.order)
 	}
 }
 
@@ -531,10 +529,17 @@ func TestCodecFaultFallsBackToPlainCache(t *testing.T) {
 // published snapshot freezes (routers see stale load and digests);
 // after the window closes the snapshot catches up.
 func TestStaleStatsFreezesSnapshot(t *testing.T) {
-	frozen := newServer(t, Config{QueueDepth: 4,
+	frozen := newServer(t, Config{QueueDepth: 4, PrefixCache: true,
 		Faults: mustPlan(t, "stalestats replica=0 at=0\n").Replica(0)})
+	// A window opening at 0 must not blank the pre-start snapshot: a
+	// router's capacity ranking reads it before the first iteration.
+	pre := frozen.Stats()
+	if pre.TotalKVBlocks == 0 || pre.FreeKVBlocks != pre.TotalKVBlocks || pre.PrefixSummary == nil {
+		t.Fatalf("pre-start snapshot blank under stalestats: free %d of %d blocks, digest %v",
+			pre.FreeKVBlocks, pre.TotalKVBlocks, pre.PrefixSummary)
+	}
 	frozen.Start()
-	tk, err := frozen.Submit(Request{PromptLen: 256, OutputLen: 16})
+	tk, err := frozen.Submit(Request{Prompt: seqTokens(256, 3), OutputLen: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,6 +549,11 @@ func TestStaleStatsFreezesSnapshot(t *testing.T) {
 	st := frozen.Stats()
 	if st.Completed != 0 || st.SimSeconds != 0 {
 		t.Errorf("frozen snapshot advanced: completed=%d sim=%v", st.Completed, st.SimSeconds)
+	}
+	// The digest freezes with the rest of the snapshot, its age included.
+	if st.PrefixSummary != pre.PrefixSummary || st.SummaryAgeSeconds != pre.SummaryAgeSeconds {
+		t.Errorf("frozen digest moved: %p age %v, pre-start %p age %v",
+			st.PrefixSummary, st.SummaryAgeSeconds, pre.PrefixSummary, pre.SummaryAgeSeconds)
 	}
 	if st.Submitted != 1 {
 		t.Errorf("Submitted = %d, want 1: admission counters are live, only the publish freezes", st.Submitted)

@@ -27,6 +27,16 @@ type Backend interface {
 	Stop(context.Context) error
 }
 
+// leaf is a replica the router hands work to beyond Submit: a decode
+// replica taking a prefill replica's handoff, or a survivor taking back
+// a dead replica's lost request. *Server is the one implementation;
+// tests substitute stubs.
+type leaf interface {
+	Backend
+	acceptHandoff(*handoff) error
+	resubmit(*call) error
+}
+
 // Router shards traffic across N replica backends with capacity-aware
 // dispatch: each Submit ranks the replicas least-loaded-first by their
 // Stats snapshot — fewest queued+active requests, then most free KV
@@ -37,13 +47,12 @@ type Backend interface {
 type Router struct {
 	replicas []Backend
 
-	// Pooled dispatch tiers (NewPooledRouter). When submitTier is set,
-	// requests are offered to it first (prefill + mixed replicas) and
-	// spill to fallbackTier (decode replicas, serving co-located) only
-	// when every preferred replica rejects — the prefill-death failover.
-	// A plain NewRouter leaves both nil and dispatches over replicas.
-	submitTier   []Backend
-	fallbackTier []Backend
+	// tiers are the dispatch tiers in preference order: the flat replica
+	// set for a plain NewRouter, or for NewPooledRouter the submit tier
+	// (prefill + mixed replicas) followed by the decode tier, which
+	// receives handoffs and serves submissions co-located only when every
+	// preferred replica rejects — the prefill-death failover.
+	tiers [][]Backend
 
 	// Router-level admission outcomes. Failover probes bump the
 	// replicas' own rejected counters even when the request lands
@@ -59,10 +68,6 @@ type Router struct {
 	affinity       *AffinityConfig
 	affinityHits   atomic.Int64
 	affinitySpills atomic.Int64
-	// staleDigest counts dispatches where at least one candidate's
-	// prefix digest was older than the affinity MaxSummaryAge bound and
-	// was ignored — affinity degraded to least-loaded for it.
-	staleDigest atomic.Int64
 
 	// Health-aware routing (health.go; nil = every replica always
 	// eligible). healthMap is assembled once by EnableHealth and
@@ -91,7 +96,8 @@ func NewRouter(replicas ...Backend) (*Router, error) {
 			return nil, fmt.Errorf("serve: router replica %d is nil", i)
 		}
 	}
-	return &Router{replicas: append([]Backend(nil), replicas...)}, nil
+	replicas = append([]Backend(nil), replicas...)
+	return &Router{replicas: replicas, tiers: [][]Backend{replicas}}, nil
 }
 
 // Replicas returns the number of replicas behind the router.
@@ -104,99 +110,261 @@ func (r *Router) Start() {
 	}
 }
 
-// Submit dispatches the request to the least-loaded replica — or, with
-// EnableAffinity, to the in-band replica with the best estimated
-// prefix overlap (affinity.go) — failing over in ranking order. The
-// returned error is the most retryable one observed: a full queue (the
-// caller should back off and retry) wins over a stopped replica;
-// ErrNeverFits is returned only when no running replica could ever
-// admit the request. A malformed request (ErrInvalidRequest) fails at
-// once: every replica would refuse it alike, so there is nothing to
-// fail over to, and the refusal says nothing about replica health.
+// Submit dispatches the request tier by tier, offering it down each
+// tier's ranking (rank) — the in-band affinity pick or the least-loaded
+// replica first — and ranking the next tier only when every replica of
+// this one refused. The returned error is the most retryable one
+// observed: a full queue (the caller should back off and retry) wins
+// over a stopped replica; ErrNeverFits is returned only when no running
+// replica could ever admit the request. A malformed request
+// (ErrInvalidRequest) fails at once: every replica would refuse it
+// alike, so there is nothing to fail over to, and the refusal says
+// nothing about replica health.
 func (r *Router) Submit(req Request) (*Ticket, error) {
-	var queueFull, neverFits, lastErr error
-	for _, tier := range r.tiers() {
-		ranked, preferred, probes := r.healthRank(tier, req)
-		for i, b := range ranked {
-			tk, err := b.Submit(req)
-			if err == nil || errors.Is(err, ErrInvalidRequest) {
-				// Any due probe this dispatch never reached stays due:
-				// release its trial flag before returning.
-				for j := i + 1; j < len(probes); j++ {
-					r.releaseProbe(probes[j])
+	var tk *Ticket
+	try := func(b Backend) (err error) {
+		tk, err = b.Submit(req)
+		return err
+	}
+	refused := ErrStopped // empty dispatch tiers: nothing was tried
+	for t := range r.tiers {
+		if r.offer(r.rank(r.tiers[t:t+1], req, true), try, &refused) {
+			r.submitted.Add(1)
+			return tk, nil
+		}
+		if errors.Is(refused, ErrInvalidRequest) {
+			break
+		}
+	}
+	// Every failure is a client-visible submit failure the fleet's
+	// per-replica counters cannot see (failover probes bump the replicas'
+	// own rejected counts even when a request lands), so each one counts
+	// here.
+	r.rejected.Add(1)
+	return nil, refused
+}
+
+// The groups of one dispatch's ranking, in offer order.
+const (
+	groupProbe    = iota // half-open probes this dispatch armed, in tier order
+	groupHealthy         // the in-band affinity pick, then least-loaded
+	groupDegraded        // least-loaded
+	groupAll             // the liveness guard: every replica, least-loaded
+	groupOut             // ejected or mid-probe: not offered
+)
+
+// candidate is one replica's view for one dispatch, read from a single
+// Stats snapshot.
+type candidate struct {
+	b     Backend
+	tier  int
+	group int
+	// pin moves the affinity pick to the front of its group (-1: in
+	// band with room for the reservation) or to its back (+1: spilled,
+	// kept only as last-resort failover).
+	pin  int
+	load int  // queued+active
+	free int  // free KV blocks
+	idle bool // adaptive chunk budget at its ceiling (affinity-scored only)
+	// overlap is the estimated cached prompt prefix in tokens, at the
+	// digest's blockTokens granularity (affinity-scored only).
+	overlap     int
+	blockTokens int
+}
+
+// ranking is one dispatch's offer order.
+type ranking struct {
+	order []Backend
+	// preferred is the replica affinity wanted (in band or not); nil
+	// when the dispatch was not affinity-scored.
+	preferred Backend
+	// probes counts the half-open trials this dispatch armed:
+	// order[:probes].
+	probes int
+}
+
+// rank is the router's one dispatch order, shared by Submit, handoff
+// dispatch and resurrection. It snapshots each candidate once and
+// classifies it once, then orders every tier in turn:
+//
+//  1. half-open probes, armed only when arm is set (client submissions
+//     over a single tier; the submission is the trial);
+//  2. healthy replicas: the in-band affinity pick, then least-loaded;
+//  3. degraded replicas, least-loaded;
+//  4. when no tier has any of the above left (every replica ejected or
+//     mid-probe), every replica least-loaded — the liveness guard: a
+//     fully tripped breaker degrades dispatch, it does not refuse it.
+//
+// Least-loaded means fewest queued+active requests, then most free KV
+// blocks; for an affinity-scored long prompt, a replica whose adaptive
+// chunk budget sits at its ceiling (the controller's idle point, a loop
+// with prefill headroom to spare) wins a load tie before free blocks do.
+// Every sort is stable, so remaining ties keep tier order. Requests
+// without prompt tokens are never affinity-scored: there is nothing to
+// match.
+func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
+	aff := r.affinity
+	if len(req.Prompt) == 0 {
+		aff = nil
+	}
+	var (
+		cands  = make([]candidate, 0, len(r.replicas)) // every tier is a subset
+		hashed map[int]kvcache.HashedPrompt            // per digest granularity
+		live   int
+	)
+	if aff != nil {
+		hashed = make(map[int]kvcache.HashedPrompt, 1)
+	}
+	for t, tier := range tiers {
+		for _, b := range tier {
+			st := b.Stats()
+			c := candidate{b: b, tier: t, group: groupOut, load: st.Queued + st.Active, free: st.FreeKVBlocks}
+			switch state, armed := r.classify(b, &st, arm); {
+			case armed:
+				c.group = groupProbe
+			case state == HealthHealthy:
+				c.group = groupHealthy
+			case state == HealthDegraded:
+				c.group = groupDegraded
+			}
+			if c.group != groupOut {
+				live++
+			}
+			if aff != nil && c.group == groupHealthy {
+				c.idle = st.AdaptiveChunking && st.ChunkBudgetMax > 0 && st.ChunkBudget >= st.ChunkBudgetMax
+				if s := st.PrefixSummary; s != nil {
+					hp, ok := hashed[s.BlockTokens]
+					if !ok {
+						hp = kvcache.HashPromptTokens(req.Prompt, s.BlockTokens)
+						hashed[s.BlockTokens] = hp
+					}
+					c.overlap, c.blockTokens = s.MatchTokens(hp), s.BlockTokens
 				}
 			}
-			if err == nil {
-				r.submitted.Add(1)
-				r.noteDispatch(b, preferred)
-				r.noteSubmitOK(b)
-				return tk, nil
-			}
-			r.noteSubmitErr(b, err)
-			switch {
-			case errors.Is(err, ErrInvalidRequest):
-				r.rejected.Add(1)
-				return nil, err
-			case errors.Is(err, ErrQueueFull):
-				queueFull = err
-			case errors.Is(err, ErrNeverFits):
-				neverFits = err
-			default:
-				lastErr = err
-			}
+			cands = append(cands, c)
 		}
 	}
-	// Every failure return below is a client-visible submit failure the
-	// fleet's per-replica counters cannot see (failover probes bump the
-	// replicas' own rejected counts even when a request lands), so each
-	// one counts here — not just the queue-full fast path.
-	r.rejected.Add(1)
-	if queueFull != nil {
-		return nil, queueFull
-	}
-	if neverFits != nil {
-		return nil, neverFits
-	}
-	if lastErr == nil {
-		lastErr = ErrStopped // empty dispatch tiers: nothing was tried
-	}
-	return nil, lastErr
-}
-
-// tiers returns the dispatch tiers in preference order: the flat
-// replica set for a plain router, or the pooled submit tier followed by
-// the decode-replica fallback.
-func (r *Router) tiers() [][]Backend {
-	if len(r.submitTier) == 0 {
-		return [][]Backend{r.replicas}
-	}
-	return [][]Backend{r.submitTier, r.fallbackTier}
-}
-
-// rankByLoad orders backends least-loaded first by their Stats
-// snapshots: fewest queued+active requests, then most free KV blocks.
-func rankByLoad(backends []Backend) []Backend {
-	type candidate struct {
-		b    Backend
-		load int
-		free int
-	}
-	cands := make([]candidate, 0, len(backends))
-	for _, b := range backends {
-		st := b.Stats()
-		cands = append(cands, candidate{b: b, load: st.Queued + st.Active, free: st.FreeKVBlocks})
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
+	if live == 0 {
+		for i := range cands {
+			cands[i].group = groupAll
 		}
-		return cands[i].free > cands[j].free
-	})
-	out := make([]Backend, len(cands))
+	}
+
+	// PromptLen may be omitted when tokens are given (Server.Submit
+	// defaults it later); score with the effective length.
+	promptLen := req.PromptLen
+	if promptLen == 0 {
+		promptLen = len(req.Prompt)
+	}
+	// The replica the request wants: the healthy candidate with the best
+	// overlap, band or no band. Ties break toward lower load, then tier
+	// order.
+	var preferred Backend
+	want, minLoad := -1, -1
 	for i, c := range cands {
-		out[i] = c.b
+		if aff == nil || c.group != groupHealthy {
+			continue
+		}
+		if minLoad < 0 || c.load < minLoad {
+			minLoad = c.load
+		}
+		if c.overlap >= aff.MinOverlapTokens && (want < 0 || c.overlap > cands[want].overlap ||
+			c.overlap == cands[want].overlap && c.load < cands[want].load) {
+			want = i
+		}
 	}
-	return out
+	if want >= 0 {
+		// Affinity wins only in band and with room for the reservation.
+		// Out of band or under the floor the dispatch deliberately spills:
+		// the preferred replica is demoted to last-resort failover, so the
+		// request goes somewhere with room even when the starved replica
+		// is momentarily the least-loaded (failover may still reach it
+		// when everything else rejects, which then counts as a hit).
+		pc := &cands[want]
+		preferred = pc.b
+		need := kvcache.BlocksFor(promptLen+req.OutputLen, pc.blockTokens)
+		pc.pin = 1
+		if pc.load <= minLoad+aff.LoadBand && pc.free >= need && pc.free >= aff.MinFreeBlocks {
+			pc.pin = -1
+		}
+	}
+
+	longPrompt := aff != nil && promptLen >= aff.LongPromptTokens
+	sort.SliceStable(cands, func(i, j int) bool {
+		x, y := &cands[i], &cands[j]
+		switch {
+		case x.tier != y.tier:
+			return x.tier < y.tier
+		case x.group != y.group:
+			return x.group < y.group
+		case x.group == groupProbe:
+			return false // probes keep tier order
+		case x.pin != y.pin:
+			return x.pin < y.pin
+		case x.load != y.load:
+			return x.load < y.load
+		case longPrompt && x.idle != y.idle:
+			return x.idle
+		}
+		return x.free > y.free
+	})
+	rk := ranking{order: make([]Backend, 0, len(cands)), preferred: preferred}
+	for _, c := range cands {
+		if c.group != groupOut {
+			rk.order = append(rk.order, c.b)
+		}
+		if c.group == groupProbe {
+			rk.probes++
+		}
+	}
+	return rk
+}
+
+// offer is the router's one offer loop: it tries rk's replicas in order
+// until try accepts one, recording each outcome on the breakers and, on
+// acceptance, the affinity hit or spill. A probe rk armed that the walk
+// never reached is released, so it stays due. Each refusal folds into
+// *refused by Submit's precedence (refusalRank); an invalid request ends
+// the walk at once, since every replica refuses it alike.
+func (r *Router) offer(rk ranking, try func(Backend) error, refused *error) bool {
+	for i, b := range rk.order {
+		err := try(b)
+		if err == nil || errors.Is(err, ErrInvalidRequest) {
+			for j := i + 1; j < rk.probes; j++ {
+				r.releaseProbe(rk.order[j])
+			}
+		}
+		if err == nil {
+			r.noteSubmitOK(b)
+			r.noteDispatch(b, rk.preferred)
+			return true
+		}
+		r.noteSubmitErr(b, err)
+		if refusalRank(err) >= refusalRank(*refused) {
+			*refused = err
+		}
+		if errors.Is(err, ErrInvalidRequest) {
+			return false
+		}
+	}
+	return false
+}
+
+// refusalRank orders the refusals a dispatch may report: an invalid
+// request over a full queue (the caller should back off and retry), a
+// full queue over a request that can never fit, and that over a
+// stopped replica or anything else. Within a rank the latest refusal
+// wins.
+func refusalRank(err error) int {
+	switch {
+	case errors.Is(err, ErrInvalidRequest):
+		return 3
+	case errors.Is(err, ErrQueueFull):
+		return 2
+	case errors.Is(err, ErrNeverFits):
+		return 1
+	}
+	return 0
 }
 
 // Stats returns the fleet-wide aggregate: counters, queue depths and
@@ -224,7 +392,6 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	// this level's counters add to the aggregate instead of replacing it.
 	agg.PrefixAffinityHits += r.affinityHits.Load()
 	agg.AffinitySpills += r.affinitySpills.Load()
-	agg.StaleDigestRoutes += r.staleDigest.Load()
 	if r.health != nil {
 		// Health outcomes follow the same rule: this router's breaker
 		// counters and census add to whatever nested health routers
@@ -263,7 +430,8 @@ func (r *Router) ReplicaStats() []Stats {
 	for i, b := range r.replicas {
 		out[i] = b.Stats()
 		if r.health != nil {
-			out[i].HealthState = string(r.healthStateOf(b, &out[i]))
+			state, _ := r.classify(b, &out[i], false)
+			out[i].HealthState = string(state)
 		}
 	}
 	return out
@@ -359,7 +527,6 @@ func aggregateStats(replicas []Stats) Stats {
 		agg.Reinstatements += st.Reinstatements
 		agg.Resurrections += st.Resurrections
 		agg.RetryExhausted += st.RetryExhausted
-		agg.StaleDigestRoutes += st.StaleDigestRoutes
 		// Worst-replica cadence stall and the largest configured budget
 		// (fleets are normally homogeneous; max is the honest summary
 		// when they are not).

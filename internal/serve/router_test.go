@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -343,5 +344,98 @@ func TestRouterAdaptiveStatsSurviveStoppedReplica(t *testing.T) {
 	}
 	if agg.CachePoolTarget != per[0].CachePoolTarget+per[1].CachePoolTarget {
 		t.Errorf("pool target %d not the per-replica sum", agg.CachePoolTarget)
+	}
+}
+
+// handoffOf wraps a prompt as the export a prefill replica hands off.
+func handoffOf(prompt []int, outputLen int) *handoff {
+	return &handoff{exp: &engine.SequenceExport{Req: engine.Request{Prompt: prompt, PromptLen: len(prompt), OutputLen: outputLen}}}
+}
+
+// lostCall is a request a dying replica hands to resurrection.
+func lostCall() *call {
+	return &call{events: make(chan Event, 8), result: make(chan Result, 1)}
+}
+
+// TestDispatchSnapshotsEachReplicaOnce: one dispatch reads each
+// candidate's Stats once — the health classifier and the affinity and
+// load ranking share that snapshot — for submissions, handoffs and
+// resurrections alike, including under the liveness guard.
+func TestDispatchSnapshotsEachReplicaOnce(t *testing.T) {
+	prompt := seqTokens(64, 1)
+	stats := make([]Stats, 4)
+	for i := range stats {
+		stats[i] = Stats{FreeKVBlocks: 100, PrefixSummary: summaryOf(t, prompt), StepTimeEWMA: 0.75 * float64(i)}
+	}
+	r, stubs, _ := stubFleet(t, stats, 2)
+	if err := r.EnableAffinity(AffinityConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnableHealth(HealthConfig{MaxStepTimeEWMA: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// The submit tier refuses, so a submission ranks both tiers.
+	stubs[0].refuse, stubs[1].refuse = ErrQueueFull, ErrQueueFull
+	dispatches := []struct {
+		name string
+		run  func()
+	}{
+		{"submit", func() { _, _ = r.Submit(Request{Prompt: prompt, OutputLen: 8}) }},
+		{"handoff", func() { _ = r.dispatchHandoff(handoffOf(prompt, 8)) }},
+		{"resurrection", func() { r.resurrect(stubs[3], []*call{lostCall()}) }},
+	}
+	check := func(phase string) {
+		t.Helper()
+		for _, d := range dispatches {
+			for _, s := range stubs {
+				s.snaps = 0
+			}
+			d.run()
+			for _, s := range stubs {
+				if s.snaps > 1 {
+					t.Errorf("%s %s: replica %d snapshotted %d times, want at most once", phase, d.name, s.id, s.snaps)
+				}
+			}
+		}
+	}
+	check("healthy fleet:")
+	for _, s := range stubs {
+		r.healthMap[s].ejected = true
+	}
+	check("every replica ejected:")
+}
+
+// TestHandoffAndResurrectionRankDegradedLast pins the intended change
+// to handoff and rescue ranking: a degraded replica ranks behind every
+// healthy one, as it always did for a submission, even when it is the
+// least-loaded.
+func TestHandoffAndResurrectionRankDegradedLast(t *testing.T) {
+	stats := []Stats{
+		{FreeKVBlocks: 100},                  // the submit tier
+		{FreeKVBlocks: 100, StepTimeEWMA: 2}, // least-loaded decode replica, but slow
+		{Queued: 1, FreeKVBlocks: 100},
+		{Queued: 2, FreeKVBlocks: 100},
+	}
+	r, stubs, log := stubFleet(t, stats, 1)
+	if err := r.EnableHealth(HealthConfig{MaxStepTimeEWMA: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stubs {
+		s.refuse = ErrQueueFull // every offer refused: the log is the whole ranking
+	}
+	for _, d := range []struct {
+		name string
+		run  func()
+		want []int
+	}{
+		{"handoff", func() { _ = r.dispatchHandoff(handoffOf(seqTokens(32, 1), 8)) }, []int{2, 3, 1}},
+		{"resurrection", func() { r.resurrect(stubs[0], []*call{lostCall()}) }, []int{2, 3, 1}},
+		{"submit", func() { _, _ = r.Submit(Request{PromptLen: 32, OutputLen: 8}) }, []int{0, 2, 3, 1}},
+	} {
+		*log = (*log)[:0]
+		d.run()
+		if !slices.Equal(*log, d.want) {
+			t.Errorf("%s offered replicas %v, want %v: the degraded replica last", d.name, *log, d.want)
+		}
 	}
 }

@@ -162,18 +162,11 @@ type Config struct {
 	// FIFOPolicy, PriorityPolicy or SLOPolicy, e.g. from PolicyByName.
 	// Nil defaults to FIFOPolicy.
 	Policy Policy
-	// PaddedPrefill disables token-packed prefill and prices prefill
-	// batches padded to the longest prompt, reproducing the offline
-	// static-batch baseline. For benchmarks. Overridden by PrefixCache
-	// (and by chunking): a padded batch cannot start mid-prompt, so
-	// cached-prefix prefill is always priced token-packed.
-	PaddedPrefill bool
 	// PrefillChunkTokens caps the prompt tokens one scheduler iteration
 	// may prefill (Sarathi-style chunked prefill): partially prefilled
 	// sequences carry their chunk progress across iterations, so one
 	// long prompt can never stall the decode batch's token cadence.
-	// 0 = monolithic prefill (the legacy behaviour). Chunked prefill is
-	// always priced token-packed, overriding PaddedPrefill.
+	// 0 = monolithic prefill (the legacy behaviour).
 	PrefillChunkTokens int
 	// AdmissionWindow, when positive, makes an idle scheduler hold its
 	// first incoming submission for up to this wall-clock duration
@@ -366,22 +359,18 @@ type Stats struct {
 	// Reinstatements the probes that brought one back. Resurrections
 	// counts lost requests resubmitted to another replica;
 	// RetryExhausted the resurrections abandoned after the retry
-	// budget (client-visible failures, also folded into Failed).
-	// StaleDigestRoutes counts dispatches where a replica's prefix
-	// digest was too stale to trust and affinity degraded to
-	// least-loaded for that candidate. Nested routers report their own
-	// counters; a parent sums them.
-	HealthEnabled     bool   `json:"health_enabled,omitempty"`
-	HealthState       string `json:"health_state,omitempty"`
-	ReplicasHealthy   int    `json:"replicas_healthy,omitempty"`
-	ReplicasDegraded  int    `json:"replicas_degraded,omitempty"`
-	ReplicasEjected   int    `json:"replicas_ejected,omitempty"`
-	Ejections         int64  `json:"ejections,omitempty"`
-	HealthProbes      int64  `json:"health_probes,omitempty"`
-	Reinstatements    int64  `json:"reinstatements,omitempty"`
-	Resurrections     int64  `json:"resurrections,omitempty"`
-	RetryExhausted    int64  `json:"retry_exhausted,omitempty"`
-	StaleDigestRoutes int64  `json:"stale_digest_routes,omitempty"`
+	// budget (client-visible failures, also folded into Failed). Nested
+	// routers report their own counters; a parent sums them.
+	HealthEnabled    bool   `json:"health_enabled,omitempty"`
+	HealthState      string `json:"health_state,omitempty"`
+	ReplicasHealthy  int    `json:"replicas_healthy,omitempty"`
+	ReplicasDegraded int    `json:"replicas_degraded,omitempty"`
+	ReplicasEjected  int    `json:"replicas_ejected,omitempty"`
+	Ejections        int64  `json:"ejections,omitempty"`
+	HealthProbes     int64  `json:"health_probes,omitempty"`
+	Reinstatements   int64  `json:"reinstatements,omitempty"`
+	Resurrections    int64  `json:"resurrections,omitempty"`
+	RetryExhausted   int64  `json:"retry_exhausted,omitempty"`
 
 	// WallSeconds is real elapsed time since the scheduler started (0
 	// before Start) — the denominator for wall-clock rates, which the

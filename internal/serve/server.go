@@ -34,7 +34,7 @@ type Server struct {
 	// the requests a dying replica lost (crash, hang-at-stop, dropped
 	// handoff) so the router can resurrect them on another replica.
 	// Nil means lost requests fail to the client.
-	onDeath func(from *Server, lost []*call)
+	onDeath func(from Backend, lost []*call)
 
 	// doneScratch carries this iteration's claimed completions from
 	// counting to delivery; scheduler goroutine only.
@@ -60,12 +60,18 @@ type Server struct {
 	stats   Stats
 	recent  []time.Time // wall completion times within drainWindow
 
-	// Prefix-summary age tracking (scheduler goroutine only): the trie
-	// epoch of the last published digest and the virtual clock when it
-	// changed, so publish can report how stale the advertised summary
-	// is (Stats.SummaryAgeSeconds).
+	// Prefix-summary age tracking (publish only: New's seed publish,
+	// then the scheduler goroutine): the trie epoch of the last
+	// published digest and the virtual clock when it changed, so publish
+	// can report how stale the advertised summary is
+	// (Stats.SummaryAgeSeconds).
 	lastSummaryEpoch int64
 	lastSummaryClock float64
+
+	// sp is the replica's engine stepper, built by New. New's seed
+	// publish reads it before Start; afterwards only the scheduler
+	// goroutine touches it.
+	sp *engine.Stepper
 
 	// core is the policy's bitmap-scoreboard scheduler state
 	// (scoreboard.go): every queued request, eligible ones bucketed at
@@ -85,9 +91,10 @@ const (
 
 var _ Backend = (*Server)(nil)
 
-// New builds a live server over the engine, rejecting configurations
-// the scheduler loop has no defined behaviour for (negative budgets or
-// windows, non-finite pacing). Call Start to launch the scheduler
+// New builds a live server over the engine, and the engine stepper its
+// scheduler loop will own, rejecting configurations the loop has no
+// defined behaviour for (negative budgets or windows, non-finite
+// pacing, a KV plan with no blocks). Call Start to launch the scheduler
 // goroutine.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
@@ -105,26 +112,51 @@ func New(cfg Config) (*Server, error) {
 	if cfg.AdaptiveChunking && cfg.TargetStepTime == 0 {
 		cfg.TargetStepTime = DefaultTargetStepTime
 	}
-	blocks := cfg.Engine.Plan().Blocks
-	seedBudget := cfg.PrefillChunkTokens
+	sp, err := engine.NewStepper(cfg.Engine)
+	if err != nil {
+		return nil, fmt.Errorf("serve: engine stepper: %w", err)
+	}
+	sp.PackedPrefill = true
+	sp.PrefillChunkTokens = cfg.PrefillChunkTokens
+	if cfg.Pool == PoolPrefill {
+		// A prefill replica's steady state has no decode batch: run the
+		// adaptive chunk controller at its decode-free operating point
+		// instead of chasing a headroom that never exists.
+		sp.DecodeFree = true
+	}
 	if cfg.AdaptiveChunking {
-		seedBudget = engine.DefaultAdaptiveChunkMax
+		if err := sp.EnableAdaptiveChunking(cfg.TargetStepTime, 0, 0); err != nil {
+			return nil, err
+		}
 	}
-	// Mirror the sizing controller's starting bound (the static value,
-	// or the whole plan when unbounded) so a replica that has not yet
-	// run an iteration reports the same pool target its loop will.
-	seedPool := cfg.PrefixCacheBlocks
-	if cfg.AdaptivePrefixCache && seedPool == 0 {
-		seedPool = blocks
+	if cfg.PrefixCache {
+		if err := sp.EnablePrefixCache(cfg.PrefixCacheBlocks); err != nil {
+			return nil, err
+		}
+		if cfg.AdaptivePrefixCache {
+			if err := sp.EnableAdaptivePrefixCache(0, 0); err != nil {
+				return nil, err
+			}
+		}
+		if cfg.CompressedCache {
+			if err := sp.EnableCompressedCache(); err != nil {
+				return nil, err
+			}
+		}
 	}
-	// An enabled-but-empty compressed store reports the neutral ratio
-	// 1.0, matching what the loop's first publish will read.
-	seedRatio := 0.0
-	if cfg.CompressedCache {
-		seedRatio = 1.0
+	if f := cfg.Faults; f.active() {
+		// Scripted faults are pure functions of this replica's virtual
+		// clock (docs/robustness.md), so a chaos run replays
+		// bit-identically: slowdown dilates every step's virtual cost,
+		// and codec faults degrade cold-block freezes to plain parking.
+		sp.TimeDilation = f.slowFactorAt
+		if cfg.CompressedCache {
+			sp.SetCodecFault(func() bool { return f.codecFailingAt(sp.Clock()) })
+		}
 	}
-	return &Server{
+	s := &Server{
 		cfg:       cfg,
+		sp:        sp,
 		core:      cfg.Policy.newCore(),
 		submitCh:  make(chan *call, cfg.QueueDepth),
 		handoffCh: make(chan *handoff, cfg.QueueDepth),
@@ -135,26 +167,13 @@ func New(cfg Config) (*Server, error) {
 		// One backing array for the drain-rate window instead of a
 		// doubling cascade on the first completions.
 		recent: make([]time.Time, 0, 64),
-		// Seed the snapshot so a router's capacity-aware dispatch sees
-		// real headroom before the loop's first publish.
-		stats: Stats{
-			FreeKVBlocks:           blocks,
-			TotalKVBlocks:          blocks,
-			Policy:                 cfg.Policy.Name(),
-			PrefillChunkTokens:     cfg.PrefillChunkTokens,
-			PrefixCacheEnabled:     cfg.PrefixCache,
-			AdaptiveChunking:       cfg.AdaptiveChunking,
-			ChunkBudget:            seedBudget,
-			ChunkBudgetMin:         seedBudget,
-			ChunkBudgetMax:         seedBudget,
-			TargetStepTime:         cfg.TargetStepTime,
-			AdaptivePrefixCache:    cfg.AdaptivePrefixCache,
-			CachePoolTarget:        seedPool,
-			CompressedCacheEnabled: cfg.CompressedCache,
-			KVCompressionRatio:     seedRatio,
-			Pool:                   string(cfg.Pool),
-		},
-	}, nil
+	}
+	// Seed the snapshot through publish's own field mapping, so a
+	// router's capacity-aware dispatch sees real headroom before the
+	// loop's first publish — even under a stalestats window that opens
+	// at virtual time 0.
+	s.publish(sp, 0, 0, &aggregate{})
+	return s, nil
 }
 
 // validateConfig rejects scheduler parameters outside their defined
@@ -365,54 +384,7 @@ func (s *Server) Stats() Stats {
 func (s *Server) loop() {
 	defer close(s.done)
 
-	sp, err := engine.NewStepper(s.cfg.Engine)
-	if err != nil {
-		s.failAll(nil, nil, err)
-		return
-	}
-	sp.PackedPrefill = !s.cfg.PaddedPrefill
-	sp.PrefillChunkTokens = s.cfg.PrefillChunkTokens
-	if s.cfg.Pool == PoolPrefill {
-		// A prefill replica's steady state has no decode batch: run the
-		// adaptive chunk controller at its decode-free operating point
-		// instead of chasing a headroom that never exists.
-		sp.DecodeFree = true
-	}
-	if s.cfg.AdaptiveChunking {
-		if err := sp.EnableAdaptiveChunking(s.cfg.TargetStepTime, 0, 0); err != nil {
-			s.failAll(nil, nil, err)
-			return
-		}
-	}
-	if s.cfg.PrefixCache {
-		if err := sp.EnablePrefixCache(s.cfg.PrefixCacheBlocks); err != nil {
-			s.failAll(nil, nil, err)
-			return
-		}
-		if s.cfg.AdaptivePrefixCache {
-			if err := sp.EnableAdaptivePrefixCache(0, 0); err != nil {
-				s.failAll(nil, nil, err)
-				return
-			}
-		}
-		if s.cfg.CompressedCache {
-			if err := sp.EnableCompressedCache(); err != nil {
-				s.failAll(nil, nil, err)
-				return
-			}
-		}
-	}
-	if f := s.cfg.Faults; f.active() {
-		// Scripted faults are pure functions of this replica's virtual
-		// clock (docs/robustness.md), so a chaos run replays
-		// bit-identically: slowdown dilates every step's virtual cost,
-		// and codec faults degrade cold-block freezes to plain parking.
-		sp.TimeDilation = f.slowFactorAt
-		if s.cfg.CompressedCache {
-			sp.SetCodecFault(func() bool { return f.codecFailingAt(sp.Clock()) })
-		}
-	}
-
+	sp := s.sp
 	var (
 		pendingHO []*handoff // handed-off sequences awaiting import
 		inflight  = make(map[int]*call)
@@ -534,8 +506,12 @@ func (s *Server) loop() {
 		// cached pool before the snapshot below reports the new target.
 		sp.AdaptEpoch()
 		// Publish before delivering results: a caller that has seen a
-		// request's Result must observe stats that include it.
-		s.publish(sp, s.core.len()+len(pendingHO), len(inflight), &agg)
+		// request's Result must observe stats that include it. Inside a
+		// scripted stalestats window nothing is published: routers keep
+		// ranking this replica on its frozen load and prefix digest.
+		if !s.cfg.Faults.statsStaleAt(sp.Clock()) {
+			s.publish(sp, s.core.len()+len(pendingHO), len(inflight), &agg)
+		}
 		for i, j := range jobs {
 			c, m := j.c, j.m
 			c.emit(Event{Type: EventFinished, SimSeconds: m.Finished})
@@ -882,19 +858,6 @@ func (a *aggregate) complete(m engine.RequestMetrics) {
 
 // publish copies a stats snapshot for concurrent readers.
 func (s *Server) publish(sp *engine.Stepper, queued, active int, agg *aggregate) {
-	if s.cfg.Faults.statsStaleAt(sp.Clock()) {
-		// Scripted stats staleness: the snapshot stays frozen at its
-		// last published value — a router keeps ranking this replica on
-		// stale load and a stale prefix digest. Only the digest's age
-		// keeps advancing, which is precisely the signal affinity's
-		// MaxSummaryAge guard detects.
-		s.statsMu.Lock()
-		if s.stats.PrefixSummary != nil {
-			s.stats.SummaryAgeSeconds = sp.Clock() - s.lastSummaryClock
-		}
-		s.statsMu.Unlock()
-		return
-	}
 	st := Stats{
 		Completed: agg.completed,
 		Failed:    agg.failed,
