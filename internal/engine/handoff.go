@@ -88,14 +88,9 @@ func (s *Stepper) ExportSequence(id int) (*SequenceExport, error) {
 			TransferSeconds: s.e.KVTransferTime(kv.CompressedBytes()),
 		}
 		s.active = append(s.active[:i], s.active[i+1:]...)
-		s.reserved -= q.reserved
-		if err := s.mgr.Free(id); err != nil {
+		if err := s.release(q); err != nil {
 			// Unreachable: an active sequence owns an allocation.
-			panic(fmt.Sprintf("engine: freeing exported sequence %d: %v", id, err))
-		}
-		putSeq(q)
-		if len(s.active) == 0 {
-			s.lastDecodeEnd = -1
+			panic(fmt.Sprintf("engine: exporting sequence %d: %v", id, err))
 		}
 		return exp, nil
 	}
@@ -168,9 +163,6 @@ func (s *Stepper) ImportSequence(exp *SequenceExport) error {
 		prefilled: exp.Req.PromptLen,
 		reserved:  res,
 	}
-	s.active = append(s.active, q)
-	if len(s.active) > s.peak {
-		s.peak = len(s.active)
-	}
+	s.join(q)
 	return nil
 }

@@ -106,7 +106,7 @@ type Stepper struct {
 
 	prefillIters  int64
 	prefillTokens int64
-	lastDecodeEnd float64 // end of the previous decode step; -1 when the batch has emptied
+	lastDecodeEnd float64 // end of the previous decode step; -1 until a fresh batch's first step
 	maxDecodeGap  float64
 
 	lastPrefillElapsed float64 // virtual cost of the preceding Prefill call
@@ -180,7 +180,7 @@ func NewStepper(e *Engine) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stepper{e: e, mgr: mgr, lastDecodeEnd: -1}, nil
+	return &Stepper{e: e, mgr: mgr}, nil
 }
 
 // Clock returns the stepper's virtual time in seconds.
@@ -566,37 +566,51 @@ func (s *Stepper) FreeBlocks() int {
 // applies under memory pressure. The second result is false when no
 // in-flight sequence has that id.
 func (s *Stepper) Preempt(id int) (Request, bool) {
-	for i, q := range s.admitted {
-		if q.req.ID == id {
-			s.admitted = append(s.admitted[:i], s.admitted[i+1:]...)
-			return s.evict(q), true
-		}
-	}
-	for i, q := range s.active {
-		if q.req.ID == id {
-			s.active = append(s.active[:i], s.active[i+1:]...)
-			return s.evict(q), true
+	for _, batch := range [...]*[]*sequence{&s.admitted, &s.active} {
+		for i, q := range *batch {
+			if q.req.ID != id {
+				continue
+			}
+			*batch = append((*batch)[:i], (*batch)[i+1:]...)
+			// OutputTokens counts useful tokens only; a preempted
+			// sequence's partial output is recomputed after re-admission.
+			s.outputTokens -= int64(q.req.OutputLen - q.remaining)
+			req := q.req
+			if err := s.release(q); err != nil {
+				// Unreachable: a sequence with chunk progress owns an allocation.
+				panic(fmt.Sprintf("engine: preempting request %d: %v", id, err))
+			}
+			return req, true
 		}
 	}
 	return Request{}, false
 }
 
-// evict releases a preempted sequence's capacity and token accounting,
-// returning its bookkeeping to the pool.
-func (s *Stepper) evict(q *sequence) Request {
+// join adds a sequence to the decode batch, the one way in for
+// Prefill and ImportSequence. Joining an empty batch restarts the
+// cadence clock: the gap since the previous batch's last step is idle
+// time, not a stall, however that batch emptied.
+func (s *Stepper) join(q *sequence) {
+	if len(s.active) == 0 {
+		s.lastDecodeEnd = -1
+	}
+	s.active = append(s.active, q)
+	s.peak = max(s.peak, len(s.active))
+}
+
+// release is the one way out for a sequence its caller has already
+// taken out of its batch (finished, preempted or exported): it returns
+// the unclaimed reservation, then the block allocation, then the
+// bookkeeping to the pool. Copy out anything still needed first.
+func (s *Stepper) release(q *sequence) error {
 	s.reserved -= q.reserved
-	if q.prefilled > 0 {
+	if q.prefilled > 0 { // no chunk progress means no allocation yet
 		if err := s.mgr.Free(q.req.ID); err != nil {
-			// Unreachable: a sequence with chunk progress owns an allocation.
-			panic(fmt.Sprintf("engine: preempt freed unallocated request %d: %v", q.req.ID, err))
+			return fmt.Errorf("engine: releasing request %d: %w", q.req.ID, err)
 		}
 	}
-	// OutputTokens counts useful tokens only; a preempted sequence's
-	// partial output is recomputed after re-admission.
-	s.outputTokens -= int64(q.req.OutputLen - q.remaining)
-	req := q.req
 	putSeq(q)
-	return req
+	return nil
 }
 
 // carve slices this iteration's prefill chunks off the admitted queue
@@ -738,14 +752,11 @@ func (s *Stepper) Prefill() ([]RequestMetrics, float64) {
 		q.m.TTFT = s.now - q.m.Arrival
 		q.remaining-- // the final prefill chunk emits the first token
 		s.outputTokens++
-		s.active = append(s.active, q)
+		s.join(q)
 		out = append(out, q.m)
 	}
 	s.admitted = keep
 	sc.out = out
-	if len(s.active) > s.peak {
-		s.peak = len(s.active)
-	}
 	return out, elapsed
 }
 
@@ -813,22 +824,15 @@ func (s *Stepper) DecodeStep() ([]RequestMetrics, float64, error) {
 				q.m.TPOT = (q.m.Finished - q.m.FirstToken) / float64(q.req.OutputLen-1)
 			}
 			finished = append(finished, q.m)
-			s.reserved -= q.reserved
-			if err := s.mgr.Free(q.req.ID); err != nil {
+			if err := s.release(q); err != nil {
 				return nil, elapsed, err
 			}
-			putSeq(q)
 		} else {
 			next = append(next, q)
 		}
 	}
 	s.active = next
 	sc.fin = finished
-	if len(s.active) == 0 {
-		// The batch has drained: a later gap to a fresh batch's first
-		// step is idle time, not a cadence stall.
-		s.lastDecodeEnd = -1
-	}
 	return finished, elapsed, nil
 }
 

@@ -89,3 +89,51 @@ func TestStepperPreempt(t *testing.T) {
 		t.Errorf("output tokens %d, want %d", got, want)
 	}
 }
+
+// TestPreemptingLastDecoderIsNotACadenceStall: a batch that preemption
+// emptied is idle, like one whose last sequence finished, so the long
+// prefill that refills it must not count as an inter-token stall in
+// MaxDecodeGap.
+func TestPreemptingLastDecoderIsNotACadenceStall(t *testing.T) {
+	// growth runs a 64/4 request through prefill and one decode step,
+	// then preempts it or decodes it to completion, then prefills a
+	// 4096-token prompt and decodes once; it returns how much that
+	// second phase grew MaxDecodeGap.
+	growth := func(preempt bool) float64 {
+		sp, err := NewStepper(stepperEngine(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.PackedPrefill = true
+		step := func() {
+			if _, _, err := sp.DecodeStep(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sp.Admit(Request{ID: 1, PromptLen: 64, OutputLen: 4}); err != nil {
+			t.Fatal(err)
+		}
+		sp.Prefill()
+		step()
+		if preempt {
+			if _, ok := sp.Preempt(1); !ok {
+				t.Fatal("Preempt(1) found no sequence")
+			}
+		}
+		for sp.InFlight() > 0 {
+			step()
+		}
+		before := sp.MaxDecodeGap()
+		if err := sp.Admit(Request{ID: 2, PromptLen: 4096, OutputLen: 4}); err != nil {
+			t.Fatal(err)
+		}
+		sp.Prefill()
+		step()
+		return sp.MaxDecodeGap() - before
+	}
+	finished, preempted := growth(false), growth(true)
+	if preempted > finished {
+		t.Errorf("MaxDecodeGap grew %.4fs across a batch preemption emptied, want <= %.4fs as when it finished",
+			preempted, finished)
+	}
+}

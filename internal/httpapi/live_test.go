@@ -42,7 +42,6 @@ func newLiveBackend(t *testing.T, cfg serve.Config) *serve.Server {
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
-		live.Start() // idempotent: a never-started server must still drain
 		if err := live.Stop(ctx); err != nil {
 			t.Errorf("live Stop: %v", err)
 		}

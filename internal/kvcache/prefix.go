@@ -215,12 +215,7 @@ func (hp HashedPrompt) Tokens() []int { return hp.tokens }
 // HashPrompt precomputes a prompt's per-block content keys at the
 // manager's block granularity.
 func (m *Manager) HashPrompt(tokens []int) HashedPrompt {
-	b := m.cfg.BlockTokens
-	keys := make([]string, len(tokens)/b)
-	for i := range keys {
-		keys[i] = contentKey(tokens[i*b : (i+1)*b])
-	}
-	return HashedPrompt{tokens: tokens, keys: keys}
+	return HashPromptTokens(tokens, m.cfg.BlockTokens)
 }
 
 // EnablePrefixCache turns on cross-request prefix reuse. capBlocks

@@ -396,13 +396,13 @@ func TestAggregateChunkBudgetMinIgnoresMonolithic(t *testing.T) {
 }
 
 // TestFailAllCountsFailures (bugfix sweep): requests failed by the
-// loop's terminal failAll path used to vanish from Stats.Failed — the
+// loop's terminal exit path used to vanish from Stats.Failed — the
 // loop exits before any further publish, so the snapshot said failed=0
 // while every caller held an error.
 func TestFailAllCountsFailures(t *testing.T) {
 	s := newServer(t, Config{Engine: testEngine(t, engine.BackendZipServ), QueueDepth: 4})
-	// Never started: submissions sit in the channel until failAll
-	// drains them.
+	// Never started: submissions sit in the channel until the exit
+	// evacuates them.
 	boom := errors.New("boom")
 	tks := make([]*Ticket, 3)
 	for i := range tks {
@@ -412,10 +412,7 @@ func TestFailAllCountsFailures(t *testing.T) {
 		}
 		tks[i] = tk
 	}
-	s.failAll(nil, nil, boom)
-	// Let the loop run once so it observes the stop and closes done —
-	// otherwise the cleanup Stop would wait out its whole timeout.
-	s.Start()
+	s.exit(boom, false)
 	for i, tk := range tks {
 		select {
 		case res := <-tk.Result():
@@ -427,6 +424,6 @@ func TestFailAllCountsFailures(t *testing.T) {
 		}
 	}
 	if got := s.Stats().Failed; got != 3 {
-		t.Errorf("Stats.Failed = %d, want 3 failures delivered by failAll", got)
+		t.Errorf("Stats.Failed = %d, want 3 failures delivered by the exit", got)
 	}
 }

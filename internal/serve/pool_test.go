@@ -22,7 +22,6 @@ func poolServer(t testing.TB, pool PoolRole) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		s.Start() // idempotent; a never-started loop cannot drain a Stop
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		if err := s.Stop(ctx); err != nil {

@@ -592,7 +592,6 @@ func TestDropHandoffFaultLosesThenResurrects(t *testing.T) {
 		for _, s := range []*Server{p, d} {
 			srv := s
 			t.Cleanup(func() {
-				srv.Start()
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 				defer cancel()
 				if err := srv.Stop(ctx); err != nil {
@@ -613,7 +612,8 @@ func TestDropHandoffFaultLosesThenResurrects(t *testing.T) {
 		return r, plan
 	}
 
-	// Without health: the dropped request fails to the client.
+	// Without health: the dropped request fails to the client, and the
+	// failure is published before it is delivered.
 	r, _ := build(false)
 	tk, err := r.Submit(Request{Prompt: seqTokens(256, 9), OutputLen: 16})
 	if err != nil {
@@ -622,10 +622,10 @@ func TestDropHandoffFaultLosesThenResurrects(t *testing.T) {
 	if res := awaitResult(t, tk); !errors.Is(res.Err, ErrStopped) {
 		t.Fatalf("dropped handoff: err = %v, want ErrStopped", res.Err)
 	}
-	waitStats(t, func() bool {
-		st := r.Stats()
-		return st.HandoffDrops == 1 && st.LostRequests == 1 && st.Failed == 1
-	})
+	if st := r.Stats(); st.HandoffDrops != 1 || st.LostRequests != 1 || st.Failed != 1 {
+		t.Errorf("after the failed Result: drops/lost/failed = %d/%d/%d, want 1/1/1",
+			st.HandoffDrops, st.LostRequests, st.Failed)
+	}
 
 	// With health: the drop victim resurrects and completes.
 	r2, _ := build(true)

@@ -232,22 +232,26 @@ func (s *statsStub) Stop(context.Context) error      { return nil }
 // adaptive-controller telemetry by its documented rules — budget
 // spread as min-of-mins/max-of-maxes (so nested routers compose),
 // headline budget / target / step-time / pressure as the worst
-// replica, pool targets summed, and the hit-rate EWMA averaged over
-// the replicas actually running the sizing controller.
+// replica, pool targets, drain rates and peak batches summed, and the
+// hit-rate EWMA averaged over the replicas actually running the sizing
+// controller.
 func TestRouterAggregatesAdaptiveStats(t *testing.T) {
 	a := Stats{
 		AdaptiveChunking: true, ChunkBudget: 512, ChunkBudgetMin: 256, ChunkBudgetMax: 512,
 		TargetStepTime: 0.03, StepTimeEWMA: 0.021,
 		AdaptivePrefixCache: true, CachePoolTarget: 100, CacheHitRateEWMA: 0.8, CachePressureEWMA: 0.1,
+		RecentDrainRPS: 2.5, PeakConcurrency: 7,
 	}
 	b := Stats{
 		AdaptiveChunking: true, ChunkBudget: 64, ChunkBudgetMin: 64, ChunkBudgetMax: 2048,
 		TargetStepTime: 0.025, StepTimeEWMA: 0.034,
 		AdaptivePrefixCache: true, CachePoolTarget: 40, CacheHitRateEWMA: 0.2, CachePressureEWMA: 0.7,
+		RecentDrainRPS: 1.5, PeakConcurrency: 3,
 	}
 	c := Stats{ // static replica: no adaptive controllers
 		ChunkBudget: 128, ChunkBudgetMin: 128, ChunkBudgetMax: 128, CachePoolTarget: 16,
 		CacheHitRateEWMA: 0.99, // must NOT enter the adaptive average
+		RecentDrainRPS:   4, PeakConcurrency: 5,
 	}
 	r, err := NewRouter(&statsStub{a}, &statsStub{b}, &statsStub{c})
 	if err != nil {
@@ -274,6 +278,15 @@ func TestRouterAggregatesAdaptiveStats(t *testing.T) {
 	}
 	if agg.CachePressureEWMA != 0.7 {
 		t.Errorf("pressure EWMA %v, want the worst replica's 0.7", agg.CachePressureEWMA)
+	}
+	// Both sum across replicas (docs/stats-reference.md): the fleet
+	// drains at the replicas' combined rate, and their peak batches can
+	// coincide.
+	if agg.RecentDrainRPS != 8 {
+		t.Errorf("recent drain rate %v, want the 8 req/s fleet sum", agg.RecentDrainRPS)
+	}
+	if agg.PeakConcurrency != 15 {
+		t.Errorf("peak concurrency %d, want the 15-sequence fleet sum", agg.PeakConcurrency)
 	}
 }
 

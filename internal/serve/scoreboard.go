@@ -264,7 +264,7 @@ func (sb *scoreboard) max() (*sbNode, bool) {
 }
 
 // each calls f for every filed entry, in no particular order. Only used
-// on cold paths (failAll); the hot path never iterates.
+// on the cold exit path (evacuate); the hot path never iterates.
 func (sb *scoreboard) each(f func(*call)) {
 	for i := range sb.nodes {
 		if sb.nodes[i].c != nil {
@@ -496,7 +496,7 @@ func (sc *schedCore) victim(blockedDeadline float64) (int, bool) {
 }
 
 // drainAll hands every queued call to f and empties the core — the
-// failAll path.
+// loop's exit evacuation.
 func (sc *schedCore) drainAll(f func(*call)) {
 	for _, e := range sc.future {
 		f(e.c)

@@ -341,6 +341,40 @@ func TestGracefulStopDrains(t *testing.T) {
 	}
 }
 
+// TestStopBeforeStartServesSubmitted: Stop on a server, or on a router
+// over servers, that was never started must run the loop to serve what
+// was accepted, not return at once and strand every ticket.
+func TestStopBeforeStartServesSubmitted(t *testing.T) {
+	eng := testEngine(t, engine.BackendZipServ)
+	r, err := NewRouter(newServer(t, Config{Engine: eng}), newServer(t, Config{Engine: eng}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Backend{newServer(t, Config{Engine: eng}), r} {
+		tk, err := b.Submit(Request{PromptLen: 32, OutputLen: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		err = b.Stop(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%T Stop: %v", b, err)
+		}
+		select {
+		case res := <-tk.Result():
+			if res.Err != nil {
+				t.Errorf("%T: request failed: %v", b, res.Err)
+			}
+		default:
+			t.Errorf("%T: no result once Stop returned", b)
+		}
+		if st := b.Stats(); st.Completed != 1 || st.Failed != 0 {
+			t.Errorf("%T: completed/failed = %d/%d, want 1/0", b, st.Completed, st.Failed)
+		}
+	}
+}
+
 func TestConcurrentSubmittersUnderRace(t *testing.T) {
 	// Hammer the server from many goroutines while a reader polls
 	// Stats; run with -race to check the synchronisation.

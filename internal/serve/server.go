@@ -36,10 +36,6 @@ type Server struct {
 	// Nil means lost requests fail to the client.
 	onDeath func(from Backend, lost []*call)
 
-	// doneScratch carries this iteration's claimed completions from
-	// counting to delivery; scheduler goroutine only.
-	doneScratch []doneJob
-
 	// ids assigns request IDs. Private per server by default;
 	// NewPooledRouter points every pooled replica at one shared counter,
 	// because a sequence keeps its id across a prefill→decode handoff
@@ -79,6 +75,18 @@ type Server struct {
 	// scoreboard, and every per-slot decision O(1) in queue depth. Only
 	// the scheduler goroutine touches it.
 	core *schedCore
+
+	// Loop state, like sp and core read by New's seed publish and then
+	// touched only by the scheduler goroutine: the running batch by
+	// scheduler id (run and retire keep core's running scoreboard in
+	// step), handed-off sequences awaiting import, the counters publish
+	// reports, and the iteration's claimed outcomes and lost requests,
+	// held for delivery until after its publish (settle).
+	inflight  map[int]*call
+	pendingHO []*handoff
+	agg       aggregate
+	outcomes  []outcome
+	lost      []*call
 
 	startOnce sync.Once
 }
@@ -164,6 +172,7 @@ func New(cfg Config) (*Server, error) {
 		stop:      make(chan struct{}),
 		kill:      make(chan struct{}),
 		done:      make(chan struct{}),
+		inflight:  make(map[int]*call),
 		// One backing array for the drain-rate window instead of a
 		// doubling cascade on the first completions.
 		recent: make([]time.Time, 0, 64),
@@ -172,7 +181,7 @@ func New(cfg Config) (*Server, error) {
 	// router's capacity-aware dispatch sees real headroom before the
 	// loop's first publish — even under a stalestats window that opens
 	// at virtual time 0.
-	s.publish(sp, 0, 0, &aggregate{})
+	s.publish()
 	return s, nil
 }
 
@@ -221,7 +230,8 @@ func validateConfig(cfg Config) error {
 	return nil
 }
 
-// Start launches the scheduler goroutine. Safe to call once.
+// Start launches the scheduler goroutine. Idempotent: only the first
+// call, Start's or Stop's, launches it.
 func (s *Server) Start() {
 	s.startOnce.Do(func() {
 		s.startedAt.Store(time.Now().UnixNano())
@@ -231,23 +241,16 @@ func (s *Server) Start() {
 
 // Stop shuts the server down gracefully: new submissions are rejected
 // with ErrStopped immediately, while everything already queued or in
-// flight is served to completion. When ctx expires (including a
-// context that is already expired on entry) the drain is force-failed
-// instead of abandoned: the scheduler promptly fails every undelivered
-// request — callers get their error, Stats.Failed counts them — and
-// Stop returns ctx.Err() once that accounting has landed.
+// flight is served to completion — on a server that was never started
+// too, whose loop Stop starts so that what it accepted is served. When
+// ctx expires (including a context that is already expired on entry)
+// the drain is force-failed instead of abandoned: the scheduler
+// promptly fails every undelivered request — callers get their error,
+// Stats.Failed counts them — and Stop returns ctx.Err() once that
+// accounting has landed.
 func (s *Server) Stop(ctx context.Context) error {
-	s.gate.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stop)
-	}
-	s.gate.Unlock()
-	if s.startedAt.Load() == 0 {
-		// Never started: no scheduler goroutine will ever close done,
-		// and there is nothing queued to drain or fail.
-		return nil
-	}
+	s.closeGate()
+	s.Start()
 	select {
 	case <-s.done:
 		return nil
@@ -326,20 +329,14 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		result:    make(chan Result, 1),
 	}
 
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.stopped {
-		return nil, ErrStopped
-	}
 	c.ticket = Ticket{ID: c.clientID, events: c.events, result: c.result}
-	select {
-	case s.submitCh <- c:
-		s.submitted.Add(1)
-		return &c.ticket, nil
-	default:
-		s.rejected.Add(1)
-		return nil, ErrQueueFull
+	if err := enqueue(s, s.submitCh, c, &s.submitted); err != nil {
+		if err == ErrQueueFull {
+			s.rejected.Add(1)
+		}
+		return nil, err
 	}
+	return &c.ticket, nil
 }
 
 // Stats returns an aggregate snapshot. Safe for concurrent use.
@@ -385,67 +382,64 @@ func (s *Server) loop() {
 	defer close(s.done)
 
 	sp := s.sp
-	var (
-		pendingHO []*handoff // handed-off sequences awaiting import
-		inflight  = make(map[int]*call)
-		agg       aggregate
-		wasIdle   bool
-	)
+	wasIdle := false
 	for {
 		// Force-fail check first: Stop's context expired, so the drain
 		// is abandoned — every undelivered request fails promptly.
 		select {
 		case <-s.kill:
-			s.failAll(pendingHO, inflight, fmt.Errorf("%w: drain deadline exceeded", ErrStopped))
+			s.exit(fmt.Errorf("%w: drain deadline exceeded", ErrStopped), false)
 			return
 		default:
 		}
-		// Scripted death next, on this replica's own virtual clock.
+		// Scripted death next, on this replica's own virtual clock. A
+		// crash loses everything the replica holds at once. A hang is a
+		// livelock: the replica stays up (submissions keep landing until
+		// the queue fills, nothing completes, stats freeze) and loses
+		// what it holds only when stopped, like a real wedged process.
 		if f := s.cfg.Faults; f.active() {
 			if f.crashedAt(sp.Clock()) {
-				s.crash(pendingHO, inflight)
+				s.exit(fmt.Errorf("%w: replica crashed", ErrStopped), true)
 				return
 			}
 			if f.hungAt(sp.Clock()) {
-				s.hang(pendingHO, inflight)
+				select {
+				case <-s.stop:
+				case <-s.kill:
+				}
+				s.exit(fmt.Errorf("%w: replica hung", ErrStopped), true)
 				return
 			}
 		}
-		// Observe idleness before draining the channel: whatever the
+		// Observe idleness before draining the channels: whatever the
 		// drain below (or the blocking select) picks up is then the
 		// first work of a fresh batch, eligible for the admission
 		// window. Re-arming anywhere later would miss bursts whose
 		// first request lands between the end of one batch and the
 		// next iteration's drain.
-		if sp.InFlight() == 0 && s.core.len() == 0 && len(pendingHO) == 0 {
+		if s.idle() {
 			wasIdle = true
 		}
-		s.drain(sp)
-		pendingHO = s.drainHandoffs(pendingHO)
+		s.drain()
 
-		if sp.InFlight() == 0 && s.core.len() == 0 && len(pendingHO) == 0 {
+		if s.idle() {
 			// Fully idle: block for the next submission, handoff or
 			// shutdown.
 			select {
 			case c := <-s.submitCh:
-				s.arrive(sp, c)
-				continue
+				s.arrive(c)
 			case h := <-s.handoffCh:
-				pendingHO = append(pendingHO, h)
-				continue
-			case <-s.kill:
-				s.failAll(pendingHO, inflight, fmt.Errorf("%w: drain deadline exceeded", ErrStopped))
-				return
+				s.pendingHO = append(s.pendingHO, h)
+			case <-s.kill: // force-failed at the top of the loop
 			case <-s.stop:
 				// Anything that raced past the gate before Stop is
 				// buffered; serve it before exiting.
-				s.drain(sp)
-				pendingHO = s.drainHandoffs(pendingHO)
-				if s.core.len() > 0 || len(pendingHO) > 0 {
-					continue
+				s.drain()
+				if s.idle() {
+					return
 				}
-				return
 			}
+			continue
 		}
 
 		// First work after an idle stretch: hold the admission window
@@ -455,86 +449,60 @@ func (s *Server) loop() {
 		// submission and would otherwise bypass the window.
 		if wasIdle {
 			wasIdle = false
-			s.coalesce(sp)
+			s.coalesce()
 		}
 
 		// Land handed-off sequences before admission: an import advances
 		// the clock past its transfer, which can make queued arrivals
 		// eligible for the same batch.
-		pendingHO = s.importHandoffs(sp, pendingHO, inflight, &agg)
-		s.admit(sp, inflight, &agg)
+		s.importHandoffs()
+		s.admit()
 
 		// Prefill newcomers (packed, at most one chunk budget's worth of
 		// prompt tokens), then one decode iteration.
 		prefilled, prefillElapsed := sp.Prefill()
 		for _, m := range prefilled {
-			if c := inflight[m.ID]; c != nil {
+			if c := s.inflight[m.ID]; c != nil {
 				c.emit(Event{Type: EventFirstToken, SimSeconds: m.FirstToken, TTFT: m.TTFT})
 			}
 		}
 		if s.handoffFn != nil {
-			s.dispatchHandoffs(sp, prefilled, inflight, &agg)
+			s.dispatchHandoffs(prefilled)
 		}
 		finished, decodeElapsed, err := sp.DecodeStep()
 		if err != nil {
 			// Scheduler invariant broken (unreachable under the
-			// conservative reservation): fail everything and halt.
-			s.failAll(pendingHO, inflight, err)
+			// conservative reservation): settle what this iteration
+			// already concluded, then fail everything and halt.
+			s.settle()
+			s.exit(err, false)
 			return
 		}
-		// Claim each completion before counting it: a request that was
-		// resurrected elsewhere (or served through a duplicated handoff)
-		// may have been delivered by another replica already, and a lost
-		// claim means this copy's completion must not be counted or
-		// delivered a second time.
-		jobs := s.doneScratch[:0]
 		for _, m := range finished {
-			c := inflight[m.ID]
-			delete(inflight, m.ID)
-			s.core.runningRemove(m.ID)
-			if c == nil || !c.claim() {
-				continue
+			if c := s.retire(m.ID); c != nil {
+				s.conclude(c, Result{
+					PromptLen: c.req.PromptLen, OutputLen: c.req.OutputLen,
+					Arrival: m.Arrival, Admitted: m.Admitted,
+					FirstToken: m.FirstToken, Finished: m.Finished,
+					TTFT: m.TTFT, TPOT: m.TPOT,
+					QueueWait: m.Admitted - m.Arrival, Latency: m.Latency,
+					CachedTokens: m.CachedTokens,
+				})
 			}
-			agg.complete(m)
-			jobs = append(jobs, doneJob{c: c, m: m})
-		}
-		if len(jobs) > 0 {
-			s.noteCompletions(len(jobs))
 		}
 		// Close the admission epoch: the cache-sizing controller
 		// consumes this iteration's admission outcomes and resizes the
 		// cached pool before the snapshot below reports the new target.
 		sp.AdaptEpoch()
-		// Publish before delivering results: a caller that has seen a
-		// request's Result must observe stats that include it. Inside a
-		// scripted stalestats window nothing is published: routers keep
-		// ranking this replica on its frozen load and prefix digest.
-		if !s.cfg.Faults.statsStaleAt(sp.Clock()) {
-			s.publish(sp, s.core.len()+len(pendingHO), len(inflight), &agg)
-		}
-		for i, j := range jobs {
-			c, m := j.c, j.m
-			c.emit(Event{Type: EventFinished, SimSeconds: m.Finished})
-			c.deliver(Result{
-				PromptLen: c.req.PromptLen, OutputLen: c.req.OutputLen,
-				Arrival: m.Arrival, Admitted: m.Admitted,
-				FirstToken: m.FirstToken, Finished: m.Finished,
-				TTFT: m.TTFT, TPOT: m.TPOT,
-				QueueWait: m.Admitted - m.Arrival, Latency: m.Latency,
-				CachedTokens: m.CachedTokens,
-			})
-			jobs[i].c = nil // do not pin delivered calls via the scratch
-		}
-		s.doneScratch = jobs[:0]
+		s.settle()
 		s.pace(prefillElapsed + decodeElapsed)
 	}
 }
 
-// doneJob pairs a claimed completion with its metrics between the
-// counting pass and the delivery pass of one iteration.
-type doneJob struct {
-	c *call
-	m engine.RequestMetrics
+// idle reports whether the loop holds no work: nothing running,
+// queued on the core or awaiting import.
+func (s *Server) idle() bool {
+	return s.sp.InFlight() == 0 && s.core.len() == 0 && len(s.pendingHO) == 0
 }
 
 // pace sleeps this iteration's virtual step duration × TimeScale so
@@ -561,7 +529,7 @@ func (s *Server) pace(simElapsed float64) {
 // scheduling, so a burst spread over a few milliseconds prefills as
 // one batch. Shutdown cuts the window short; everything gathered is
 // still served.
-func (s *Server) coalesce(sp *engine.Stepper) {
+func (s *Server) coalesce() {
 	if s.cfg.AdmissionWindow <= 0 {
 		return
 	}
@@ -570,7 +538,7 @@ func (s *Server) coalesce(sp *engine.Stepper) {
 	for {
 		select {
 		case c := <-s.submitCh:
-			s.arrive(sp, c)
+			s.arrive(c)
 		case <-timer.C:
 			return
 		case <-s.stop:
@@ -588,8 +556,8 @@ func (s *Server) coalesce(sp *engine.Stepper) {
 // order; aged batch requests move rank), so each admission decision —
 // promote, peek, remove — is O(1) in queue depth and allocation-free in
 // steady state.
-func (s *Server) admit(sp *engine.Stepper, inflight map[int]*call, agg *aggregate) {
-	sc := s.core
+func (s *Server) admit() {
+	sp, sc := s.sp, s.core
 	for sc.len() > 0 {
 		if s.cfg.MaxBatch > 0 && sp.InFlight() >= s.cfg.MaxBatch {
 			break
@@ -604,7 +572,7 @@ func (s *Server) admit(sp *engine.Stepper, inflight map[int]*call, agg *aggregat
 			continue
 		}
 		if !sp.CanAdmitRequest(c.req) {
-			s.makeRoom(sp, c, inflight, agg)
+			s.makeRoom(c)
 			if !sp.CanAdmitRequest(c.req) {
 				if sp.InFlight() > 0 {
 					break // capacity frees up as sequences finish
@@ -613,23 +581,19 @@ func (s *Server) admit(sp *engine.Stepper, inflight map[int]*call, agg *aggregat
 				// Submit's whole-plan check mirrors CanAdmit at an
 				// empty system, but admission must always make
 				// progress even if those drift apart.
-				agg.failed++
-				c.finish(Result{Err: fmt.Errorf("%w: %d+%d tokens vs %d-block plan",
-					ErrNeverFits, c.req.PromptLen, c.req.OutputLen, s.cfg.Engine.Plan().Blocks)})
 				sc.removeEligible(c.req.ID)
+				s.conclude(c, Result{Err: fmt.Errorf("%w: %d+%d tokens vs %d-block plan",
+					ErrNeverFits, c.req.PromptLen, c.req.OutputLen, s.cfg.Engine.Plan().Blocks)})
 				continue
 			}
 		}
+		sc.removeEligible(c.req.ID)
 		if err := sp.Admit(c.req); err != nil {
-			agg.failed++
-			c.finish(Result{Err: err})
-			sc.removeEligible(c.req.ID)
+			s.conclude(c, Result{Err: err})
 			continue
 		}
 		c.admittedAt = sp.Clock()
-		inflight[c.req.ID] = c
-		sc.removeEligible(c.req.ID)
-		sc.runningAdd(c)
+		s.run(c)
 		c.emit(Event{Type: EventAdmitted, SimSeconds: sp.Clock(),
 			CachedTokens: sp.CachedTokensOf(c.req.ID)})
 	}
@@ -641,43 +605,47 @@ func (s *Server) admit(sp *engine.Stepper, inflight map[int]*call, agg *aggregat
 // block it held) and requeued through the core with its original
 // arrival, hence its original rank keys, to be re-admitted — and fully
 // recomputed — later.
-func (s *Server) makeRoom(sp *engine.Stepper, blocked *call, inflight map[int]*call, agg *aggregate) {
+func (s *Server) makeRoom(blocked *call) {
+	sp := s.sp
 	for !sp.CanAdmitRequest(blocked.req) {
 		vid, ok := s.core.victim(blocked.deadline())
 		if !ok {
 			return
 		}
-		req, ok := sp.Preempt(vid)
-		if !ok {
+		if _, ok := sp.Preempt(vid); !ok {
 			return // stale view; unreachable from the loop
 		}
-		vc := inflight[req.ID]
-		delete(inflight, req.ID)
-		s.core.runningRemove(req.ID)
+		vc := s.retire(vid)
 		vc.preempts++
-		agg.preempted++
+		s.agg.preempted++
 		vc.emit(Event{Type: EventPreempted, SimSeconds: sp.Clock()})
 		s.core.add(vc)
 	}
 }
 
-// acceptHandoff offers an exported sequence to this replica without
-// blocking, mirroring Submit's gating: ErrStopped after Stop,
-// ErrQueueFull when the handoff queue is at capacity. Called from a
-// prefill replica's scheduler goroutine through the pooled router's
-// dispatch ranking.
+// run puts an admitted or imported call into the running batch: the
+// inflight map and the running scoreboard's victim mirror.
+func (s *Server) run(c *call) {
+	s.inflight[c.req.ID] = c
+	s.core.runningAdd(c)
+}
+
+// retire takes a call out of the running batch — completion,
+// preemption and every handoff outcome leave through here — and
+// returns it (nil when id is not running).
+func (s *Server) retire(id int) *call {
+	c := s.inflight[id]
+	delete(s.inflight, id)
+	s.core.runningRemove(id)
+	return c
+}
+
+// acceptHandoff offers an exported sequence to this replica through
+// the gated enqueue: ErrStopped after Stop, ErrQueueFull when the
+// handoff queue is at capacity. Called from a prefill replica's
+// scheduler goroutine through the pooled router's dispatch ranking.
 func (s *Server) acceptHandoff(h *handoff) error {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.stopped {
-		return ErrStopped
-	}
-	select {
-	case s.handoffCh <- h:
-		return nil
-	default:
-		return ErrQueueFull
-	}
+	return enqueue(s, s.handoffCh, h, nil)
 }
 
 // dispatchHandoffs exports every sequence that just produced its first
@@ -689,9 +657,10 @@ func (s *Server) acceptHandoff(h *handoff) error {
 // same stepper, which the prefix trie makes nearly free: the blocks the
 // export released are still advertised, so the claim reuses them
 // instead of expanding the wire payload.
-func (s *Server) dispatchHandoffs(sp *engine.Stepper, prefilled []engine.RequestMetrics, inflight map[int]*call, agg *aggregate) {
+func (s *Server) dispatchHandoffs(prefilled []engine.RequestMetrics) {
+	sp := s.sp
 	for _, m := range prefilled {
-		c := inflight[m.ID]
+		c := s.inflight[m.ID]
 		if c == nil || c.req.OutputLen <= 1 {
 			continue // nothing left to decode elsewhere
 		}
@@ -699,45 +668,35 @@ func (s *Server) dispatchHandoffs(sp *engine.Stepper, prefilled []engine.Request
 		if err != nil {
 			continue // finished during prefill; unreachable for OutputLen > 1
 		}
+		s.retire(m.ID)
 		if s.cfg.Faults.takeDrop(sp.Clock()) {
 			// Scripted transfer loss: the export left this replica (the
 			// sequence and its blocks are gone from the stepper) and
 			// never arrives anywhere. The request is lost exactly like a
-			// crash victim's — resurrected by the health router when one
-			// is installed, failed to the client otherwise.
-			delete(inflight, m.ID)
-			s.core.runningRemove(m.ID)
-			agg.handoffDrops++
-			agg.lost++
-			if s.onDeath != nil {
-				s.onDeath(s, []*call{c})
-			} else if c.finish(Result{Err: fmt.Errorf("%w: handoff transfer dropped", ErrStopped)}) {
-				agg.failed++
-			}
+			// crash victim's.
+			s.agg.handoffDrops++
+			s.lose([]*call{c}, fmt.Errorf("%w: handoff transfer dropped", ErrStopped))
 			continue
 		}
 		bytes := exp.CompressedBytes()
 		c.handoffs++ // before dispatch: the new owner may finish immediately
-		if s.handoffFn(&handoff{exp: exp, c: c}) != nil {
-			// Nothing crossed the wire: zero the priced transfer and thaw
-			// the sequence back into this stepper.
-			c.handoffs--
-			agg.handoffFailures++
-			exp.TransferSeconds = 0
-			if imerr := sp.ImportSequence(exp); imerr != nil {
-				// Unreachable: the export's footprint was resident here a
-				// moment ago and its reservation was just released.
-				delete(inflight, m.ID)
-				s.core.runningRemove(m.ID)
-				agg.failed++
-				c.finish(Result{Err: imerr})
-			}
+		if s.handoffFn(&handoff{exp: exp, c: c}) == nil {
+			s.agg.handoffs++
+			s.agg.handoffBytes += bytes
 			continue
 		}
-		delete(inflight, m.ID)
-		s.core.runningRemove(m.ID)
-		agg.handoffs++
-		agg.handoffBytes += bytes
+		// Nothing crossed the wire: zero the priced transfer and thaw
+		// the sequence back into this stepper.
+		c.handoffs--
+		s.agg.handoffFailures++
+		exp.TransferSeconds = 0
+		if err := sp.ImportSequence(exp); err != nil {
+			// Unreachable: the export's footprint was resident here a
+			// moment ago and its reservation was just released.
+			s.conclude(c, Result{Err: err})
+			continue
+		}
+		s.run(c)
 	}
 }
 
@@ -749,10 +708,8 @@ func (s *Server) dispatchHandoffs(sp *engine.Stepper, prefilled []engine.Request
 // frees as sequences finish); a duplicate of a sequence already in
 // flight is dropped, because the earlier copy is serving the call;
 // anything else fails the request.
-func (s *Server) importHandoffs(sp *engine.Stepper, hos []*handoff, inflight map[int]*call, agg *aggregate) []*handoff {
-	if len(hos) == 0 {
-		return hos
-	}
+func (s *Server) importHandoffs() {
+	sp, hos := s.sp, s.pendingHO
 	keep := hos[:0]
 	for _, h := range hos {
 		if h.c.done.Load() {
@@ -773,44 +730,36 @@ func (s *Server) importHandoffs(sp *engine.Stepper, hos []*handoff, inflight map
 		err := sp.ImportSequence(h.exp)
 		switch {
 		case err == nil:
-			inflight[h.exp.Req.ID] = h.c
-			s.core.runningAdd(h.c)
-			agg.handoffImports++
+			s.run(h.c)
+			s.agg.handoffImports++
 			h.c.emit(Event{Type: EventHandoff, SimSeconds: sp.Clock()})
 		case errors.Is(err, engine.ErrSequenceInFlight):
 			// Duplicate handoff: the import changed nothing; drop it.
 		case errors.Is(err, engine.ErrImportNoCapacity) && sp.InFlight() > 0:
 			keep = append(keep, h) // retry as the batch thins
 		default:
-			agg.failed++
-			h.c.finish(Result{Err: err})
+			s.conclude(h.c, Result{Err: err})
 		}
 	}
-	// Clear the filtered tail so the backing array does not pin exports.
-	for i := len(keep); i < len(hos); i++ {
-		hos[i] = nil
-	}
-	return keep
+	clear(hos[len(keep):]) // do not pin filtered exports via the backing array
+	s.pendingHO = keep
 }
 
-// drainHandoffs empties the handoff channel without blocking.
-func (s *Server) drainHandoffs(hos []*handoff) []*handoff {
-	for {
-		select {
-		case h := <-s.handoffCh:
-			hos = append(hos, h)
-		default:
-			return hos
-		}
-	}
-}
-
-// drain empties the submit channel without blocking.
-func (s *Server) drain(sp *engine.Stepper) {
+// drain empties both channels without blocking: submissions onto the
+// core, handoffs onto the pending list. Each select polls one channel,
+// which compiles to a lock-free non-blocking receive; a two-channel
+// select would lock both on every poll of the loop.
+func (s *Server) drain() {
 	for {
 		select {
 		case c := <-s.submitCh:
-			s.arrive(sp, c)
+			s.arrive(c)
+			continue
+		default:
+		}
+		select {
+		case h := <-s.handoffCh:
+			s.pendingHO = append(s.pendingHO, h)
 		default:
 			return
 		}
@@ -819,13 +768,13 @@ func (s *Server) drain(sp *engine.Stepper) {
 
 // arrive stamps live submissions with the current virtual clock and
 // queues them on the scoreboard core.
-func (s *Server) arrive(sp *engine.Stepper, c *call) {
+func (s *Server) arrive(c *call) {
 	if c.req.ArrivalSeconds < 0 {
 		// A resurrected call carries a deterministic sim-time backoff
 		// (retry count × the router's RetryBackoff): it arrives that far
 		// into this replica's virtual future, so retries space out
 		// identically on every replay.
-		c.req.ArrivalSeconds = sp.Clock() + c.backoff
+		c.req.ArrivalSeconds = s.sp.Clock() + c.backoff
 		c.backoff = 0
 	}
 	s.core.add(c)
@@ -845,25 +794,25 @@ type aggregate struct {
 	handoffFailures int64
 	handoffImports  int64
 
-	lost         int64 // requests lost mid-loop (dropped handoffs)
+	lost         int64 // requests lost (dropped handoffs, crash, hang)
 	handoffDrops int64 // scripted transfer losses
 }
 
-func (a *aggregate) complete(m engine.RequestMetrics) {
-	a.completed++
-	a.ttftSum += m.TTFT
-	a.tpotSum += m.TPOT
-	a.queueWaitSum += m.Admitted - m.Arrival
+// outcome is one claimed terminal Result awaiting delivery.
+type outcome struct {
+	c   *call
+	res Result
 }
 
 // publish copies a stats snapshot for concurrent readers.
-func (s *Server) publish(sp *engine.Stepper, queued, active int, agg *aggregate) {
+func (s *Server) publish() {
+	sp, agg := s.sp, &s.agg
 	st := Stats{
 		Completed: agg.completed,
 		Failed:    agg.failed,
 		Preempted: agg.preempted,
-		Queued:    queued,
-		Active:    active,
+		Queued:    s.core.len() + len(s.pendingHO),
+		Active:    len(s.inflight),
 
 		FreeKVBlocks:  sp.FreeBlocks(),
 		TotalKVBlocks: s.cfg.Engine.Plan().Blocks,
@@ -963,137 +912,160 @@ func (s *Server) pruneRecentLocked(now time.Time) {
 	}
 }
 
-// failAll terminates every queued, handed-off and in-flight request
-// with err, and folds the failures it delivered into the published
-// snapshot — the loop is exiting, so no later publish will ever count
-// them, and without this a halted server would report failed=0 while
-// every caller holds an error.
-func (s *Server) failAll(hos []*handoff, inflight map[int]*call, err error) {
-	s.gate.Lock()
-	if !s.stopped {
-		s.stopped = true
-		close(s.stop)
+// enqueue is the one way into a replica's loop, shared by Submit,
+// resubmit and acceptHandoff: a non-blocking send behind the stop
+// gate. It fails with ErrStopped once the gate is closed and with
+// ErrQueueFull at capacity. An accepted send bumps accepted (when
+// non-nil) under the gate, so once Stop has closed it the counter
+// covers everything the loop will serve.
+func enqueue[T any](s *Server, ch chan T, v T, accepted *atomic.Int64) error {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	if s.stopped {
+		return ErrStopped
 	}
-	s.gate.Unlock()
-	var failed int64
-	fail := func(c *call) {
-		if c.finish(Result{Err: err}) {
-			failed++ // delivered here, not a duplicate someone else finished
-		}
-	}
-	for {
-		select {
-		case c := <-s.submitCh:
-			fail(c)
-		case h := <-s.handoffCh:
-			hos = append(hos, h)
-		default:
-			s.core.drainAll(fail)
-			for _, h := range hos {
-				fail(h.c)
-			}
-			for _, c := range inflight {
-				fail(c)
-			}
-			s.statsMu.Lock()
-			s.stats.Failed += failed
-			s.statsMu.Unlock()
-			return
-		}
-	}
-}
-
-// crash is a scripted replica death (FaultCrash): the gate closes so
-// new submissions fail with ErrStopped, and every request this replica
-// held — queued, handed off to it, or mid-generation — is lost,
-// counted in Stats.LostRequests, and either handed to the health
-// router's resurrection hook or failed to the client. The scheduler
-// goroutine exits afterwards; a later Stop returns immediately.
-func (s *Server) crash(hos []*handoff, inflight map[int]*call) {
-	s.die(hos, inflight, fmt.Errorf("%w: replica crashed", ErrStopped))
-}
-
-// hang is a scripted livelock (FaultHang): the scheduler stops making
-// progress but the replica stays up — submissions keep landing until
-// the queue fills, nothing completes, stats freeze. The stranded
-// requests are lost (resurrected or failed) only when the replica is
-// stopped, exactly like a real wedged process.
-func (s *Server) hang(hos []*handoff, inflight map[int]*call) {
 	select {
-	case <-s.stop:
-	case <-s.kill:
+	case ch <- v:
+		if accepted != nil {
+			accepted.Add(1)
+		}
+		return nil
+	default:
+		return ErrQueueFull
 	}
-	s.die(hos, inflight, fmt.Errorf("%w: replica hung", ErrStopped))
 }
 
-// die closes the gate, collects every request the replica still holds
-// into a deterministic lost set, counts it into Stats.LostRequests and
-// routes it through loseCalls.
-func (s *Server) die(hos []*handoff, inflight map[int]*call, reason error) {
+// closeGate makes every later enqueue fail with ErrStopped and signals
+// the loop to drain. Idempotent; Stop and the loop's exit share it.
+func (s *Server) closeGate() {
 	s.gate.Lock()
 	if !s.stopped {
 		s.stopped = true
 		close(s.stop)
 	}
 	s.gate.Unlock()
-	lost := make([]*call, 0, s.core.len()+len(inflight)+len(hos))
-	collect := func(c *call) {
-		if !c.done.Load() {
-			lost = append(lost, c)
-		}
-	}
-	// Everything buffered raced past the gate before it closed; it
-	// goes down with the replica too.
-	for {
-		select {
-		case c := <-s.submitCh:
-			collect(c)
-			continue
-		case h := <-s.handoffCh:
-			hos = append(hos, h)
-			continue
-		default:
-		}
-		break
-	}
-	s.core.drainAll(collect)
-	for _, h := range hos {
-		collect(h.c)
-	}
-	for _, c := range inflight {
-		collect(c)
-	}
-	// Map iteration above is randomised; resurrection re-dispatches in
-	// this order, so sort by scheduler id to keep chaos replays
-	// bit-identical.
-	sort.Slice(lost, func(i, j int) bool { return lost[i].req.ID < lost[j].req.ID })
-	s.statsMu.Lock()
-	s.stats.LostRequests += int64(len(lost))
-	s.statsMu.Unlock()
-	s.loseCalls(lost, reason)
 }
 
-// loseCalls routes requests a dying replica cannot serve: to the
-// health router's resurrection hook when installed, to the client as
-// failures otherwise. Failures delivered here fold straight into the
-// published snapshot — the loop is exiting, no publish will follow.
-func (s *Server) loseCalls(lost []*call, err error) {
-	if len(lost) == 0 {
+// conclude is the one way a terminal outcome leaves the loop: it
+// claims the call — a lost claim means another replica (a resurrected
+// duplicate, a duplicated handoff) already delivered, and nothing
+// changes — counts the outcome, and holds it for deliver.
+func (s *Server) conclude(c *call, res Result) {
+	if !c.claim() {
 		return
 	}
+	if res.Err != nil {
+		s.agg.failed++
+	} else {
+		s.agg.completed++
+		s.agg.ttftSum += res.TTFT
+		s.agg.tpotSum += res.TPOT
+		s.agg.queueWaitSum += res.QueueWait
+	}
+	s.outcomes = append(s.outcomes, outcome{c: c, res: res})
+}
+
+// lose gives up requests this replica cannot serve (a dropped handoff,
+// a crash, a hang): they count as lost and go to the health router's
+// resurrection hook when one is installed, otherwise they conclude as
+// failures with err.
+func (s *Server) lose(calls []*call, err error) {
+	s.agg.lost += int64(len(calls))
 	if s.onDeath != nil {
-		s.onDeath(s, lost)
+		s.lost = append(s.lost, calls...)
 		return
 	}
-	var failed int64
-	for _, c := range lost {
-		if c.finish(Result{Err: err}) {
-			failed++
+	for _, c := range calls {
+		s.conclude(c, Result{Err: err})
+	}
+}
+
+// settle ends an iteration: its outcomes are claimed and counted, so
+// publish the snapshot (unless a scripted stalestats window freezes
+// it: routers then keep ranking this replica on its frozen load and
+// prefix digest) and only then deliver — a caller that has seen a
+// request's Result must observe stats that include it.
+func (s *Server) settle() {
+	completed := 0
+	for i := range s.outcomes {
+		if s.outcomes[i].res.Err == nil {
+			completed++
+		}
+	}
+	if completed > 0 {
+		s.noteCompletions(completed)
+	}
+	if !s.cfg.Faults.statsStaleAt(s.sp.Clock()) {
+		s.publish()
+	}
+	s.deliver()
+}
+
+// deliver sends every concluded outcome to its caller — a completion
+// with its finished event — and hands lost requests to the
+// resurrection hook.
+func (s *Server) deliver() {
+	for i := range s.outcomes {
+		o := &s.outcomes[i]
+		if o.res.Err == nil {
+			o.c.emit(Event{Type: EventFinished, SimSeconds: o.res.Finished})
+		}
+		o.c.deliver(o.res)
+		*o = outcome{} // do not pin delivered calls via the scratch
+	}
+	s.outcomes = s.outcomes[:0]
+	if len(s.lost) > 0 {
+		s.onDeath(s, s.lost)
+		s.lost = nil
+	}
+}
+
+// exit ends the loop for good: it closes the gate and evacuates every
+// request the replica holds. A death (lost: crash, hang) loses them; a
+// force-failed drain or a broken stepper invariant concludes them as
+// failures with err. Only the exit's own counters fold into the
+// snapshot, before anything is delivered; the published load stays as
+// last published, because routers rank the dead replica on it.
+func (s *Server) exit(err error, lost bool) {
+	s.closeGate()
+	held := s.evacuate()
+	was := s.agg
+	if lost {
+		s.lose(held, err)
+	} else {
+		for _, c := range held {
+			s.conclude(c, Result{Err: err})
 		}
 	}
 	s.statsMu.Lock()
-	s.stats.Failed += failed
+	s.stats.Failed += s.agg.failed - was.failed
+	s.stats.LostRequests += s.agg.lost - was.lost
 	s.statsMu.Unlock()
+	s.deliver()
+}
+
+// evacuate empties the replica of every undelivered request it holds —
+// both channels (what raced past the gate before it closed), the core,
+// pending handoffs and the running batch — sorted by scheduler id:
+// map iteration is randomised, and resurrection re-dispatches in this
+// order, so sorting keeps chaos replays bit-identical.
+func (s *Server) evacuate() []*call {
+	s.drain()
+	var held []*call
+	take := func(c *call) {
+		if !c.done.Load() {
+			held = append(held, c)
+		}
+	}
+	s.core.drainAll(take)
+	for _, h := range s.pendingHO {
+		take(h.c)
+	}
+	for _, c := range s.inflight {
+		take(c)
+	}
+	sort.Slice(held, func(i, j int) bool { return held[i].req.ID < held[j].req.ID })
+	return held
 }
 
 // resubmit re-enqueues a request another replica lost: resurrection's
@@ -1102,18 +1074,7 @@ func (s *Server) loseCalls(lost []*call, err error) {
 // from the old owner stays harmless, and the arrival restamps at this
 // replica's live clock plus the call's deterministic backoff.
 func (s *Server) resubmit(c *call) error {
-	s.gate.RLock()
-	defer s.gate.RUnlock()
-	if s.stopped {
-		return ErrStopped
-	}
 	c.req.ID = int(s.ids.Add(1))
 	c.req.ArrivalSeconds = ArrivalNow
-	select {
-	case s.submitCh <- c:
-		s.submitted.Add(1)
-		return nil
-	default:
-		return ErrQueueFull
-	}
+	return enqueue(s, s.submitCh, c, &s.submitted)
 }
