@@ -76,10 +76,7 @@ type Stepper struct {
 	e   *Engine
 	mgr *kvcache.Manager
 
-	prefixCache     bool             // EnablePrefixCache sets it
-	compressedCache bool             // EnableCompressedCache sets it
-	cacheAdaptive   bool             // EnableAdaptivePrefixCache sets it
-	chunkCtl        *chunkController // nil = static chunk budget
+	chunkCtl *chunkController // nil = static chunk budget
 
 	// pendingDecompress counts frozen prefix blocks restored by
 	// admissions since the last Prefill call; the next prefill iteration
@@ -256,12 +253,11 @@ func (s *Stepper) EnablePrefixCache(capBlocks int) error {
 	if err := s.mgr.EnablePrefixCache(capBlocks); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	s.prefixCache = true
 	return nil
 }
 
 // PrefixCacheEnabled reports whether cross-request prefix reuse is on.
-func (s *Stepper) PrefixCacheEnabled() bool { return s.prefixCache }
+func (s *Stepper) PrefixCacheEnabled() bool { return s.mgr.PrefixCacheEnabled() }
 
 // EnableCompressedCache stores cold (refcount-zero) prefix-cache
 // blocks in TCA-TBE compressed form instead of parking them as
@@ -270,19 +266,15 @@ func (s *Stepper) PrefixCacheEnabled() bool { return s.prefixCache }
 // fresh block, priced into that prefill iteration by KVDecompressTime.
 // Requires the prefix cache.
 func (s *Stepper) EnableCompressedCache() error {
-	if !s.prefixCache {
-		return fmt.Errorf("engine: compressed cache needs the prefix cache enabled")
-	}
 	if err := s.mgr.EnableCompressedCache(); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	s.compressedCache = true
 	return nil
 }
 
 // CompressedCacheEnabled reports whether cold prefix blocks are stored
 // compressed.
-func (s *Stepper) CompressedCacheEnabled() bool { return s.compressedCache }
+func (s *Stepper) CompressedCacheEnabled() bool { return s.mgr.CompressedCacheEnabled() }
 
 // CompressedKVBlocks returns the cold blocks currently held in
 // compressed form (advertised by the trie, holding no physical block).
@@ -318,20 +310,17 @@ func (s *Stepper) CodecFallbacks() int64 { return s.mgr.CodecFallbacks() }
 // shrinks (evicting leaf-first) while admissions queue on KV capacity
 // and grows while prefix hits keep arriving. minBlocks/maxBlocks bound
 // the pool (0 = defaults: 1 and the whole plan). The serve loop drives
-// the controller by calling AdaptEpoch once per iteration.
+// the controller by calling AdaptEpoch once per iteration. Requires the
+// prefix cache.
 func (s *Stepper) EnableAdaptivePrefixCache(minBlocks, maxBlocks int) error {
-	if !s.prefixCache {
-		return fmt.Errorf("engine: adaptive cache sizing needs the prefix cache enabled")
-	}
 	if err := s.mgr.EnableAdaptivePrefixCache(minBlocks, maxBlocks); err != nil {
 		return fmt.Errorf("engine: %w", err)
 	}
-	s.cacheAdaptive = true
 	return nil
 }
 
 // AdaptivePrefixCache reports whether closed-loop pool sizing is on.
-func (s *Stepper) AdaptivePrefixCache() bool { return s.cacheAdaptive }
+func (s *Stepper) AdaptivePrefixCache() bool { return s.mgr.AdaptivePrefixCache() }
 
 // AdaptEpoch closes one admission epoch: the cache-sizing controller
 // consumes the epoch's admission outcomes (prompt-carrying admissions,
@@ -339,9 +328,7 @@ func (s *Stepper) AdaptivePrefixCache() bool { return s.cacheAdaptive }
 // the cached pool. The live scheduler calls it once per loop
 // iteration; a no-op unless EnableAdaptivePrefixCache is on.
 func (s *Stepper) AdaptEpoch() {
-	if s.cacheAdaptive {
-		s.mgr.AdaptCacheEpoch(s.epochAdmissions, s.epochHits, s.epochBlocked)
-	}
+	s.mgr.AdaptCacheEpoch(s.epochAdmissions, s.epochHits, s.epochBlocked)
 	s.epochAdmissions, s.epochHits, s.epochBlocked = 0, 0, false
 }
 
@@ -408,7 +395,7 @@ func (s *Stepper) Lookup(r Request) int {
 // be unique among concurrently probed requests, which the schedulers
 // guarantee.
 func (s *Stepper) lookupCost(r Request) (matched, resurrect int) {
-	if !s.prefixCache || len(r.Prompt) == 0 {
+	if !s.mgr.PrefixCacheEnabled() || len(r.Prompt) == 0 {
 		return 0, 0
 	}
 	gen := s.mgr.Generation()
@@ -510,7 +497,7 @@ func (s *Stepper) Admit(r Request) error {
 	}
 	res := s.reservationFor(r, matched)
 	var hp kvcache.HashedPrompt
-	if s.prefixCache && len(r.Prompt) > 0 {
+	if s.mgr.PrefixCacheEnabled() && len(r.Prompt) > 0 {
 		hp = s.memo.hp // lookupCost populated it for this request
 		s.epochAdmissions++
 	}
@@ -699,12 +686,11 @@ func (s *Stepper) Prefill() ([]RequestMetrics, float64) {
 			panic(fmt.Sprintf("engine: request %d claimed past its reservation", q.req.ID))
 		}
 		s.prefillTokens += int64(chunks[i].Tokens)
-		if s.prefixCache && len(q.req.Prompt) > 0 {
-			// Advertise the now-complete full prompt blocks so later
-			// requests sharing this prefix reuse them mid-prefill.
-			if err := s.mgr.CommitPrefixHashed(q.req.ID, q.hp, q.prefilled); err != nil {
-				panic(fmt.Sprintf("engine: prefix commit for request %d: %v", q.req.ID, err))
-			}
+		// Advertise the now-complete full prompt blocks so later requests
+		// sharing this prefix reuse them mid-prefill (a no-op with the
+		// prefix cache off).
+		if err := s.mgr.CommitPrefixHashed(q.req.ID, q.hp, q.prefilled); err != nil {
+			panic(fmt.Sprintf("engine: prefix commit for request %d: %v", q.req.ID, err))
 		}
 	}
 
@@ -713,7 +699,7 @@ func (s *Stepper) Prefill() ([]RequestMetrics, float64) {
 	// a padded request-level batch cannot start mid-prompt, and pricing
 	// a cached prefix's tokens as computed would silently erase the
 	// TTFT win the cache exists for.
-	if chunked || s.PackedPrefill || s.prefixCache {
+	if chunked || s.PackedPrefill || s.mgr.PrefixCacheEnabled() {
 		elapsed = s.e.ChunkedPrefillTime(chunks)
 	} else {
 		maxPrompt := 0

@@ -56,7 +56,7 @@ type cacheCtl struct {
 // must already be enabled; the controller starts from the currently
 // configured bound (or maxBlocks when the bound was unbounded).
 func (m *Manager) EnableAdaptivePrefixCache(minBlocks, maxBlocks int) error {
-	if m.prefix == nil {
+	if !m.prefixOn {
 		return fmt.Errorf("kvcache: adaptive sizing needs the prefix cache enabled")
 	}
 	if minBlocks < 0 || maxBlocks < 0 {
@@ -83,9 +83,7 @@ func (m *Manager) EnableAdaptivePrefixCache(minBlocks, maxBlocks int) error {
 }
 
 // AdaptivePrefixCache reports whether closed-loop pool sizing is on.
-func (m *Manager) AdaptivePrefixCache() bool {
-	return m.prefix != nil && m.prefix.ctl != nil
-}
+func (m *Manager) AdaptivePrefixCache() bool { return m.prefix.ctl != nil }
 
 // CachePoolTarget returns the pool bound the controller (or the static
 // configuration) currently holds the cached pool under. 0 = unbounded.
@@ -133,10 +131,10 @@ func (m *Manager) AdaptCacheEpoch(admissions, hits int, blocked bool) int {
 	ctl.pressEWMA = cacheCtlAlpha*press + (1-cacheCtlAlpha)*ctl.pressEWMA
 
 	switch {
-	case ctl.pressEWMA > cachePressureHigh && m.compStore == nil:
+	case ctl.pressEWMA > cachePressureHigh && !m.compressed:
 		// With the compressed cache on, shrinking is pointless under
 		// pressure: cold blocks hold no physical blocks (their content
-		// lives in the compressed store), so evicting them frees
+		// lives in their nodes' payloads), so evicting them frees
 		// compressed bytes, not KV capacity. The pool keeps its target
 		// and the extra effective capacity is exactly the feature.
 		ctl.target *= cacheShrinkFactor

@@ -252,12 +252,13 @@ func chainNodes(m *Manager, prompt []int) []*prefixNode {
 }
 
 // TestRefreezeReattachesThawedPayload walks content through freeze →
-// thaw → freeze and checks it is compressed only once: the thaw moves
-// the store's payload onto the trie node, and the next freeze stores
-// that same payload (pointer-identical, so no re-encode) with the
-// accounting a store of fresh Puts would report. A codec fault during
-// the re-freeze still parks the block and counts a fallback, and
-// evicting the parked node drops its payload.
+// thaw → freeze and checks it is compressed only once: the first
+// freeze encodes the payload onto the trie node, the thaw leaves it
+// there, and the next freeze charges that same payload (pointer-
+// identical, so no re-encode) with the accounting a store of fresh Puts
+// would report. A codec fault during the re-freeze still parks the
+// block and counts a fallback, and evicting the parked node drops its
+// payload.
 func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	m := newCompressedManager(t, 8, 0)
 	prompt := toks(40, 1) // 2 full cacheable blocks + a partial tail
@@ -277,8 +278,8 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	}
 	encoded := make([]*storedBlock, len(nodes))
 	for i, n := range nodes {
-		if encoded[i] = m.compStore.blocks[n.frozenID]; encoded[i] == nil {
-			t.Fatalf("node %d frozen under id %d but not in the store", i, n.frozenID)
+		if encoded[i] = n.payload; encoded[i] == nil || n.block >= 0 {
+			t.Fatalf("node %d after the freeze: block %d, payload %p; want frozen with a payload", i, n.block, n.payload)
 		}
 	}
 
@@ -290,13 +291,13 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 			t.Fatalf("ClaimPrefix(%d) = %d, %v; want 32", id, got, err)
 		}
 		for i, n := range nodes {
-			if n.payload != encoded[i] || n.frozenID != 0 {
-				t.Fatalf("thawed node %d holds payload %p (frozen id %d), want the store's %p",
-					i, n.payload, n.frozenID, encoded[i])
+			if n.payload != encoded[i] || n.block < 0 {
+				t.Fatalf("thawed node %d holds payload %p (block %d), want its frozen payload %p",
+					i, n.payload, n.block, encoded[i])
 			}
 		}
 		if m.CompressedBlocks() != 0 || m.CompressedKVBytes() != 0 {
-			t.Fatalf("store still charges %d blocks / %d bytes after the thaw",
+			t.Fatalf("frozen sums still charge %d blocks / %d bytes after the thaw",
 				m.CompressedBlocks(), m.CompressedKVBytes())
 		}
 		mustInvariants(t, m) // decodes every retained payload
@@ -313,18 +314,18 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	claimAndFree(2)
 	fresh := NewCompressedStore()
 	for i, n := range nodes {
-		if got := m.compStore.blocks[n.frozenID]; got != encoded[i] || n.payload != nil {
-			t.Fatalf("re-frozen node %d stores %p (retains %p), want the thawed payload %p",
-				i, got, n.payload, encoded[i])
+		if n.payload != encoded[i] || n.block >= 0 {
+			t.Fatalf("re-frozen node %d holds %p (block %d), want the thawed payload %p frozen",
+				i, n.payload, n.block, encoded[i])
 		}
 		if err := fresh.Put(i+1, blockContent(n.key, 16)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if m.compStore.CompressedBytes() != fresh.CompressedBytes() ||
-		m.compStore.OrigBytes() != fresh.OrigBytes() || m.compStore.Ratio() != fresh.Ratio() {
-		t.Fatalf("re-frozen store comp=%d orig=%d ratio=%v, fresh Puts give comp=%d orig=%d ratio=%v",
-			m.compStore.CompressedBytes(), m.compStore.OrigBytes(), m.compStore.Ratio(),
+	if m.CompressedKVBytes() != fresh.CompressedBytes() ||
+		m.frozenOrig != fresh.OrigBytes() || m.CompressionRatio() != fresh.Ratio() {
+		t.Fatalf("re-frozen sums comp=%d orig=%d ratio=%v, fresh Puts give comp=%d orig=%d ratio=%v",
+			m.CompressedKVBytes(), m.frozenOrig, m.CompressionRatio(),
 			fresh.CompressedBytes(), fresh.OrigBytes(), fresh.Ratio())
 	}
 
@@ -365,9 +366,9 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 }
 
 // TestInvariantsCheckRetainedPayloads: CheckInvariants fails when a
-// thawed node's retained payload no longer decodes to its key's
-// content, and when a frozen node holds a payload besides its stored
-// one.
+// node's payload no longer decodes to its key's content, whether the
+// node is thawed (the payload kept for its next freeze) or frozen (the
+// payload is its only copy of the content).
 func TestInvariantsCheckRetainedPayloads(t *testing.T) {
 	m := newCompressedManager(t, 8, 0)
 	a, b := toks(32, 1), toks(32, 2)
@@ -387,21 +388,24 @@ func TestInvariantsCheckRetainedPayloads(t *testing.T) {
 	}
 	mustInvariants(t, m)
 	thawed, frozen := chainNodes(m, a)[0], chainNodes(m, b)[0]
-
-	// A thawed node retaining another key's payload.
-	own := thawed.payload
-	thawed.payload = m.compStore.blocks[frozen.frozenID]
-	if err := m.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants accepted a retained payload of different content")
+	if thawed.block < 0 || frozen.block >= 0 {
+		t.Fatalf("setup: blocks %d and %d, want one thawed and one frozen node", thawed.block, frozen.block)
 	}
+	own, other := thawed.payload, frozen.payload
+	mismatch := func(what string) {
+		t.Helper()
+		if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "differs from its key's") {
+			t.Fatalf("CheckInvariants with %s node holding another key's payload = %v, want a content mismatch", what, err)
+		}
+	}
+
+	thawed.payload = other
+	mismatch("a thawed")
 	thawed.payload = own
 
-	// A frozen node that also retains a payload.
 	frozen.payload = own
-	if err := m.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants accepted a frozen node holding a retained payload")
-	}
-	frozen.payload = nil
+	mismatch("a frozen")
+	frozen.payload = other
 	mustInvariants(t, m)
 }
 
@@ -426,7 +430,7 @@ func TestThawRejectsCorruptPayload(t *testing.T) {
 	if len(nodes) != 2 {
 		t.Fatalf("trie advertises %d blocks of the prompt, want 2", len(nodes))
 	}
-	cm := m.compStore.blocks[nodes[1].frozenID].cm
+	cm := nodes[1].payload.cm
 	high := cm.High
 	cm.High = high[:len(high)-1]
 
@@ -444,6 +448,9 @@ func TestThawRejectsCorruptPayload(t *testing.T) {
 	}
 	if seqs := m.Sequences(); len(seqs) != 0 {
 		t.Fatalf("failed claim left sequences %v allocated", seqs)
+	}
+	if got := m.CompressedBlocks(); got != 2 {
+		t.Fatalf("CompressedBlocks after the failed claim = %d, want both blocks frozen again", got)
 	}
 	cm.High = high
 	mustInvariants(t, m)

@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"errors"
 	"fmt"
 
 	"zipserv/internal/bf16"
@@ -12,7 +13,9 @@ import (
 // lossless KV Cache compression". Each block's K/V tensor is laid out
 // as a (blockTokens × headBytes) BF16 matrix and compressed with the
 // same triple-bitmap codec as the weights, so reads remain bit-exact
-// and the decode path reuses ZipGEMM's thread-local decompressor.
+// and the decode path reuses ZipGEMM's thread-local decompressor. The
+// Manager's cold cache and KV handoffs hold the same payloads without a
+// store: on trie nodes (coldstore.go) and in export lists (handoff.go).
 type CompressedStore struct {
 	blocks map[int]*storedBlock
 
@@ -20,21 +23,33 @@ type CompressedStore struct {
 	compBytes int64
 }
 
-// storedBlock keeps the compressed tensor plus the original geometry:
-// KV blocks are short and wide (blockTokens rows), so they are
-// reshaped into 64-row, tile-aligned form before encoding to avoid
-// paying BlockTile padding, and restored on Get. origSize records the
-// logical byte size charged to the store's accounting at Put time;
-// replace and Delete subtract exactly this value, so the aggregate
-// origBytes can never drift from the sum over live blocks no matter
-// how either side of the accounting evolves.
+// storedBlock is the one KV payload type: the compressed tensor plus
+// the original geometry. KV blocks are short and wide (blockTokens
+// rows), so they are reshaped into 64-row, tile-aligned form before
+// encoding to avoid paying BlockTile padding, and restored on decode.
+// origSize records the logical byte size charged to byte accounting
+// when the payload was made; removing it subtracts exactly this value,
+// so an aggregate can never drift from the sum over live payloads no
+// matter how either side of the accounting evolves.
 type storedBlock struct {
 	cm         *core.Compressed // nil for zero-element blocks (nothing to encode)
 	rows, cols int
 	origSize   int64
 }
 
-// compSize returns a stored block's compressed footprint; zero-element
+// encode compresses a KV tensor into a payload.
+func encode(kv *bf16.Matrix) (*storedBlock, error) {
+	var cm *core.Compressed
+	if kv.NumElements() > 0 { // empty blocks store shape only
+		var err error
+		if cm, err = core.Compress(reshapeForTiles(kv)); err != nil {
+			return nil, err
+		}
+	}
+	return &storedBlock{cm: cm, rows: kv.Rows, cols: kv.Cols, origSize: int64(kv.SizeBytes())}, nil
+}
+
+// compSize returns a payload's compressed footprint; zero-element
 // blocks carry no codec payload.
 func (sb *storedBlock) compSize() int64 {
 	if sb.cm == nil {
@@ -43,13 +58,7 @@ func (sb *storedBlock) compSize() int64 {
 	return int64(sb.cm.SizeBytes())
 }
 
-// NewCompressedStore returns an empty store.
-func NewCompressedStore() *CompressedStore {
-	return &CompressedStore{blocks: make(map[int]*storedBlock)}
-}
-
-// decode decompresses a stored block bit-exactly in its original
-// shape.
+// decode decompresses a payload bit-exactly in its original shape.
 func (sb *storedBlock) decode() (*bf16.Matrix, error) {
 	if sb.cm == nil {
 		return &bf16.Matrix{Rows: sb.rows, Cols: sb.cols, Data: []bf16.BF16{}}, nil
@@ -61,17 +70,37 @@ func (sb *storedBlock) decode() (*bf16.Matrix, error) {
 	return &bf16.Matrix{Rows: sb.rows, Cols: sb.cols, Data: flat.Data[:sb.rows*sb.cols]}, nil
 }
 
+// verify decodes a payload and compares it bit for bit with a
+// re-synthesis of the content its key addresses: the one round-trip
+// proof, run by ImportKV on every wire block it expands and by
+// CheckInvariants on every payload a trie node holds.
+func (sb *storedBlock) verify(key string, blockTokens int) error {
+	kv, err := sb.decode()
+	if err != nil {
+		return fmt.Errorf("unreadable: %w", err)
+	}
+	if !kv.Equal(blockContent(key, blockTokens)) {
+		return errors.New("decompressed content differs from its key's")
+	}
+	return nil
+}
+
+// NewCompressedStore returns an empty store.
+func NewCompressedStore() *CompressedStore {
+	return &CompressedStore{blocks: make(map[int]*storedBlock)}
+}
+
 // Put compresses and stores the KV tensor of a block, replacing any
 // previous content.
 func (s *CompressedStore) Put(blockID int, kv *bf16.Matrix) error {
-	var cm *core.Compressed
-	if kv.NumElements() > 0 { // empty blocks store shape only
-		var err error
-		if cm, err = core.Compress(reshapeForTiles(kv)); err != nil {
-			return fmt.Errorf("kvcache: compressing block %d: %w", blockID, err)
-		}
+	sb, err := encode(kv)
+	if err != nil {
+		return fmt.Errorf("kvcache: compressing block %d: %w", blockID, err)
 	}
-	s.attach(blockID, &storedBlock{cm: cm, rows: kv.Rows, cols: kv.Cols, origSize: int64(kv.SizeBytes())})
+	s.Delete(blockID)
+	s.blocks[blockID] = sb
+	s.origBytes += sb.origSize
+	s.compBytes += sb.compSize()
 	return nil
 }
 
@@ -84,46 +113,14 @@ func (s *CompressedStore) Get(blockID int) (*bf16.Matrix, error) {
 	return sb.decode()
 }
 
-// take validates a stored block the way decoding would, without
-// decoding it, and detaches it (see detach). A block that fails
-// validation stays stored.
-func (s *CompressedStore) take(blockID int) (*storedBlock, error) {
-	sb, ok := s.blocks[blockID]
-	if !ok {
-		return nil, fmt.Errorf("kvcache: block %d not in store", blockID)
+// Delete removes a block and its byte accounting (absent blocks are a
+// no-op).
+func (s *CompressedStore) Delete(blockID int) {
+	if sb, ok := s.blocks[blockID]; ok {
+		s.origBytes -= sb.origSize
+		s.compBytes -= sb.compSize()
+		delete(s.blocks, blockID)
 	}
-	if sb.cm != nil {
-		if err := sb.cm.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	return s.detach(blockID), nil
-}
-
-// Delete removes a block.
-func (s *CompressedStore) Delete(blockID int) { s.detach(blockID) }
-
-// detach removes a block and its byte accounting from the store and
-// returns its payload (nil if absent), which attach can later store
-// again verbatim.
-func (s *CompressedStore) detach(blockID int) *storedBlock {
-	sb, ok := s.blocks[blockID]
-	if !ok {
-		return nil
-	}
-	s.origBytes -= sb.origSize
-	s.compBytes -= sb.compSize()
-	delete(s.blocks, blockID)
-	return sb
-}
-
-// attach stores a payload under blockID, replacing any previous
-// content, and charges it to the store's accounting.
-func (s *CompressedStore) attach(blockID int, sb *storedBlock) {
-	s.detach(blockID)
-	s.blocks[blockID] = sb
-	s.origBytes += sb.origSize
-	s.compBytes += sb.compSize()
 }
 
 // Has reports whether a block is stored, without decompressing it.

@@ -9,15 +9,16 @@ import (
 // serving (docs/disaggregation.md). ExportKV serializes a live
 // sequence's block contents through the same TCA-TBE codec that backs
 // the compressed cold cache — each block's synthesized KV tensor is
-// compressed into a per-export CompressedStore, so the wire footprint
-// is the measured compressed size, not raw KV bytes. ImportKV thaws
-// the export bit-exactly into another Manager: prompt blocks are
-// content-addressed (the prompt's per-block keys), so a target whose
-// prefix trie already advertises them reuses the resident blocks and
-// only the genuinely new tail is decompressed from the wire payload.
+// compressed into the export's payload list, the same payload type a
+// frozen trie node holds, so the wire footprint is the measured
+// compressed size, not raw KV bytes. ImportKV thaws the export
+// bit-exactly into another Manager: prompt blocks are content-addressed
+// (the prompt's per-block keys), so a target whose prefix trie already
+// advertises them reuses the resident blocks and only the genuinely new
+// tail is decompressed from the wire payload.
 // Every expanded block is verified against a re-synthesis of its key's
-// content before any state is committed, the same round-trip proof
-// CheckInvariants applies to frozen blocks.
+// content before any state is committed, by the same round-trip check
+// CheckInvariants applies to every payload a trie node holds.
 //
 // Import is idempotent by construction: a duplicate import of a
 // sequence id already present fails with ErrSequenceExists without
@@ -38,17 +39,19 @@ type KVExport struct {
 	BlockTokens int          // block granularity the keys were derived at
 	HP          HashedPrompt // prompt hash; tail blocks carry private keys
 	Keys        []string     // one content key per block of the sequence
-	Store       *CompressedStore
+
+	payloads             []*storedBlock // payloads[i] encodes Keys[i]'s content
+	origBytes, compBytes int64          // byte sums over payloads
 }
 
 // Blocks returns the number of KV blocks in the export.
 func (x *KVExport) Blocks() int { return len(x.Keys) }
 
 // CompressedBytes returns the wire footprint of the payload.
-func (x *KVExport) CompressedBytes() int64 { return x.Store.CompressedBytes() }
+func (x *KVExport) CompressedBytes() int64 { return x.compBytes }
 
 // OrigBytes returns the logical (uncompressed) payload size.
-func (x *KVExport) OrigBytes() int64 { return x.Store.OrigBytes() }
+func (x *KVExport) OrigBytes() int64 { return x.origBytes }
 
 // ExportKV serializes a live sequence's KV state. It is read-only: the
 // sequence keeps its allocation, and the caller decides separately
@@ -77,16 +80,20 @@ func (m *Manager) ExportKV(seqID int, hp HashedPrompt) (*KVExport, error) {
 			keys[i] = fmt.Sprintf("handoff/%d/%d/%d", seqID, i, fill)
 		}
 	}
-	store := NewCompressedStore()
+	x := &KVExport{
+		SeqID: seqID, Tokens: st.tokens, BlockTokens: b,
+		HP: hp, Keys: keys, payloads: make([]*storedBlock, len(keys)),
+	}
 	for i, key := range keys {
-		if err := store.Put(i, blockContent(key, b)); err != nil {
+		sb, err := encode(blockContent(key, b))
+		if err != nil {
 			return nil, fmt.Errorf("kvcache: compressing sequence %d block %d: %w", seqID, i, err)
 		}
+		x.payloads[i] = sb
+		x.origBytes += sb.origSize
+		x.compBytes += sb.compSize()
 	}
-	return &KVExport{
-		SeqID: seqID, Tokens: st.tokens, BlockTokens: b,
-		HP: hp, Keys: keys, Store: store,
-	}, nil
+	return x, nil
 }
 
 // ImportStats reports what an import physically did, so the engine can
@@ -124,16 +131,17 @@ func (m *Manager) ImportKV(exp *KVExport) (ImportStats, error) {
 		return stats, fmt.Errorf("kvcache: import of sequence %d at block granularity %d into a %d-token manager",
 			exp.SeqID, exp.BlockTokens, m.cfg.BlockTokens)
 	}
-	if exp.Tokens <= 0 || len(exp.Keys) != BlocksFor(exp.Tokens, m.cfg.BlockTokens) {
-		return stats, fmt.Errorf("kvcache: malformed import of sequence %d: %d blocks for %d tokens",
-			exp.SeqID, len(exp.Keys), exp.Tokens)
+	if exp.Tokens <= 0 || len(exp.Keys) != BlocksFor(exp.Tokens, m.cfg.BlockTokens) ||
+		len(exp.payloads) != len(exp.Keys) {
+		return stats, fmt.Errorf("kvcache: malformed import of sequence %d: %d blocks, %d payloads for %d tokens",
+			exp.SeqID, len(exp.Keys), len(exp.payloads), exp.Tokens)
 	}
 
 	// Dedup: claim whatever prompt prefix this manager already holds.
 	// A zero-token match claims nothing and creates no sequence state.
 	matched := 0
 	thawsBefore := m.decompClaims
-	if m.prefix != nil && len(exp.HP.keys) > 0 {
+	if m.prefixOn && len(exp.HP.keys) > 0 {
 		var err error
 		if matched, err = m.ClaimPrefixHashed(exp.SeqID, exp.HP); err != nil {
 			return stats, fmt.Errorf("kvcache: import claim for sequence %d: %w", exp.SeqID, err)
@@ -155,15 +163,9 @@ func (m *Manager) ImportKV(exp *KVExport) (ImportStats, error) {
 	// before committing any allocation: each must decompress to exactly
 	// the content its key addresses.
 	for i := supplied; i < len(exp.Keys); i++ {
-		kv, err := exp.Store.Get(i)
-		if err != nil {
+		if err := exp.payloads[i].verify(exp.Keys[i], m.cfg.BlockTokens); err != nil {
 			rollback()
-			return stats, fmt.Errorf("kvcache: import of sequence %d block %d unreadable: %w", exp.SeqID, i, err)
-		}
-		if !kv.Equal(blockContent(exp.Keys[i], m.cfg.BlockTokens)) {
-			rollback()
-			return stats, fmt.Errorf("kvcache: import of sequence %d block %d decompressed content differs from its key's",
-				exp.SeqID, i)
+			return stats, fmt.Errorf("kvcache: import of sequence %d block %d: %w", exp.SeqID, i, err)
 		}
 	}
 	stats.ExpandedBlocks = len(exp.Keys) - supplied

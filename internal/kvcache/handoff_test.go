@@ -96,11 +96,11 @@ func TestKVImportColdTargetBitExact(t *testing.T) {
 		if back.Keys[i] != exp.Keys[i] {
 			t.Fatalf("re-export block %d key differs", i)
 		}
-		a, err := exp.Store.Get(i)
+		a, err := exp.payloads[i].decode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := back.Store.Get(i)
+		b, err := back.payloads[i].decode()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,16 +230,24 @@ func TestKVImportRejectsCorruptPayload(t *testing.T) {
 
 	// Flip the tail block's key: the stored payload no longer matches a
 	// re-synthesis of the advertised content.
-	exp.Keys[2] = "handoff/tampered"
-	dst := newPrefixManager(t, 32, 0)
-	free := dst.FreeBlocks()
-	if _, err := dst.ImportKV(exp); err == nil {
-		t.Fatal("corrupt payload accepted")
+	tampered := *exp
+	tampered.Keys = append([]string(nil), exp.Keys...)
+	tampered.Keys[2] = "handoff/tampered"
+	// Drop the tail block's payload: the export holds one payload fewer
+	// than it has keys.
+	short := *exp
+	short.payloads = exp.payloads[:len(exp.payloads)-1]
+	for name, bad := range map[string]*KVExport{"corrupt payload": &tampered, "missing payload": &short} {
+		dst := newPrefixManager(t, 32, 0)
+		free, pops := dst.FreeBlocks(), dst.Pops()
+		if _, err := dst.ImportKV(bad); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if dst.FreeBlocks() != free || dst.Pops() != pops || len(dst.Sequences()) != 0 {
+			t.Fatalf("rejected import (%s) left state behind", name)
+		}
+		mustInvariants(t, dst)
 	}
-	if dst.FreeBlocks() != free || len(dst.Sequences()) != 0 {
-		t.Fatal("rejected import left state behind")
-	}
-	mustInvariants(t, dst)
 }
 
 func TestKVImportCapacityFailureRollsBack(t *testing.T) {
@@ -393,11 +401,11 @@ func FuzzKVHandoffRoundtrip(f *testing.F) {
 			if back.Keys[i] != exp.Keys[i] {
 				t.Fatalf("re-export block %d key differs", i)
 			}
-			a, err := exp.Store.Get(i)
+			a, err := exp.payloads[i].decode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := back.Store.Get(i)
+			b, err := back.payloads[i].decode()
 			if err != nil {
 				t.Fatal(err)
 			}

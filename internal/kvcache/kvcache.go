@@ -6,7 +6,11 @@
 // breakdown (KV capacity 5.07 → 8.60 GB, a 1.70× increase).
 //
 // The package also implements the paper's first future-work direction
-// (§7): lossless KV-block compression with TCA-TBE, in CompressedStore.
+// (§7): lossless KV-block compression with TCA-TBE. One payload type
+// (compressed.go) carries it everywhere: a cold prefix block's bytes
+// live on its own trie node (coldstore.go), a handoff export holds one
+// payload per block (handoff.go), and CompressedStore keeps payloads by
+// id for standalone use.
 package kvcache
 
 import (
@@ -52,26 +56,31 @@ func putSeqState(st *seqState) {
 // concurrent use; the serving engine serialises scheduler decisions,
 // as vLLM's does.
 //
-// With EnablePrefixCache, blocks become reference-counted and
-// content-addressed so requests sharing a prompt prefix share physical
-// blocks (see prefix.go); without it, every block has exactly one
-// owner and behaviour is unchanged.
+// Every block is reference-counted: its refcount is the number of
+// sequence block tables pointing at it. With EnablePrefixCache, blocks
+// become content-addressed so requests sharing a prompt prefix share
+// physical blocks (see prefix.go); without it nothing ever registers in
+// the trie, so no block has more than one owner and a released block
+// goes straight back to the free list.
 type Manager struct {
 	cfg      Config
 	freeList []int
 	seqs     map[int]*seqState
 
-	prefix *prefixIndex // nil = prefix caching off
-	refcnt []int        // per-block table references (prefix mode only)
+	refcnt []int        // per-block table references
+	prefix *prefixIndex // the prefix trie (empty while the cache is off)
 	pops   int64        // lifetime physical block claims
 	gen    int64        // bumped on mutations that can change prefix lookups
+
+	prefixOn   bool // EnablePrefixCache sets it
+	compressed bool // EnableCompressedCache sets it
 
 	summary    *PrefixSummary // memoized trie digest (see summary.go)
 	summaryGen int64          // generation the memoized digest was built at
 
-	// Compressed cold-block state (see coldstore.go; nil = off).
-	compStore    *CompressedStore
-	frozenSeq    int   // next compressed-store key (ids start at 1)
+	// Compressed cold-block state (see coldstore.go).
+	frozenOrig   int64 // logical bytes of the payloads frozen nodes hold
+	frozenComp   int64 // compressed bytes of those payloads
 	decompClaims int64 // frozen blocks restored by prefix claims
 	decompBytes  int64 // logical bytes decompressed by those claims
 
@@ -95,6 +104,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:      cfg,
 		freeList: make([]int, cfg.TotalBlocks),
 		seqs:     make(map[int]*seqState),
+		refcnt:   make([]int, cfg.TotalBlocks),
+		prefix:   newPrefixIndex(),
 	}
 	// Free list in descending order so allocation pops ascending ids.
 	for i := range m.freeList {
@@ -106,13 +117,7 @@ func NewManager(cfg Config) (*Manager, error) {
 // FreeBlocks returns the number of blocks available to allocations:
 // truly free blocks plus refcount-zero cached prefix blocks, which are
 // reclaimed LRU-first under pressure.
-func (m *Manager) FreeBlocks() int {
-	n := len(m.freeList)
-	if m.prefix != nil {
-		n += len(m.prefix.cached)
-	}
-	return n
-}
+func (m *Manager) FreeBlocks() int { return len(m.freeList) + len(m.prefix.cached) }
 
 // UsedBlocks returns the number of blocks owned by live sequences.
 func (m *Manager) UsedBlocks() int { return m.cfg.TotalBlocks - m.FreeBlocks() }
@@ -180,11 +185,7 @@ func (m *Manager) Allocate(seqID, numTokens int) error {
 	}
 	st := getSeqState()
 	for i := 0; i < need; i++ {
-		b := m.pop()
-		if m.refcnt != nil {
-			m.refcnt[b] = 1
-		}
-		st.table = append(st.table, b)
+		st.table = append(st.table, m.pop())
 	}
 	st.tokens = numTokens
 	m.seqs[seqID] = st
@@ -226,79 +227,67 @@ func (m *Manager) Extend(seqID, n int) error {
 		m.copyOnWrite(st)
 	}
 	for i := 0; i < need; i++ {
-		b := m.pop()
-		if m.refcnt != nil {
-			m.refcnt[b] = 1
-		}
-		st.table = append(st.table, b)
+		st.table = append(st.table, m.pop())
 	}
 	st.tokens = tokens
 	return nil
 }
 
 // Free releases a finished or preempted sequence: every block drops
-// one reference. Without prefix caching that returns each block to the
-// free list; with it, blocks still referenced by other sequences stay
-// alive, and blocks reaching refcount zero park in the cached pool
-// while the trie advertises their content.
+// one reference. Blocks still referenced by other sequences stay alive,
+// blocks reaching refcount zero park in the cached pool while the trie
+// advertises their content, and the rest return to the free list.
 func (m *Manager) Free(seqID int) error {
 	st, ok := m.seqs[seqID]
 	if !ok {
 		return fmt.Errorf("kvcache: unknown sequence %d", seqID)
 	}
-	if m.prefix != nil {
-		for _, b := range st.table {
-			m.releaseBlock(b)
-		}
-		delete(m.prefix.committed, seqID)
-	} else {
-		m.freeList = append(m.freeList, st.table...)
+	for _, b := range st.table {
+		m.releaseBlock(b)
 	}
+	delete(m.prefix.committed, seqID)
 	delete(m.seqs, seqID)
 	putSeqState(st)
 	return nil
 }
 
-// pop claims one physical block, reclaiming LRU cached prefix blocks
-// when the free list is dry. Callers check FreeBlocks first.
+// pop claims one physical block at refcount 1, reclaiming LRU cached
+// prefix blocks when the free list is dry — physically parked victims
+// only: evicting a frozen node drops compressed bytes, not a physical
+// block. Callers check FreeBlocks first.
 func (m *Manager) pop() int {
-	if len(m.freeList) == 0 && m.prefix != nil {
-		for len(m.freeList) == 0 {
-			// Physically parked victims only: evicting a frozen node
-			// drops compressed bytes, not a physical block.
-			if !m.evictOne(false) {
-				break
-			}
-		}
+	for len(m.freeList) == 0 && m.evictOne(false) {
 	}
 	b := m.freeList[len(m.freeList)-1]
 	m.freeList = m.freeList[:len(m.freeList)-1]
+	m.refcnt[b] = 1
 	m.pops++
 	return b
 }
 
-// CheckInvariants verifies the allocator's safety properties and every
-// block is accounted for. Without prefix caching no block may be owned
-// twice across tables and the free list; with it, the stored refcounts
-// must equal the true table reference counts, free/cached/owned must
-// partition the block space, and cached blocks must be refcount-zero
-// and trie-advertised — i.e. no block is ever freed while referenced.
-// The trie's derived state must match the trie: the flat node list is
-// exactly the reachable nodes, each node carries its path fingerprint,
-// and each pool heap holds exactly the pooled nodes of its kind in
-// heap order. Tests and the engine's failure-injection suite call this
-// after every mutation batch.
+// CheckInvariants verifies the allocator's safety properties and that
+// every block is accounted for: the stored refcounts equal the true
+// table reference counts (so a block in two tables that no claim
+// shared is caught), free/cached/owned partition the block space, and
+// cached blocks are refcount-zero and trie-advertised — i.e. no block
+// is ever freed while referenced. The trie's derived state must match
+// the trie: the flat node list is exactly the reachable nodes, each
+// node carries its path fingerprint, each pool heap holds exactly the
+// pooled nodes of its kind in heap order, every payload a node holds
+// decodes to the content its key addresses, and the frozen byte sums
+// match the frozen pool. Tests and the engine's failure-injection
+// suite call this after every mutation batch.
 func (m *Manager) CheckInvariants() error {
-	refs := make(map[int]int, m.cfg.TotalBlocks)
+	// refs[b] counts block b's table references; the markers tag blocks
+	// no table holds.
+	const freeListed, parked = -1, -2
+	refs := make([]int, m.cfg.TotalBlocks)
 	for id, st := range m.seqs {
 		for _, b := range st.table {
-			if b < 0 || b >= m.cfg.TotalBlocks {
+			if b < 0 || b >= len(refs) {
 				return fmt.Errorf("kvcache: block %d out of range", b)
 			}
 			refs[b]++
-			if m.prefix == nil && refs[b] > 1 {
-				return fmt.Errorf("kvcache: block %d double-owned without prefix sharing", b)
-			}
 		}
 		need := BlocksFor(st.tokens, m.cfg.BlockTokens)
 		if need != len(st.table) {
@@ -307,171 +296,83 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}
 	for _, b := range m.freeList {
-		if refs[b] > 0 {
-			return fmt.Errorf("kvcache: block %d on free list while referenced %d times", b, refs[b])
+		if b < 0 || b >= len(refs) || refs[b] != 0 {
+			return fmt.Errorf("kvcache: free-listed block %d out of range or held elsewhere", b)
 		}
-		refs[b]-- // mark free: -1 distinguishes from unseen
-		if refs[b] < -1 {
-			return fmt.Errorf("kvcache: block %d on free list twice", b)
-		}
+		refs[b] = freeListed
 	}
-
-	if m.prefix == nil {
-		if len(refs) != m.cfg.TotalBlocks {
-			return fmt.Errorf("kvcache: %d blocks tracked, want %d", len(refs), m.cfg.TotalBlocks)
-		}
-		return nil
-	}
-
 	p := m.prefix
-	parked, err := p.cached.check(false)
-	if err != nil {
+	if err := p.cached.check(false); err != nil {
 		return err
 	}
-	frozen, err := p.frozen.check(true)
-	if err != nil {
+	if err := p.frozen.check(true); err != nil {
 		return err
 	}
-	if m.compStore == nil && len(frozen) != 0 {
-		return fmt.Errorf("kvcache: %d frozen nodes without a compressed cache", len(frozen))
+	for _, n := range p.cached {
+		if n.block >= len(refs) || refs[n.block] != 0 {
+			return fmt.Errorf("kvcache: cached block %d out of range or held elsewhere", n.block)
+		}
+		refs[n.block] = parked
 	}
 	if err := m.checkTrie(); err != nil {
 		return err
 	}
-
-	tracked, shared := 0, 0
-	for b := 0; b < m.cfg.TotalBlocks; b++ {
-		want := refs[b]
-		if want < 0 {
-			want = 0 // free-listed
+	shared := 0
+	for b, r := range refs {
+		if r == 0 {
+			return fmt.Errorf("kvcache: block %d neither referenced, free nor cached (leaked)", b)
 		}
-		if m.refcnt[b] != want {
-			return fmt.Errorf("kvcache: block %d refcount %d, tables reference it %d times", b, m.refcnt[b], want)
-		}
-		if want > 1 {
+		if r > 1 {
 			shared++
 		}
-		node, isParked := parked[b]
-		if isParked {
-			if want != 0 {
-				return fmt.Errorf("kvcache: block %d cached while referenced %d times", b, want)
-			}
-			if p.byBlock[b] != node {
-				return fmt.Errorf("kvcache: cached block %d not advertised by the trie", b)
-			}
+		if want := max(r, 0); m.refcnt[b] != want {
+			return fmt.Errorf("kvcache: block %d refcount %d, tables reference it %d times", b, m.refcnt[b], want)
 		}
-		if _, seen := refs[b]; seen || isParked {
-			tracked++
-		}
-	}
-	for b, node := range p.byBlock {
-		if node.block != b {
-			return fmt.Errorf("kvcache: trie node for block %d points at block %d", b, node.block)
-		}
-		if node.frozenID != 0 {
-			return fmt.Errorf("kvcache: trie node for block %d still carries frozen id %d", b, node.frozenID)
-		}
-		if node.parent == nil || node.parent.children[node.key] != node {
-			return fmt.Errorf("kvcache: trie node for block %d detached from its parent", b)
-		}
-		if node.payload != nil {
-			// A payload kept from a thaw must still be exactly the
-			// content its key addresses, or the next freeze would store
-			// the wrong bytes.
-			kv, err := node.payload.decode()
-			if err != nil {
-				return fmt.Errorf("kvcache: payload retained by block %d unreadable: %w", b, err)
-			}
-			if !kv.Equal(blockContent(node.key, m.cfg.BlockTokens)) {
-				return fmt.Errorf("kvcache: payload retained by block %d differs from its key's content", b)
-			}
-		}
-		if m.refcnt[b] == 0 {
-			if _, isParked := parked[b]; !isParked {
-				return fmt.Errorf("kvcache: registered block %d unreferenced but not cached (leaked)", b)
-			}
-		}
-	}
-	if tracked != m.cfg.TotalBlocks {
-		return fmt.Errorf("kvcache: %d blocks tracked, want %d", tracked, m.cfg.TotalBlocks)
 	}
 	if p.shared != shared {
 		return fmt.Errorf("kvcache: shared-block counter %d, true count %d", p.shared, shared)
 	}
-	if m.compStore != nil {
-		// Frozen nodes hold no physical block but must stay advertised,
-		// be backed by the compressed store one-for-one, and decompress
-		// bit-exactly to the content their key addresses.
-		if got, want := len(frozen), m.compStore.Len(); got != want {
-			return fmt.Errorf("kvcache: %d frozen trie nodes, compressed store holds %d blocks", got, want)
+	return nil
+}
+
+// check verifies a pool heap's own structure: every slot's node is of
+// the pool's kind (frozen nodes hold no physical block) and records
+// that slot — so no node sits in two slots — and no node sorts before
+// its heap parent.
+func (h poolHeap) check(frozen bool) error {
+	kind := "cached"
+	if frozen {
+		kind = "frozen"
+	}
+	for i, n := range h {
+		if n.heapIdx != i {
+			return fmt.Errorf("kvcache: %s pool slot %d holds a node indexed %d", kind, i, n.heapIdx)
 		}
-		for id, n := range frozen {
-			if n.block != -1 {
-				return fmt.Errorf("kvcache: frozen node %d still holds physical block %d", id, n.block)
-			}
-			if n.payload != nil {
-				return fmt.Errorf("kvcache: frozen node %d still holds a retained payload", id)
-			}
-			if n.parent == nil || n.parent.children[n.key] != n {
-				return fmt.Errorf("kvcache: frozen node %d detached from its parent", id)
-			}
-			kv, err := m.compStore.Get(id)
-			if err != nil {
-				return fmt.Errorf("kvcache: frozen node %d unreadable: %w", id, err)
-			}
-			if !kv.Equal(blockContent(n.key, m.cfg.BlockTokens)) {
-				return fmt.Errorf("kvcache: frozen node %d decompressed content differs from its key's", id)
-			}
+		if i > 0 && evictsBefore(n, h[(i-1)/2]) {
+			return fmt.Errorf("kvcache: %s pool slot %d sorts before its heap parent", kind, i)
+		}
+		if frozen != (n.block < 0) {
+			return fmt.Errorf("kvcache: %s pool slot %d holds a node of the other pool", kind, i)
 		}
 	}
 	return nil
 }
 
-// check verifies a pool heap's own structure — every slot's node is of
-// the pool's kind and records that slot, and no node sorts before its
-// heap parent — and indexes its nodes by their pool key: the physical
-// block for the cached pool, the compressed-store id for the frozen
-// one.
-func (h poolHeap) check(frozen bool) (map[int]*prefixNode, error) {
-	kind := "cached"
-	if frozen {
-		kind = "frozen"
-	}
-	byKey := make(map[int]*prefixNode, len(h))
-	for i, n := range h {
-		if n.heapIdx != i {
-			return nil, fmt.Errorf("kvcache: %s pool slot %d holds a node indexed %d", kind, i, n.heapIdx)
-		}
-		if i > 0 && evictsBefore(n, h[(i-1)/2]) {
-			return nil, fmt.Errorf("kvcache: %s pool slot %d sorts before its heap parent", kind, i)
-		}
-		if frozen != (n.frozenID != 0) {
-			return nil, fmt.Errorf("kvcache: %s pool slot %d holds a node of the other pool", kind, i)
-		}
-		key := n.block
-		if frozen {
-			key = n.frozenID
-		}
-		if _, dup := byKey[key]; dup {
-			return nil, fmt.Errorf("kvcache: %s pool holds key %d twice", kind, key)
-		}
-		byKey[key] = n
-	}
-	return byKey, nil
-}
-
 // checkTrie walks the trie from the root and verifies each node's
 // derived state against it: the parent link, the stored path
 // fingerprint, the slot in the flat node list (which must hold the
-// reachable nodes and nothing else) and pool membership, which must
-// hold exactly for frozen nodes and physically backed refcount-zero
-// ones.
+// reachable nodes and nothing else), the block index (which must hold
+// the physically backed ones and nothing else), pool membership (which
+// must hold exactly for frozen nodes and physically backed
+// refcount-zero ones) and payload content. Frozen payloads must sum to
+// the manager's frozen byte counters.
 func (m *Manager) checkTrie() error {
 	p := m.prefix
 	if p.root.path != fnvOffset64 || p.root.heapIdx != -1 {
 		return fmt.Errorf("kvcache: trie root carries fingerprint %#x, pool slot %d", p.root.path, p.root.heapIdx)
 	}
-	reachable, pooledReachable := 0, 0
+	reachable, indexed, pooledReachable := 0, 0, 0
+	var orig, comp int64
 	var walk func(*prefixNode) error
 	walk = func(x *prefixNode) error {
 		for key, c := range x.children {
@@ -485,16 +386,33 @@ func (m *Manager) checkTrie() error {
 			if c.listIdx < 0 || c.listIdx >= len(p.nodes) || p.nodes[c.listIdx] != c {
 				return fmt.Errorf("kvcache: trie node for block %d missing from the node list", c.block)
 			}
-			if c.frozenID == 0 && (c.block < 0 || p.byBlock[c.block] != c) {
-				return fmt.Errorf("kvcache: unfrozen trie node for block %d not advertised", c.block)
+			pooled := c.block < 0 // frozen
+			if pooled {
+				if c.payload == nil {
+					return fmt.Errorf("kvcache: frozen trie node %q holds no payload", key)
+				}
+				orig += c.payload.origSize
+				comp += c.payload.compSize()
+			} else {
+				indexed++
+				if p.byBlock[c.block] != c {
+					return fmt.Errorf("kvcache: trie node for block %d not advertised", c.block)
+				}
+				pooled = m.refcnt[c.block] == 0
 			}
-			pooled := c.frozenID != 0 || m.refcnt[c.block] == 0
 			if h := *p.pool(c); pooled != (c.heapIdx >= 0 && c.heapIdx < len(h) && h[c.heapIdx] == c) {
-				return fmt.Errorf("kvcache: trie node for block %d (frozen id %d) pooled=%v but pool slot %d",
-					c.block, c.frozenID, pooled, c.heapIdx)
+				return fmt.Errorf("kvcache: trie node for block %d pooled=%v but pool slot %d", c.block, pooled, c.heapIdx)
 			}
 			if pooled {
 				pooledReachable++
+			}
+			if c.payload != nil {
+				// A frozen node's payload is its content; one kept from a
+				// thaw must still be exactly that content too, or the next
+				// freeze would store the wrong bytes.
+				if err := c.payload.verify(c.key, m.cfg.BlockTokens); err != nil {
+					return fmt.Errorf("kvcache: payload of trie node for block %d: %w", c.block, err)
+				}
 			}
 			if err := walk(c); err != nil {
 				return err
@@ -505,11 +423,16 @@ func (m *Manager) checkTrie() error {
 	if err := walk(p.root); err != nil {
 		return err
 	}
-	if reachable != len(p.nodes) {
-		return fmt.Errorf("kvcache: node list holds %d nodes, trie reaches %d", len(p.nodes), reachable)
+	if reachable != len(p.nodes) || indexed != len(p.byBlock) {
+		return fmt.Errorf("kvcache: node list holds %d nodes and block index %d, trie reaches %d and %d physically backed",
+			len(p.nodes), len(p.byBlock), reachable, indexed)
 	}
 	if pooled := len(p.cached) + len(p.frozen); pooled != pooledReachable {
 		return fmt.Errorf("kvcache: pools hold %d nodes, trie reaches %d pooled ones", pooled, pooledReachable)
+	}
+	if orig != m.frozenOrig || comp != m.frozenComp {
+		return fmt.Errorf("kvcache: frozen byte sums %d/%d, frozen payloads hold %d/%d",
+			m.frozenOrig, m.frozenComp, orig, comp)
 	}
 	return nil
 }

@@ -10,11 +10,12 @@ import (
 // style): prompt KV blocks are content-addressed, so requests sharing
 // a prompt prefix (system prompts, few-shot templates, replayed
 // traces) reuse the blocks an earlier request already computed instead
-// of re-prefilling them. A physical block then has a reference count —
-// the number of sequence block tables pointing at it — and a block
-// whose count drops to zero is not returned to the free list but
-// parked in an LRU cached pool, still indexed by the prefix trie, so a
-// later identical prompt can resurrect it with a refcount bump.
+// of re-prefilling them. A physical block's reference count — the
+// number of sequence block tables pointing at it — can then exceed one,
+// and a registered block whose count drops to zero is not returned to
+// the free list but parked in an LRU cached pool, still indexed by the
+// prefix trie, so a later identical prompt can resurrect it with a
+// refcount bump.
 // Allocation pressure reclaims cached blocks LRU-first, preferring
 // trie leaves so interior prefix chains stay matchable.
 //
@@ -34,8 +35,7 @@ type prefixNode struct {
 	parent   *prefixNode
 	children map[string]*prefixNode // nil until the first child registers
 	key      string                 // content key in parent.children ("" for the root)
-	block    int                    // physical block holding this content (-1 while frozen)
-	frozenID int                    // compressed-store key while frozen (0 = not frozen)
+	block    int                    // physical block holding this content (-1 = frozen)
 	lastUse  int64                  // LRU tick of the last claim/commit
 
 	// path is the node's path fingerprint, fnvString(parent.path, key)
@@ -45,9 +45,10 @@ type prefixNode struct {
 	listIdx int // position in prefixIndex.nodes
 	heapIdx int // position in its pool's heap (-1 = not pooled)
 
-	// payload is this content's compressed form, moved here out of the
-	// store by the last thaw so the next freeze re-attaches it instead
-	// of compressing again (nil = none; always nil while frozen).
+	// payload is this content's compressed form: the node's first
+	// freeze makes it and the node keeps it until it is evicted, so a
+	// thaw decodes nothing and a refreeze compresses nothing (nil =
+	// never frozen; never nil while frozen).
 	payload *storedBlock
 }
 
@@ -95,7 +96,7 @@ type prefixIndex struct {
 	nodes     []*prefixNode       // every registered trie node, in no order
 	byBlock   map[int]*prefixNode // registered blocks (owned or cached)
 	cached    poolHeap            // refcount-zero registered blocks (reclaimable)
-	frozen    poolHeap            // compressed cold nodes (compressed cache only)
+	frozen    poolHeap            // frozen nodes, holding only their payload (compressed cache only)
 	committed map[int]commitMark  // seqID → deepest committed trie position
 	cap       int                 // max pooled (cached + frozen) blocks retained (0 = unbounded)
 	tick      int64
@@ -116,10 +117,19 @@ type prefixIndex struct {
 	walks       int64 // trie walks executed (lookup, claim, probe)
 }
 
+// newPrefixIndex returns an empty trie.
+func newPrefixIndex() *prefixIndex {
+	return &prefixIndex{
+		root:      &prefixNode{block: -1, path: fnvOffset64, heapIdx: -1},
+		byBlock:   make(map[int]*prefixNode),
+		committed: make(map[int]commitMark),
+	}
+}
+
 // pool returns the heap a pooled node belongs to: frozen nodes in the
 // frozen pool, physically parked ones in the cached pool.
 func (p *prefixIndex) pool(n *prefixNode) *poolHeap {
-	if n.frozenID != 0 {
+	if n.block < 0 {
 		return &p.frozen
 	}
 	return &p.cached
@@ -218,10 +228,11 @@ func (m *Manager) HashPrompt(tokens []int) HashedPrompt {
 	return HashPromptTokens(tokens, m.cfg.BlockTokens)
 }
 
-// EnablePrefixCache turns on cross-request prefix reuse. capBlocks
-// bounds how many refcount-zero blocks the cache may keep parked
-// (0 = unbounded: every free block is a candidate prefix block). It
-// must be called before any allocation.
+// EnablePrefixCache turns on cross-request prefix reuse: from now on
+// committed prompt blocks register in the trie. capBlocks bounds how
+// many refcount-zero blocks the cache may keep parked (0 = unbounded:
+// every free block is a candidate prefix block). It must be called
+// before any allocation.
 func (m *Manager) EnablePrefixCache(capBlocks int) error {
 	if capBlocks < 0 {
 		return fmt.Errorf("kvcache: prefix cache capacity %d must be non-negative", capBlocks)
@@ -229,33 +240,23 @@ func (m *Manager) EnablePrefixCache(capBlocks int) error {
 	if len(m.seqs) != 0 || len(m.freeList) != m.cfg.TotalBlocks {
 		return fmt.Errorf("kvcache: prefix cache must be enabled on an empty manager")
 	}
-	m.prefix = &prefixIndex{
-		root:      &prefixNode{block: -1, path: fnvOffset64, heapIdx: -1},
-		byBlock:   make(map[int]*prefixNode),
-		committed: make(map[int]commitMark),
-		cap:       capBlocks,
-	}
-	m.refcnt = make([]int, m.cfg.TotalBlocks)
+	m.prefixOn = true
+	m.prefix.cap = capBlocks
 	return nil
 }
 
 // PrefixCacheEnabled reports whether cross-request prefix reuse is on.
-func (m *Manager) PrefixCacheEnabled() bool { return m.prefix != nil }
+func (m *Manager) PrefixCacheEnabled() bool { return m.prefixOn }
 
 // PrefixCacheCap returns the cached-pool bound (0 = unbounded).
-func (m *Manager) PrefixCacheCap() int {
-	if m.prefix == nil {
-		return 0
-	}
-	return m.prefix.cap
-}
+func (m *Manager) PrefixCacheCap() int { return m.prefix.cap }
 
 // SetPrefixCacheCap resizes the cached-pool bound at runtime
 // (0 = unbounded). Shrinking evicts LRU leaf-first immediately, so the
 // pool obeys the new bound on return — the adaptive sizing controller's
 // actuator, also usable directly by operators.
 func (m *Manager) SetPrefixCacheCap(capBlocks int) error {
-	if m.prefix == nil {
+	if !m.prefixOn {
 		return fmt.Errorf("kvcache: prefix cache not enabled")
 	}
 	if capBlocks < 0 {
@@ -269,70 +270,35 @@ func (m *Manager) SetPrefixCacheCap(capBlocks int) error {
 
 // CachedBlocks returns the number of refcount-zero blocks parked in
 // the prefix cache (reclaimable on demand).
-func (m *Manager) CachedBlocks() int {
-	if m.prefix == nil {
-		return 0
-	}
-	return len(m.prefix.cached)
-}
+func (m *Manager) CachedBlocks() int { return len(m.prefix.cached) }
 
 // SharedBlocks returns the number of physical blocks referenced by
 // more than one sequence — capacity that deduplication is saving right
 // now. Maintained on refcount transitions (stats poll every scheduler
 // iteration; a scan would be O(TotalBlocks)).
-func (m *Manager) SharedBlocks() int {
-	if m.prefix == nil {
-		return 0
-	}
-	return m.prefix.shared
-}
+func (m *Manager) SharedBlocks() int { return m.prefix.shared }
 
 // PrefixHits returns the number of ClaimPrefix calls that matched at
 // least one cached block.
-func (m *Manager) PrefixHits() int64 {
-	if m.prefix == nil {
-		return 0
-	}
-	return m.prefix.hits
-}
+func (m *Manager) PrefixHits() int64 { return m.prefix.hits }
 
 // PrefixTokensSaved returns the total prompt tokens served from the
 // cache instead of being re-prefilled.
-func (m *Manager) PrefixTokensSaved() int64 {
-	if m.prefix == nil {
-		return 0
-	}
-	return m.prefix.tokensSaved
-}
+func (m *Manager) PrefixTokensSaved() int64 { return m.prefix.tokensSaved }
 
 // PrefixEvictions returns the number of cached blocks reclaimed (by
 // allocation pressure or the capacity bound).
-func (m *Manager) PrefixEvictions() int64 {
-	if m.prefix == nil {
-		return 0
-	}
-	return m.prefix.evictions
-}
+func (m *Manager) PrefixEvictions() int64 { return m.prefix.evictions }
 
 // Walks returns the lifetime count of prefix-trie walks (lookups,
 // claims and controller probes). Schedulers memoize lookups per trie
 // generation; this counter is how tests prove the duplicated admission
 // walk stays eliminated.
-func (m *Manager) Walks() int64 {
-	if m.prefix == nil {
-		return 0
-	}
-	return m.prefix.walks
-}
+func (m *Manager) Walks() int64 { return m.prefix.walks }
 
 // CowCopies returns the number of copy-on-write block copies taken
 // before a write into a shared block.
-func (m *Manager) CowCopies() int64 {
-	if m.prefix == nil {
-		return 0
-	}
-	return m.prefix.cowCopies
-}
+func (m *Manager) CowCopies() int64 { return m.prefix.cowCopies }
 
 // Lookup walks the prefix trie over the prompt's full blocks and
 // returns how many leading tokens are already cached. The match is
@@ -353,18 +319,12 @@ func (m *Manager) Lookup(prompt []int) int {
 // matched blocks still referenced by live sequences are supplied for
 // free.
 func (m *Manager) LookupCost(prompt []int) (matched, resurrect int) {
-	if m.prefix == nil {
-		return 0, 0
-	}
 	return m.LookupCostHashed(m.HashPrompt(prompt))
 }
 
 // LookupCostHashed is LookupCost over a prompt whose block keys were
 // precomputed with HashPrompt, so the walk hashes nothing.
 func (m *Manager) LookupCostHashed(hp HashedPrompt) (matched, resurrect int) {
-	if m.prefix == nil {
-		return 0, 0
-	}
 	matched, nodes := m.walk(hp)
 	for _, n := range nodes {
 		// Frozen blocks hold no physical block, so claiming one pops a
@@ -412,15 +372,12 @@ func (m *Manager) walk(hp HashedPrompt) (int, []*prefixNode) {
 // blocks. It returns the matched token count; 0 means no match and no
 // sequence was created — the caller falls back to plain Allocate.
 func (m *Manager) ClaimPrefix(seqID int, prompt []int) (int, error) {
-	if m.prefix == nil {
-		return 0, fmt.Errorf("kvcache: prefix cache not enabled")
-	}
 	return m.ClaimPrefixHashed(seqID, m.HashPrompt(prompt))
 }
 
 // ClaimPrefixHashed is ClaimPrefix over a prehashed prompt.
 func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
-	if m.prefix == nil {
+	if !m.prefixOn {
 		return 0, fmt.Errorf("kvcache: prefix cache not enabled")
 	}
 	if _, dup := m.seqs[seqID]; dup {
@@ -459,8 +416,8 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 			continue
 		}
 		if err := m.thaw(n); err != nil {
-			// Unreachable (the store holds what freeze put there), but a
-			// failed thaw must not leak the chain claimed so far.
+			// A corrupt payload fails its validation; the failed thaw must
+			// not leak the chain claimed so far.
 			for _, b := range st.table {
 				if b >= 0 {
 					m.releaseBlock(b)
@@ -494,15 +451,13 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 // full blocks are visited (re-walking from the root would make a
 // small-chunk prefill quadratic in prompt blocks).
 func (m *Manager) CommitPrefix(seqID int, prompt []int, prefilled int) error {
-	if m.prefix == nil {
-		return nil
-	}
 	return m.CommitPrefixHashed(seqID, m.HashPrompt(prompt), prefilled)
 }
 
-// CommitPrefixHashed is CommitPrefix over a prehashed prompt.
+// CommitPrefixHashed is CommitPrefix over a prehashed prompt. With the
+// prefix cache off it does nothing, so the trie stays empty.
 func (m *Manager) CommitPrefixHashed(seqID int, hp HashedPrompt, prefilled int) error {
-	if m.prefix == nil {
+	if !m.prefixOn {
 		return nil
 	}
 	st, ok := m.seqs[seqID]
@@ -563,9 +518,9 @@ func (m *Manager) releaseBlock(b int) {
 	m.gen++ // a refcount-zero transition changes later resurrect charges
 	if node := m.prefix.byBlock[b]; node != nil {
 		m.prefix.touch(node)
-		if m.compStore != nil && m.freeze(b, node) {
-			// Cold content lives on compressed; the physical block is
-			// real free capacity again.
+		if m.compressed && m.freeze(b, node) {
+			// Cold content lives on in the node's payload; the physical
+			// block is real free capacity again.
 			m.freeList = append(m.freeList, b)
 		}
 		m.prefix.park(node)
@@ -618,9 +573,8 @@ func (m *Manager) evictOne(includeFrozen bool) bool {
 }
 
 // unregister detaches a node's whole subtree from the trie, returning
-// every physically cached block in it to the free list and dropping
-// frozen descendants from the compressed store and retained payloads
-// from the rest.
+// every physically cached block in it to the free list, taking frozen
+// payloads out of the frozen byte sums and dropping every payload.
 func (m *Manager) unregister(n *prefixNode) {
 	p := m.prefix
 	delete(n.parent.children, n.key)
@@ -634,17 +588,16 @@ func (m *Manager) unregister(n *prefixNode) {
 		if x.heapIdx >= 0 {
 			p.unpark(x)
 			p.evictions++
-			if x.frozenID == 0 {
+			if x.block >= 0 {
 				m.freeList = append(m.freeList, x.block)
 			}
 		}
-		if x.frozenID != 0 {
-			m.compStore.Delete(x.frozenID)
-			x.frozenID = 0
+		if x.block < 0 {
+			m.countFrozen(x.payload, -1)
 		} else {
-			x.payload = nil
 			delete(p.byBlock, x.block)
 		}
+		x.payload = nil
 		for _, c := range x.children {
 			dfs(c)
 		}
@@ -657,9 +610,6 @@ func (m *Manager) unregister(n *prefixNode) {
 // target) and either shared with another sequence or still advertised
 // by the trie as cached prefix content.
 func (m *Manager) cowNeeded(st *seqState) bool {
-	if m.prefix == nil {
-		return false
-	}
 	if st.tokens%m.cfg.BlockTokens == 0 {
 		return false // last block full; growth writes fresh blocks only
 	}
@@ -674,7 +624,6 @@ func (m *Manager) cowNeeded(st *seqState) bool {
 func (m *Manager) copyOnWrite(st *seqState) {
 	old := st.table[len(st.table)-1]
 	fresh := m.pop()
-	m.refcnt[fresh] = 1
 	st.table[len(st.table)-1] = fresh
 	m.releaseBlock(old)
 	m.prefix.cowCopies++

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -349,12 +350,18 @@ func TestPrefixEnableValidation(t *testing.T) {
 }
 
 // TestPrefixDisabledUnchanged: without EnablePrefixCache the prefix
-// entry points are inert and the allocator behaves exactly as before.
+// entry points are inert — nothing registers in the trie, so a
+// released block goes straight back to the free list — and the
+// refcount audit still catches a block owned twice.
 func TestPrefixDisabledUnchanged(t *testing.T) {
-	m, err := NewManager(Config{BlockTokens: 16, TotalBlocks: 4})
-	if err != nil {
-		t.Fatal(err)
+	newOff := func() *Manager {
+		m, err := NewManager(Config{BlockTokens: 16, TotalBlocks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
+	m := newOff()
 	if got := m.Lookup(toks(32, 7)); got != 0 {
 		t.Fatalf("Lookup on disabled cache = %d, want 0", got)
 	}
@@ -371,6 +378,48 @@ func TestPrefixDisabledUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustInvariants(t, m)
+
+	// A handoff between cache-off managers: the export carries the
+	// prompt's keys, yet neither side registers anything.
+	prompt := toks(40, 7)
+	exp := exportSeq(t, m, 2, prompt, 1)
+	if len(exp.HP.keys) != 2 {
+		t.Fatalf("export carries %d prompt keys, want 2", len(exp.HP.keys))
+	}
+	dst := newOff()
+	stats, err := dst.ImportKV(exp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.ReusedTokens != 0 || stats.ExpandedBlocks != 3 {
+		t.Fatalf("cache-off import reused %d tokens and expanded %d blocks, want 0 and 3",
+			stats.ReusedTokens, stats.ExpandedBlocks)
+	}
+	mustInvariants(t, dst)
+	for _, side := range []*Manager{m, dst} {
+		if err := side.Free(2); err != nil {
+			t.Fatal(err)
+		}
+		if side.CachedBlocks() != 0 || side.CompressedBlocks() != 0 || side.PrefixSummary() != nil || side.FreeBlocks() != 4 {
+			t.Fatalf("freed cache-off manager: %d cached, %d compressed, summary %v, %d free; want 0, 0, nil, 4",
+				side.CachedBlocks(), side.CompressedBlocks(), side.PrefixSummary(), side.FreeBlocks())
+		}
+		mustInvariants(t, side)
+	}
+
+	// One block in two sequences' tables: sequence 4 grows into the
+	// block sequence 3 owns.
+	for id := 3; id <= 4; id++ {
+		if err := dst.Allocate(id, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := dst.seqs[4]
+	st.table = append(st.table, dst.seqs[3].table[0])
+	st.tokens += 16
+	if err := dst.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "reference it 2 times") {
+		t.Fatalf("CheckInvariants with a block in two tables = %v, want a double-reference error", err)
+	}
 }
 
 // scanVictim is the eviction choice made by scanning, the oracle for
@@ -415,8 +464,8 @@ func TestPrefixPoolsMatchReferences(t *testing.T) {
 		evicted := map[bool]int{}
 		m.prefix.onEvict = func(victim *prefixNode, includeFrozen bool) {
 			if want := scanVictim(m, includeFrozen); victim != want {
-				t.Fatalf("seed %d: evicted node (block %d, frozen id %d, lastUse %d), scan picks (block %d, frozen id %d, lastUse %d)",
-					seed, victim.block, victim.frozenID, victim.lastUse, want.block, want.frozenID, want.lastUse)
+				t.Fatalf("seed %d: evicted node (block %d, lastUse %d), scan picks (block %d, lastUse %d)",
+					seed, victim.block, victim.lastUse, want.block, want.lastUse)
 			}
 			evicted[includeFrozen]++
 		}

@@ -114,7 +114,7 @@ func bloomTest(words []uint64, k int, h uint64) bool {
 // trie actually changed since the last build, and a build reads each
 // registered node's stored path fingerprint once, hashing nothing.
 func (m *Manager) PrefixSummary() *PrefixSummary {
-	if m.prefix == nil {
+	if !m.prefixOn {
 		return nil
 	}
 	if m.summary != nil && m.summaryGen == m.gen {
