@@ -11,7 +11,7 @@
 // over the baseline, which is how the scheduler hot path's
 // allocation-lean discipline stays locked in. -require-zero-allocs is
 // the stricter absolute gate for paths whose contract is zero
-// steady-state allocation (the bitmap-scoreboard scheduler core): any
+// steady-state allocation (the heap scheduler core): any
 // allocs/op > 0 fails, baseline or not, and a name matches itself or
 // any of its sub-benchmarks.
 //

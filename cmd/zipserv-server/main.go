@@ -59,7 +59,7 @@ func main() {
 	replicas := flag.Int("replicas", 1, "live deployment: engine replicas behind the capacity-aware router")
 	policyName := flag.String("policy", "fifo", "admission policy: "+strings.Join(serve.PolicyNames(), ", "))
 	queueDepth := flag.Int("queue", 256, "per-replica admission queue depth (beyond it, /v1/generate returns 429); "+
-		"scheduling cost is O(1) in depth, so deep queues (tens of thousands) are safe to configure")
+		"scheduling cost is O(log n) in depth and allocation-free, so size it for burst absorption")
 	maxBatch := flag.Int("max-batch", 0, "per-replica cap on concurrently scheduled sequences (0 = KV capacity only)")
 	prefillChunk := flag.Int("prefill-chunk", 0,
 		"prompt tokens prefilled per scheduler iteration (chunked prefill; 0 = whole prompts)")

@@ -146,9 +146,13 @@ func (s *Stepper) ImportSequence(exp *SequenceExport) error {
 	// The sequence lands once the transfer completes, then pays for
 	// expanding the wire blocks (and thawing any of the target's own
 	// frozen blocks the dedup claim touched). The cost folds into the
-	// step-time EWMA with the next decode step, like a prefill chunk.
+	// step-time EWMA with the next decode step, like a prefill chunk,
+	// and a scripted slowdown dilates it like one.
 	s.AdvanceTo(exp.ExportedAt + exp.TransferSeconds)
 	if cost := s.e.KVDecompressTime(stats.ExpandedBlocks + stats.Thawed); cost > 0 {
+		if s.TimeDilation != nil {
+			cost *= s.TimeDilation(s.now)
+		}
 		s.now += cost
 		s.lastPrefillElapsed += cost
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -115,6 +116,42 @@ func TestHandoffContinuesDecodeOnTarget(t *testing.T) {
 	}
 	if err := dst.Close(); err != nil {
 		t.Fatalf("target close: %v", err)
+	}
+}
+
+// TestHandoffImportDilatedUnderSlowFault: an import's decompress cost
+// is step time like a prefill's, so a stepper slowed by TimeDilation
+// pays it dilated. The same export lands on a full-speed target and on
+// one at 4x slowdown; past the transfer, the slow target's clock must
+// have advanced four times as far.
+func TestHandoffImportDilatedUnderSlowFault(t *testing.T) {
+	e := newPrefixTestEngine(t)
+	src := prefillToFirstToken(t, e, Request{ID: 1, PromptLen: 400, OutputLen: 16, Prompt: prefixTokens(400, 1)})
+	exp, err := src.ExportSequence(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landed := exp.ExportedAt + exp.TransferSeconds
+	importCost := func(factor float64) float64 {
+		dst, err := NewStepper(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.EnablePrefixCache(0); err != nil {
+			t.Fatal(err)
+		}
+		dst.TimeDilation = func(float64) float64 { return factor }
+		if err := dst.ImportSequence(exp); err != nil {
+			t.Fatal(err)
+		}
+		return dst.Clock() - landed
+	}
+	full, slow := importCost(1), importCost(4)
+	if full <= 0 {
+		t.Fatalf("import priced no decompress time (%g s): the check is vacuous", full)
+	}
+	if math.Abs(slow-4*full) > 1e-9*full {
+		t.Fatalf("import cost %g s at 4x slowdown, want 4 x %g s", slow, full)
 	}
 }
 

@@ -164,13 +164,14 @@ func TestAffinitySpillsOutOfBand(t *testing.T) {
 
 // TestAffinityLongPromptPrefersIdleLoop: on a load tie, a long prompt
 // must tie-break toward the replica whose adaptive chunk budget sits at
-// its ceiling (the idle operating point) even when the other candidate
-// has more free blocks.
+// the controller ceiling (the idle operating point) even when the other
+// candidate has more free blocks. The stubs carry the shape a replica
+// publishes: min = max = the current budget.
 func TestAffinityLongPromptPrefersIdleLoop(t *testing.T) {
 	busyLoop := &acceptStub{st: Stats{FreeKVBlocks: 5000, AdaptiveChunking: true,
-		ChunkBudget: 256, ChunkBudgetMax: 2048}}
+		ChunkBudget: 256, ChunkBudgetMin: 256, ChunkBudgetMax: 256}}
 	idleLoop := &acceptStub{st: Stats{FreeKVBlocks: 1000, AdaptiveChunking: true,
-		ChunkBudget: 2048, ChunkBudgetMax: 2048}}
+		ChunkBudget: 2048, ChunkBudgetMin: 2048, ChunkBudgetMax: 2048}}
 	r, err := NewRouter(busyLoop, idleLoop)
 	if err != nil {
 		t.Fatal(err)
@@ -192,6 +193,43 @@ func TestAffinityLongPromptPrefersIdleLoop(t *testing.T) {
 	}
 	if busyLoop.submits != 1 {
 		t.Errorf("short prompt ignored the free-block tie-break")
+	}
+}
+
+// TestAffinityIdleTieBreakOnPublishedStats: the idle tie-break must
+// fire on the snapshots real replicas publish, where ChunkBudgetMax is
+// the current budget rather than a ceiling. The idle stub is an adaptive
+// replica's own seed snapshot (budget at the controller ceiling); the
+// busy one is the same snapshot with the budget cut to 256 the way
+// publish writes it, plus more free blocks. A 2048-token prompt must
+// still land on the idle loop.
+func TestAffinityIdleTieBreakOnPublishedStats(t *testing.T) {
+	s, err := New(Config{Engine: testEngine(t, engine.BackendZipServ), AdaptiveChunking: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle := s.Stats()
+	if idle.ChunkBudget != engine.DefaultAdaptiveChunkMax || idle.ChunkBudgetMax != idle.ChunkBudget {
+		t.Fatalf("seed snapshot budget %d (max %d), want both at the ceiling %d",
+			idle.ChunkBudget, idle.ChunkBudgetMax, engine.DefaultAdaptiveChunkMax)
+	}
+	busy := idle
+	busy.ChunkBudget, busy.ChunkBudgetMin, busy.ChunkBudgetMax = 256, 256, 256
+	busy.FreeKVBlocks = idle.FreeKVBlocks + 1000
+	busyLoop, idleLoop := &acceptStub{st: busy}, &acceptStub{st: idle}
+	r, err := NewRouter(busyLoop, idleLoop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnableAffinity(AffinityConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Submit(Request{Prompt: seqTokens(2048, 5), OutputLen: 16}); err != nil {
+		t.Fatal(err)
+	}
+	if idleLoop.submits != 1 || busyLoop.submits != 0 {
+		t.Fatalf("long prompt went busy=%d idle=%d, want the loop at the controller ceiling",
+			busyLoop.submits, idleLoop.submits)
 	}
 }
 

@@ -8,9 +8,9 @@ import "fmt"
 // admission proceeds and the victim restarts from scratch later.
 //
 // The set is closed: FIFOPolicy, PriorityPolicy and SLOPolicy are the
-// only implementations. Each runs on the incremental bitmap-scoreboard
-// core (scoreboard.go, docs/scheduling.md), whose per-slot admission
-// and victim decisions are O(1) in queue depth. Policies are plain
+// only implementations. Each runs on the incremental heap core
+// (schedcore.go, docs/scheduling.md), whose per-slot admission and
+// victim decisions are O(log n) in queue depth. Policies are plain
 // values, usable across replicas (no per-server state).
 type Policy interface {
 	// Name identifies the policy ("fifo", "priority", "slo") in flags,
@@ -49,7 +49,7 @@ type FIFOPolicy struct{}
 func (FIFOPolicy) Name() string { return "fifo" }
 
 func (FIFOPolicy) newCore() *schedCore {
-	return &schedCore{kind: kindFIFO, elig: newScoreboard()}
+	return &schedCore{kind: kindFIFO}
 }
 
 // DefaultAgingSeconds is PriorityPolicy's default promotion age: a
@@ -59,7 +59,7 @@ const DefaultAgingSeconds = 5
 
 // agedToInteractive is PriorityPolicy's promotion predicate: a batch
 // request that arrived at arrival has aged to interactive rank once it
-// has waited at least aging virtual seconds. The scoreboard core
+// has waited at least aging virtual seconds. The heap core
 // (schedCore.promote/enqueue) and the linear reference in the tests
 // share this exact float comparison — a re-derived form like
 // arrival <= now-aging rounds differently and could promote on
@@ -93,7 +93,7 @@ func (p PriorityPolicy) newCore() *schedCore {
 	if aging <= 0 {
 		aging = DefaultAgingSeconds
 	}
-	return &schedCore{kind: kindPriority, aging: aging, elig: newScoreboard(), eligBatch: newScoreboard()}
+	return &schedCore{kind: kindPriority, aging: aging}
 }
 
 // SLOPolicy is earliest-TTFT-deadline-first admission, ties broken by
@@ -111,5 +111,5 @@ type SLOPolicy struct{}
 func (SLOPolicy) Name() string { return "slo" }
 
 func (SLOPolicy) newCore() *schedCore {
-	return &schedCore{kind: kindSLO, elig: newScoreboard(), running: newScoreboard()}
+	return &schedCore{kind: kindSLO}
 }

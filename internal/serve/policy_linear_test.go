@@ -7,8 +7,8 @@ import (
 
 // The linear policy reference: each built-in policy's ordering written
 // as a plain scan over a slice view of the queue (Next) and of the
-// running batch (Victim). The server schedules on the scoreboard core
-// (scoreboard.go) alone; these scans are the oracle it is checked
+// running batch (Victim). The server schedules on the heap core
+// (schedcore.go) alone; these scans are the oracle it is checked
 // against — FuzzPolicyEquivalence drains randomized queues through
 // both, the tie-break tests pin the scans' semantics, and the golden
 // replay schedules (testdata/golden/schedules.txt) were recorded from
@@ -59,7 +59,7 @@ func (FIFOPolicy) Victim(now float64, blocked Pending, running []Running) int { 
 // Next picks the lowest (rank, arrival, id) among eligible. The final
 // tie-break is the submission id, not the slice index: the pick must
 // not depend on how the caller ordered the view, because the
-// scoreboard never sees slice indices.
+// heap core never sees slice indices.
 func (p PriorityPolicy) Next(now float64, eligible []Pending) int {
 	aging := p.AgingSeconds
 	if aging <= 0 {

@@ -21,10 +21,9 @@ import (
 // submit tier's ranking, spilling submissions to the decode replicas,
 // which serve them co-located.
 //
-// Each replica's scheduler runs on the bitmap-scoreboard core
-// (scoreboard.go), so per-replica queue depth is a burst-absorption
-// knob, not a scan-cost one: a pool member can hold tens of thousands
-// of queued requests without its admission loop slowing the tier.
+// Each replica's scheduler runs on the heap core (schedcore.go), whose
+// picks are O(log n) in queue depth, so per-replica queue depth is a
+// burst-absorption knob, not a scan-cost one.
 
 // handoff couples a mid-generation sequence export with the call owning
 // the request's event and result channels. The replica that imports it

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"zipserv/internal/engine"
 	"zipserv/internal/kvcache"
 )
 
@@ -165,7 +166,7 @@ type candidate struct {
 	pin  int
 	load int  // queued+active
 	free int  // free KV blocks
-	idle bool // adaptive chunk budget at its ceiling (affinity-scored only)
+	idle bool // adaptive chunk budget at the controller ceiling (affinity-scored only)
 	// overlap is the estimated cached prompt prefix in tokens, at the
 	// digest's blockTokens granularity (affinity-scored only).
 	overlap     int
@@ -197,8 +198,10 @@ type ranking struct {
 //
 // Least-loaded means fewest queued+active requests, then most free KV
 // blocks; for an affinity-scored long prompt, a replica whose adaptive
-// chunk budget sits at its ceiling (the controller's idle point, a loop
-// with prefill headroom to spare) wins a load tie before free blocks do.
+// chunk budget sits at the ceiling every replica's controller runs
+// (engine.DefaultAdaptiveChunkMax: the idle point, a loop with prefill
+// headroom to spare) wins a load tie before free blocks do. The
+// published ChunkBudgetMax is the current budget, not that ceiling.
 // Every sort is stable, so remaining ties keep tier order. Requests
 // without prompt tokens are never affinity-scored: there is nothing to
 // match.
@@ -231,7 +234,7 @@ func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
 				live++
 			}
 			if aff != nil && c.group == groupHealthy {
-				c.idle = st.AdaptiveChunking && st.ChunkBudgetMax > 0 && st.ChunkBudget >= st.ChunkBudgetMax
+				c.idle = st.AdaptiveChunking && st.ChunkBudget >= engine.DefaultAdaptiveChunkMax
 				if s := st.PrefixSummary; s != nil {
 					hp, ok := hashed[s.BlockTokens]
 					if !ok {

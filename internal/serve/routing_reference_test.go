@@ -89,10 +89,10 @@ func (r *Router) refRankForRequest(tier []Backend, req Request) (ranked []Backen
 			b: b, idx: i,
 			load: st.Queued + st.Active,
 			free: st.FreeKVBlocks,
-			// Budget pinned at its ceiling = the adaptive controller's
-			// idle operating point: the loop has prefill headroom to
-			// spare, a good home for a long prompt.
-			idle: st.AdaptiveChunking && st.ChunkBudgetMax > 0 && st.ChunkBudget >= st.ChunkBudgetMax,
+			// Budget pinned at the controller ceiling = the adaptive
+			// controller's idle operating point: the loop has prefill
+			// headroom to spare, a good home for a long prompt.
+			idle: st.AdaptiveChunking && st.ChunkBudget >= engine.DefaultAdaptiveChunkMax,
 		}
 		if s := st.PrefixSummary; s != nil {
 			hp, ok := hashed[s.BlockTokens]
@@ -611,8 +611,10 @@ func FuzzDispatchRankEquivalence(f *testing.F) {
 			st := Stats{Queued: rng.Intn(4), Active: rng.Intn(4), FreeKVBlocks: rng.Intn(40),
 				StepTimeEWMA: 0.75 * float64(rng.Intn(3))}
 			if rng.Intn(2) == 0 {
-				st.AdaptiveChunking, st.ChunkBudgetMax = true, 2048
+				// The shape Server.publish writes: min = max = budget.
+				st.AdaptiveChunking = true
 				st.ChunkBudget = []int{256, 2048}[rng.Intn(2)]
+				st.ChunkBudgetMin, st.ChunkBudgetMax = st.ChunkBudget, st.ChunkBudget
 			}
 			if rng.Intn(4) > 0 {
 				st.PrefixSummary = digests[rng.Intn(len(digests))]

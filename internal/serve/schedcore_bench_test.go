@@ -2,10 +2,9 @@ package serve
 
 import "testing"
 
-// deepCore builds an SLO scoreboard core holding depth eligible
-// requests with deadlines spread across rank buckets — the policy with
-// the most scoreboard machinery in play (two-key eligible ordering plus
-// the running victim scoreboard).
+// deepCore builds an SLO heap core holding depth eligible requests
+// with spread deadlines — the policy with the most core machinery in
+// play (two-key eligible ordering plus the running victim heap).
 func deepCore(depth int) (*schedCore, float64) {
 	sc := SLOPolicy{}.newCore()
 	const now = 1 << 20 // past every arrival below
@@ -20,11 +19,10 @@ func deepCore(depth int) (*schedCore, float64) {
 }
 
 // BenchmarkAdmissionDeepQueue measures one admission-slot decision —
-// promote, peek, remove, requeue — at three queue depths. The contract
-// the CI gate enforces: 0 allocs/op, and ns/op independent of depth
-// (the 10k and 64k runs within noise of the 1k run), because every
-// operation is a bitmap pick plus an intrusive-list unlink, never a
-// scan of the queue.
+// promote, peek, pop, requeue — at three queue depths. The contract the
+// CI gate enforces: 0 allocs/op. ns/op grows as O(log n) in depth,
+// because every operation is a heap push or pop, never a scan of the
+// queue.
 func BenchmarkAdmissionDeepQueue(b *testing.B) {
 	for _, depth := range []struct {
 		name string
@@ -38,11 +36,11 @@ func BenchmarkAdmissionDeepQueue(b *testing.B) {
 				sc.promote(now)
 				c, ok := sc.peek()
 				if !ok {
-					b.Fatal("eligible scoreboard drained")
+					b.Fatal("eligible heap drained")
 				}
-				sc.removeEligible(c.req.ID)
-				// Requeue the same call: a recycled id keeps the index
-				// map at steady state, so the cycle exercises the pool's
+				sc.pop()
+				// Requeue the same call: the heaps stay at their
+				// high-water mark, so the cycle exercises the
 				// zero-allocation path the way a live admit/preempt churn
 				// does.
 				sc.add(c)
@@ -51,10 +49,9 @@ func BenchmarkAdmissionDeepQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkVictimSelection measures one SLO preemption pick — the
-// reverse-CLZ max over a 10k-sequence running scoreboard — plus the
-// mirror remove/re-add a preemption performs. Same CI contract:
-// 0 allocs/op, depth-independent.
+// BenchmarkVictimSelection measures one SLO preemption pick — the top
+// of a 10k-sequence running heap — plus the mirror remove/re-add a
+// preemption performs. Same CI contract: 0 allocs/op, O(log n).
 func BenchmarkVictimSelection(b *testing.B) {
 	const depth = 10000
 	sc := SLOPolicy{}.newCore()
@@ -71,9 +68,10 @@ func BenchmarkVictimSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		id, ok := sc.victim(blockedDeadline)
 		if !ok {
-			b.Fatal("victim scoreboard drained")
+			b.Fatal("victim heap drained")
 		}
-		sc.runningRemove(id)
-		sc.runningAdd(byID[id])
+		c := byID[id]
+		sc.runningRemove(c)
+		sc.runningAdd(c)
 	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,129 +15,68 @@ import (
 	"zipserv/internal/engine"
 )
 
-// --- bitset / key-transform properties -------------------------------
+// --- the heap against a sorted reference ----------------------------
 
-func TestBitset4096MinMax(t *testing.T) {
-	var b bitset4096
-	if b.min() != -1 || b.max() != -1 {
-		t.Fatalf("empty bitset min/max = %d/%d, want -1/-1", b.min(), b.max())
-	}
-	rng := rand.New(rand.NewSource(1))
-	ref := map[int]bool{}
-	for step := 0; step < 20000; step++ {
-		i := rng.Intn(sbBuckets)
-		if rng.Intn(2) == 0 {
-			b.set(i)
-			ref[i] = true
-		} else {
-			b.clear(i)
-			delete(ref, i)
-		}
-		wantMin, wantMax := -1, -1
-		for k := range ref {
-			if wantMin < 0 || k < wantMin {
-				wantMin = k
-			}
-			if k > wantMax {
-				wantMax = k
-			}
-		}
-		if b.min() != wantMin || b.max() != wantMax {
-			t.Fatalf("step %d: min/max = %d/%d, want %d/%d", step, b.min(), b.max(), wantMin, wantMax)
-		}
-	}
-}
-
-func TestFloatOrdMonotone(t *testing.T) {
-	// A sorted gauntlet across the float range, ±Inf included: the
-	// transform must be strictly monotone and the bucket quantisation
-	// weakly monotone, or bucket boundaries could reorder two keys.
-	vals := []float64{math.Inf(-1), -1e308, -12345.678, -1, -1e-300, math.Copysign(0, -1),
-		0, 1e-300, 0.5, 1, 12345.678, 1e308, math.Inf(1)}
-	for i := 1; i < len(vals); i++ {
-		a, b := vals[i-1], vals[i]
-		if a == b { // ±0 compare equal; their buckets need not order
-			continue
-		}
-		if floatOrd(a) >= floatOrd(b) {
-			t.Errorf("floatOrd not monotone at %g < %g: %#x >= %#x", a, b, floatOrd(a), floatOrd(b))
-		}
-		if bucketOf(a) > bucketOf(b) {
-			t.Errorf("bucketOf not monotone at %g < %g: %d > %d", a, b, bucketOf(a), bucketOf(b))
-		}
-	}
-	for _, v := range vals {
-		if bkt := bucketOf(v); bkt < 0 || bkt >= sbBuckets {
-			t.Errorf("bucketOf(%g) = %d, outside [0,%d)", v, bkt, sbBuckets)
-		}
-	}
-}
-
-// TestScoreboardOrderAgainstReference drives random insert/remove
-// cycles — with heavy key ties to stress the in-bucket chains — against
-// a sorted-slice reference, checking min, max and membership after
-// every mutation.
+// TestScoreboardOrderAgainstReference drives random push, pop and
+// remove-by-slot cycles through one coreHeap — with heavy key ties, so
+// the id tie-break decides constantly — against a reference slice kept
+// sorted by key, checking the top, the length and every call's slot
+// after every step.
 func TestScoreboardOrderAgainstReference(t *testing.T) {
-	sb := newScoreboard()
+	var h coreHeap
+	var ref []*call // every filed call, sorted by key
+	less := func(a, b *call) bool {
+		if a.key.k1 != b.key.k1 {
+			return a.key.k1 < b.key.k1
+		}
+		if a.key.k2 != b.key.k2 {
+			return a.key.k2 < b.key.k2
+		}
+		return a.key.id < b.key.id
+	}
 	rng := rand.New(rand.NewSource(7))
-	type ent struct{ key sbKey }
-	ref := map[int]ent{}
-	nextID := 1
-	calls := map[int]*call{}
-	for step := 0; step < 20000; step++ {
-		if len(ref) == 0 || rng.Intn(3) > 0 {
-			// Quantised keys force bucket and full-key collisions.
+	for step, nextID := 0, 1; step < 20000; step++ {
+		switch op := rng.Intn(6); {
+		case len(ref) == 0 || op >= 2:
+			// Quantised keys force full (k1, k2) ties.
 			k1 := float64(rng.Intn(8)) * 0.5
-			if rng.Intn(16) == 0 {
+			switch rng.Intn(16) {
+			case 0:
 				k1 = math.Inf(1)
+			case 1:
+				k1 = math.Inf(-1)
 			}
-			k2 := float64(rng.Intn(4))
-			id := nextID
-			nextID++
 			c := &call{}
-			c.req.ID = id
-			calls[id] = c
-			sb.insert(id, k1, k2, c)
-			ref[id] = ent{key: sbKey{k1: k1, k2: k2, id: id}}
-		} else {
-			ids := make([]int, 0, len(ref))
-			for id := range ref {
-				ids = append(ids, id)
+			c.req.ID = nextID
+			nextID++
+			h.file(c, k1, float64(rng.Intn(4)))
+			i := sort.Search(len(ref), func(i int) bool { return less(c, ref[i]) })
+			ref = append(ref, nil)
+			copy(ref[i+1:], ref[i:])
+			ref[i] = c
+		case op == 1:
+			if got := heap.Pop(&h).(*call); got != ref[0] {
+				t.Fatalf("step %d: pop %+v, want %+v", step, got.key, ref[0].key)
 			}
-			sort.Ints(ids)
-			id := ids[rng.Intn(len(ids))]
-			if !sb.remove(id) {
-				t.Fatalf("step %d: remove(%d) reported absent", step, id)
+			ref = ref[1:]
+		default:
+			i := rng.Intn(len(ref))
+			c := ref[i]
+			if got := heap.Remove(&h, c.slot).(*call); got != c {
+				t.Fatalf("step %d: remove by slot %d took %+v, want %+v", step, c.slot, got.key, c.key)
 			}
-			if sb.remove(id) {
-				t.Fatalf("step %d: double remove(%d) reported present", step, id)
+			ref = append(ref[:i], ref[i+1:]...)
+		}
+		if h.Len() != len(ref) {
+			t.Fatalf("step %d: len %d, want %d", step, h.Len(), len(ref))
+		}
+		for i, c := range h {
+			if c.slot != i {
+				t.Fatalf("step %d: call %d at index %d has slot %d", step, c.req.ID, i, c.slot)
 			}
-			delete(ref, id)
 		}
-		if sb.len() != len(ref) {
-			t.Fatalf("step %d: len %d, want %d", step, sb.len(), len(ref))
-		}
-		var wantMin, wantMax sbKey
-		first := true
-		for _, e := range ref {
-			if first || e.key.less(wantMin) {
-				wantMin = e.key
-			}
-			if first || wantMax.less(e.key) {
-				wantMax = e.key
-			}
-			first = false
-		}
-		gotMin, okMin := sb.min()
-		gotMax, okMax := sb.max()
-		if okMin != !first || okMax != !first {
-			t.Fatalf("step %d: min/max presence %v/%v, want %v", step, okMin, okMax, !first)
-		}
-		if okMin && (gotMin.key != wantMin || gotMin.c != calls[wantMin.id]) {
-			t.Fatalf("step %d: min %+v, want %+v", step, gotMin.key, wantMin)
-		}
-		if okMax && gotMax.key != wantMax {
-			t.Fatalf("step %d: max %+v, want %+v", step, gotMax.key, wantMax)
+		if len(ref) > 0 && h[0] != ref[0] {
+			t.Fatalf("step %d: top %+v, want %+v", step, h[0].key, ref[0].key)
 		}
 	}
 }
@@ -185,7 +125,7 @@ func TestPriorityOutOfOrderArrivalTieBreak(t *testing.T) {
 		}
 	}
 	// Exactly at the aging boundary the promotion must fire (age >=
-	// aging), matching the scoreboard calendar's agedToInteractive.
+	// aging), matching the heap core's aging calendar (agedToInteractive).
 	boundary := []Pending{
 		{ID: 5, Arrival: now - 5, Class: ClassBatch},
 		{ID: 4, Arrival: now - 1, Class: ClassInteractive},
@@ -199,7 +139,7 @@ func TestPriorityOutOfOrderArrivalTieBreak(t *testing.T) {
 // running sequences admitted in the same window carry identical
 // (deadline, admitted), and the pick must fall to the lowest id from
 // any slice order — the choice the historical scan made implicitly —
-// so the reference and the scoreboard agree.
+// so the reference and the heap core agree.
 func TestSLOVictimDeterministicIDTie(t *testing.T) {
 	p := SLOPolicy{}
 	blocked := Pending{ID: 99, Deadline: 5}
@@ -231,7 +171,30 @@ func TestSLOVictimDeterministicIDTie(t *testing.T) {
 	}
 }
 
-// --- linear vs scoreboard equivalence --------------------------------
+// TestSLOVictimEqualDeadline pins the strictly-later victim filter at a
+// tie: a running sequence whose deadline equals the blocked request's
+// is not preempted — two such requests would otherwise preempt each
+// other back and forth — by the linear scan or by the core, while one
+// with a strictly later deadline is.
+func TestSLOVictimEqualDeadline(t *testing.T) {
+	sc := SLOPolicy{}.newCore()
+	c := fuzzCall(1, 1, ClassInteractive, 1.5) // deadline 2.5
+	sc.runningAdd(c)
+	running := runningViews(map[int]*call{1: c})
+	for _, tc := range []struct {
+		blocked float64
+		preempt bool
+	}{{2.5, false}, {2, true}} {
+		linear := SLOPolicy{}.Victim(0, Pending{ID: 2, Deadline: tc.blocked}, running) >= 0
+		_, core := sc.victim(tc.blocked)
+		if linear != tc.preempt || core != tc.preempt {
+			t.Errorf("blocked deadline %g vs running 2.5: linear preempts %v, core %v, want %v",
+				tc.blocked, linear, core, tc.preempt)
+		}
+	}
+}
+
+// --- linear vs heap-core equivalence ----------------------------------
 
 // fuzzCall builds the minimal call a schedCore needs.
 func fuzzCall(id int, arrival float64, class Class, ttft float64) *call {
@@ -247,15 +210,18 @@ func fuzzPending(c *call) Pending {
 
 // FuzzPolicyEquivalence drains randomized pending sets through a
 // built-in policy's linear reference scan (policy_linear_test.go) and
-// through the scoreboard core, then does the same for victim selection
-// over a randomized running batch, asserting identical choices at
-// every step. Keys are quantised to a
-// coarse grid so full-key ties — where the two implementations are most
-// likely to diverge — occur constantly.
+// through the heap core, then does the same for victim selection over
+// a randomized running batch, asserting identical choices at every
+// step. Keys are quantised to a coarse grid so full-key ties — where
+// the two implementations are most likely to diverge — occur
+// constantly, and the blocked request's deadline is sometimes drawn
+// from the running batch's, so the strictly-later victim filter is
+// exercised at a tie.
 func FuzzPolicyEquivalence(f *testing.F) {
 	f.Add(uint64(1), uint8(12), uint8(0))
 	f.Add(uint64(2), uint8(40), uint8(1))
 	f.Add(uint64(3), uint8(40), uint8(2))
+	f.Add(uint64(8), uint8(40), uint8(2)) // victim drain through admission-order ties
 	f.Add(uint64(99), uint8(64), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, n, kind uint8) {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -311,10 +277,10 @@ func FuzzPolicyEquivalence(f *testing.F) {
 			}
 			want := views[p.Next(now, views)].ID
 			if got.req.ID != want {
-				t.Fatalf("policy %s: linear admits %d, scoreboard admits %d (eligible %v)",
+				t.Fatalf("policy %s: linear admits %d, core admits %d (eligible %v)",
 					p.Name(), want, got.req.ID, views)
 			}
-			sc.removeEligible(want)
+			sc.pop()
 			for i, c := range remaining {
 				if c.req.ID == want {
 					remaining = append(remaining[:i], remaining[i+1:]...)
@@ -324,11 +290,15 @@ func FuzzPolicyEquivalence(f *testing.F) {
 		}
 
 		// Victim drain (SLO only): the same calls as a running batch,
-		// admitted in quantised same-window groups to force full ties.
+		// admitted in quantised same-window groups to force full ties,
+		// on a fresh core — calls still stamped in the future stay filed
+		// in the drained one, and a call sits in one core's heap at a
+		// time.
 		slo, isSLO := p.(SLOPolicy)
 		if !isSLO {
 			return
 		}
+		sc = p.newCore()
 		running := map[int]*call{}
 		for _, c := range calls {
 			c.admittedAt = float64(rng.Intn(3))
@@ -336,7 +306,11 @@ func FuzzPolicyEquivalence(f *testing.F) {
 			sc.runningAdd(c)
 		}
 		blocked := Pending{ID: count + 1, Deadline: math.Inf(1)}
-		if rng.Intn(4) > 0 {
+		switch rng.Intn(4) {
+		case 0: // no SLO at stake: never preempts
+		case 1: // a running deadline (ending in .5): the filter's tie
+			blocked.Deadline = calls[rng.Intn(count)].deadline()
+		default:
 			blocked.Deadline = float64(rng.Intn(10))
 		}
 		for {
@@ -345,18 +319,18 @@ func FuzzPolicyEquivalence(f *testing.F) {
 			gotID, ok := sc.victim(blocked.Deadline)
 			if v < 0 {
 				if ok {
-					t.Fatalf("linear declines a victim, scoreboard picks %d", gotID)
+					t.Fatalf("linear declines a victim, core picks %d", gotID)
 				}
 				break
 			}
 			if !ok {
-				t.Fatalf("linear picks victim %d, scoreboard declines", views[v].ID)
+				t.Fatalf("linear picks victim %d, core declines", views[v].ID)
 			}
 			if gotID != views[v].ID {
-				t.Fatalf("linear victim %d, scoreboard victim %d (running %v)", views[v].ID, gotID, views)
+				t.Fatalf("linear victim %d, core victim %d (running %v)", views[v].ID, gotID, views)
 			}
+			sc.runningRemove(running[gotID])
 			delete(running, gotID)
-			sc.runningRemove(gotID)
 		}
 	})
 }
@@ -365,8 +339,8 @@ func FuzzPolicyEquivalence(f *testing.F) {
 
 // checkGoldenSchedule compares one scenario's replay against
 // testdata/golden/schedules.txt, recorded from the linear policy scan
-// and the scoreboard core while the server still ran both (the two
-// agreed byte for byte). Each line is "scenario request admitted
+// and the bitmap-scoreboard core that preceded the heap core, while the
+// server still ran both (the two agreed byte for byte). Each line is "scenario request admitted
 // first_token finished preempted", virtual seconds in shortest
 // round-trip form so any bit of drift shows.
 func checkGoldenSchedule(t *testing.T, scenario string, results []Result) {

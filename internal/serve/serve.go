@@ -18,7 +18,7 @@
 //     PriorityPolicy (interactive before batch, starvation-free via
 //     aging), and SLOPolicy (earliest-TTFT-deadline-first, with
 //     preempt-and-requeue when an urgent request cannot fit), each
-//     run on an O(1) bitmap-scoreboard core. The Stepper's
+//     run on an O(log n) binary-heap core. The Stepper's
 //     conservative prompt+output reservation is the preemption hook:
 //     evicting a victim returns every block it held, so the urgent
 //     admission can never fail mid-flight.
@@ -151,7 +151,7 @@ type Config struct {
 	Engine *engine.Engine
 	// QueueDepth bounds the admission queue; Submit fails with
 	// ErrQueueFull beyond it. Default 64. Per-slot scheduling cost is
-	// O(1) in queue depth (the bitmap-scoreboard core,
+	// O(log n) in queue depth and allocation-free (the heap core,
 	// docs/scheduling.md), so depth can be sized for burst absorption
 	// alone.
 	QueueDepth int
@@ -513,6 +513,15 @@ type call struct {
 	evMu       sync.Mutex // serialises emit against closeEvents
 	evClosed   bool
 	ticket     Ticket // returned to the submitter; embedded to spare an allocation
+
+	// key and slot file the call in the scheduler core (schedcore.go):
+	// its sort key and its index in the one heap that holds it. One
+	// slot is enough because a call sits in at most one core heap
+	// across the whole fleet: ownership moves only through enqueue
+	// after the previous owner has let go (retired the call, or
+	// evacuated its core on exit).
+	key  coreKey
+	slot int
 }
 
 // id is the client-visible request id: the Ticket's id once Submit

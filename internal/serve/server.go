@@ -69,16 +69,15 @@ type Server struct {
 	// goroutine touches it.
 	sp *engine.Stepper
 
-	// core is the policy's bitmap-scoreboard scheduler state
-	// (scoreboard.go): every queued request, eligible ones bucketed at
-	// enqueue time, the running batch mirrored into a deadline
-	// scoreboard, and every per-slot decision O(1) in queue depth. Only
-	// the scheduler goroutine touches it.
+	// core is the policy's heap scheduler state (schedcore.go): every
+	// queued request, eligible ones keyed at enqueue time, the running
+	// batch mirrored into a deadline heap, and every per-slot decision
+	// O(log n) in queue depth. Only the scheduler goroutine touches it.
 	core *schedCore
 
 	// Loop state, like sp and core read by New's seed publish and then
 	// touched only by the scheduler goroutine: the running batch by
-	// scheduler id (run and retire keep core's running scoreboard in
+	// scheduler id (run and retire keep core's running heap in
 	// step), handed-off sequences awaiting import, the counters publish
 	// reports, and the iteration's claimed outcomes and lost requests,
 	// held for delivery until after its publish (settle).
@@ -551,11 +550,10 @@ func (s *Server) coalesce() {
 // policy's next eligible request (arrived on the virtual clock) while
 // its conservative KV reservation fits — with the policy's preemption
 // hook invoked when it does not — and the batch cap allows. The
-// eligible set lives on the scoreboard core and is maintained
-// incrementally (clock advances promote pending→eligible in arrival
-// order; aged batch requests move rank), so each admission decision —
-// promote, peek, remove — is O(1) in queue depth and allocation-free in
-// steady state.
+// eligible set lives on the heap core and is maintained incrementally
+// (clock advances promote pending→eligible in arrival order; aged batch
+// requests move rank), so each admission decision — promote, peek, pop
+// — is O(log n) in queue depth and allocation-free in steady state.
 func (s *Server) admit() {
 	sp, sc := s.sp, s.core
 	for sc.len() > 0 {
@@ -581,13 +579,13 @@ func (s *Server) admit() {
 				// Submit's whole-plan check mirrors CanAdmit at an
 				// empty system, but admission must always make
 				// progress even if those drift apart.
-				sc.removeEligible(c.req.ID)
+				sc.pop()
 				s.conclude(c, Result{Err: fmt.Errorf("%w: %d+%d tokens vs %d-block plan",
 					ErrNeverFits, c.req.PromptLen, c.req.OutputLen, s.cfg.Engine.Plan().Blocks)})
 				continue
 			}
 		}
-		sc.removeEligible(c.req.ID)
+		sc.pop()
 		if err := sp.Admit(c.req); err != nil {
 			s.conclude(c, Result{Err: err})
 			continue
@@ -600,11 +598,11 @@ func (s *Server) admit() {
 }
 
 // makeRoom preempts the policy's victims until blocked fits or the
-// policy declines. The victim is the running scoreboard's reverse-CLZ
-// pick; its sequence is evicted from the stepper (returning every KV
-// block it held) and requeued through the core with its original
-// arrival, hence its original rank keys, to be re-admitted — and fully
-// recomputed — later.
+// policy declines. The victim is the top of the running heap; its
+// sequence is evicted from the stepper (returning every KV block it
+// held) and requeued through the core with its original arrival, hence
+// its original rank keys, to be re-admitted — and fully recomputed —
+// later.
 func (s *Server) makeRoom(blocked *call) {
 	sp := s.sp
 	for !sp.CanAdmitRequest(blocked.req) {
@@ -624,7 +622,7 @@ func (s *Server) makeRoom(blocked *call) {
 }
 
 // run puts an admitted or imported call into the running batch: the
-// inflight map and the running scoreboard's victim mirror.
+// inflight map and the running heap's victim mirror.
 func (s *Server) run(c *call) {
 	s.inflight[c.req.ID] = c
 	s.core.runningAdd(c)
@@ -635,8 +633,10 @@ func (s *Server) run(c *call) {
 // returns it (nil when id is not running).
 func (s *Server) retire(id int) *call {
 	c := s.inflight[id]
-	delete(s.inflight, id)
-	s.core.runningRemove(id)
+	if c != nil {
+		delete(s.inflight, id)
+		s.core.runningRemove(c)
+	}
 	return c
 }
 
@@ -767,7 +767,7 @@ func (s *Server) drain() {
 }
 
 // arrive stamps live submissions with the current virtual clock and
-// queues them on the scoreboard core.
+// queues them on the heap core.
 func (s *Server) arrive(c *call) {
 	if c.req.ArrivalSeconds < 0 {
 		// A resurrected call carries a deterministic sim-time backoff
