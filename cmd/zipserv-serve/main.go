@@ -73,6 +73,7 @@ package main
 import (
 	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -206,10 +207,11 @@ func runOffline(p params, batch int, compare bool) {
 		cfg := p.serving
 		cfg.Backend = b
 		eng, err := zipserv.NewEngine(cfg)
-		if err != nil {
+		if errors.Is(err, zipserv.ErrEngineDoesNotFit) {
 			fmt.Printf("%-14s does not fit: %v\n", b, err)
 			continue
 		}
+		exitOn(err) // no backend serves an invalid deployment
 		m, err := eng.Run(batch, p.prompt, p.out)
 		if err != nil {
 			fmt.Printf("%-14s failed: %v\n", b, err)

@@ -151,3 +151,21 @@ func TestMisconfigurationIsAUsageError(t *testing.T) {
 		})
 	}
 }
+
+// TestInvalidDeploymentExits pins that a tensor-parallel degree that
+// does not divide the model's attention heads ends every mode with exit
+// status 1 and the engine's error, instead of pricing truncated shards.
+func TestInvalidDeploymentExits(t *testing.T) {
+	for _, args := range [][]string{
+		{"-gpus", "3"},
+		{"-gpus", "3", "-compare"},
+		{"-live", "-gpus", "5000", "-requests", "4"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			stdout, stderr, code := serve(t, args...)
+			if code != 1 || !strings.Contains(stderr, "attention heads") {
+				t.Fatalf("exit %d, want 1 with an attention-head error\nstdout:\n%s\nstderr:\n%s", code, stdout, stderr)
+			}
+		})
+	}
+}

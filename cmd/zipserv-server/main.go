@@ -17,6 +17,7 @@
 //	zipserv-server -replicas 4 -health -retry-budget 3                          # breakers + resurrection
 //	zipserv-server -replicas 2 -health -fault-plan chaos.plan                   # scripted chaos drill
 //	zipserv-server -adaptive-chunk -target-step-time 30ms -prefix-cache -adaptive-prefix-cache
+//	zipserv-server -pprof    # go tool pprof localhost:8080/debug/pprof/profile?seconds=15
 //	curl localhost:8080/v1/models
 //	curl -X POST localhost:8080/v1/simulate -d '{"model":"LLaMA3.1-8B","device":"RTX4090","backend":"zipserv","batch":32,"prompt":128,"output":512}'
 //	curl -X POST localhost:8080/v1/generate -d '{"prompt_len":128,"output_len":64}'
@@ -37,6 +38,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -96,6 +98,8 @@ func main() {
 		"disaggregation pool roles, comma-separated per replica in order (prefill, decode, mixed); "+
 			"one value applies to every replica; any prefill/decode role routes prompts prefill→decode with compressed KV handoff")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown window")
+	pprofOn := flag.Bool("pprof", false,
+		"serve the net/http/pprof profiling handlers under /debug/pprof/ on the API listener (off by default: keep them off a public listener)")
 	flag.Parse()
 
 	model, err := weights.ByName(*modelName)
@@ -224,7 +228,7 @@ func main() {
 
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           httpapi.NewLiveMux(live),
+		Handler:           apiHandler(live, *pprofOn),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      60 * time.Second,
@@ -271,6 +275,9 @@ func main() {
 	if plan != nil {
 		poolDesc += fmt.Sprintf(", fault plan %s (%d events)", *faultPlanPath, len(plan.Events))
 	}
+	if *pprofOn {
+		poolDesc += ", pprof on /debug/pprof/"
+	}
 	log.Printf("zipserv-server listening on %s (live: %d× [%s on %dx %s], %s backend, %s policy, %s, %s%s)",
 		*addr, *replicas, *modelName, *gpus, *device, *backend, *policyName, chunkDesc, cacheDesc, poolDesc)
 
@@ -290,4 +297,18 @@ func main() {
 		log.Printf("zipserv-server: scheduler drain: %v", err)
 	}
 	log.Printf("zipserv-server: bye")
+}
+
+// apiHandler returns the listener's handler: the live API, plus the
+// net/http/pprof handlers under /debug/pprof/ when pprofOn is set.
+func apiHandler(live serve.Backend, pprofOn bool) http.Handler {
+	mux := httpapi.NewLiveMux(live)
+	if pprofOn {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
+	return mux
 }

@@ -127,17 +127,15 @@ func (s *Stepper) ChunkBudget() int {
 }
 
 // probePrefillTime prices the prefill iteration a given budget would
-// produce right now: carve the admitted queue exactly as Prefill
-// would, then run the carve through the chunk-aware cost model. The
-// probe buffer is scratch; the controller's binary search calls this
-// O(log(max/min)) times per iteration.
+// produce right now, thaw aside: carve the admitted queue exactly as
+// Prefill would, then run the carve through the chunk-aware cost model
+// on the stepper's GEMM table. The probe buffer is scratch; the
+// controller's binary search calls this O(log(max/min)) times per
+// iteration.
 func (s *Stepper) probePrefillTime(budget int) float64 {
 	sc := s.scratch()
 	sc.probe = s.carve(budget, sc.probe[:0])
-	// Pending thaw work runs with the iteration regardless of budget;
-	// the probe must include it or InvertCost would solve for a budget
-	// whose real iteration overshoots the cadence target.
-	return s.e.ChunkedPrefillTime(sc.probe) + s.e.KVDecompressTime(s.pendingDecompress)
+	return s.e.chunkedPrefillTime(&s.gemm, sc.probe)
 }
 
 // adaptChunkBudget runs one controller update and returns the budget
@@ -145,19 +143,25 @@ func (s *Stepper) probePrefillTime(budget int) float64 {
 // queue.
 func (s *Stepper) adaptChunkBudget() int {
 	ctl := s.chunkCtl
+	// Pending thaw work runs with the iteration regardless of budget;
+	// every probe must include it or InvertCost would solve for a budget
+	// whose real iteration overshoots the cadence target. Its price does
+	// not depend on the budget, so it is priced once per update.
+	thaw := s.e.KVDecompressTime(s.pendingDecompress)
+	probe := func(budget int) float64 { return s.probePrefillTime(budget) + thaw }
 	var solved int
 	if len(s.active) > 0 {
 		sumCtx := 0
 		for _, q := range s.active {
 			sumCtx += q.ctx
 		}
-		headroom := ctl.target - s.e.BatchDecodeStepTime(len(s.active), sumCtx)
+		headroom := ctl.target - s.e.batchDecodeStepTime(&s.gemm, len(s.active), sumCtx)
 		if headroom <= 0 {
 			// The decode step alone blows the target: make minimal
 			// prompt progress so admitted sequences still move.
 			solved = ctl.min
 		} else {
-			solved = gpu.InvertCost(ctl.min, ctl.max, headroom, s.probePrefillTime)
+			solved = gpu.InvertCost(ctl.min, ctl.max, headroom, probe)
 		}
 	} else if s.DecodeFree {
 		// Decode-free operating point: on a dedicated prefill replica
@@ -165,7 +169,7 @@ func (s *Stepper) adaptChunkBudget() int {
 		// (rather than defaulting to the ceiling) keeps its iterations
 		// — and so its admission and handoff latency — bounded by the
 		// same SLO that governs mixed iterations.
-		solved = gpu.InvertCost(ctl.min, ctl.max, ctl.target, s.probePrefillTime)
+		solved = gpu.InvertCost(ctl.min, ctl.max, ctl.target, probe)
 	} else {
 		// A mixed replica's empty decode batch is transient idleness:
 		// nobody's cadence is at stake, so grow toward the ceiling and

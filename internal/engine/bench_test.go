@@ -72,3 +72,71 @@ func BenchmarkStepperDecodeHeavy(b *testing.B) {
 		}
 	}
 }
+
+// The cost-model row of the layer ladder: one decode-step price or one
+// prefill price per op, on chat-unique-like shapes. direct calls the
+// exported Engine method, which runs the kernel model every call;
+// stepper prices through a Stepper's GEMM table after a warm-up pass
+// has filled it, as the scheduler does at steady state.
+
+// costDecodeShapes are (batch, summed context) pairs: batches of 1–4
+// with a few hundred tokens of context each.
+var costDecodeShapes = [][2]int{{1, 180}, {1, 420}, {2, 530}, {2, 760}, {3, 900}, {3, 1150}, {4, 1300}, {4, 1640}}
+
+// costPrefillShapes are single final chunks of 64–512 tokens.
+var costPrefillShapes = [][]PrefillChunk{
+	{{Tokens: 64, Final: true}}, {{Tokens: 128, Final: true}}, {{Tokens: 200, Final: true}},
+	{{Tokens: 256, Final: true}}, {{Tokens: 384, Final: true}}, {{Tokens: 512, Final: true}},
+}
+
+var costSink float64
+
+func BenchmarkBatchDecodeStepTime(b *testing.B) {
+	e := newPrefixTestEngine(b)
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s := costDecodeShapes[i%len(costDecodeShapes)]
+			costSink += e.BatchDecodeStepTime(s[0], s[1])
+		}
+	})
+	b.Run("stepper", func(b *testing.B) {
+		sp, err := NewStepper(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range costDecodeShapes {
+			costSink += e.batchDecodeStepTime(&sp.gemm, s[0], s[1])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s := costDecodeShapes[i%len(costDecodeShapes)]
+			costSink += e.batchDecodeStepTime(&sp.gemm, s[0], s[1])
+		}
+	})
+}
+
+func BenchmarkChunkedPrefillTime(b *testing.B) {
+	e := newPrefixTestEngine(b)
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			costSink += e.ChunkedPrefillTime(costPrefillShapes[i%len(costPrefillShapes)])
+		}
+	})
+	b.Run("stepper", func(b *testing.B) {
+		sp, err := NewStepper(e)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range costPrefillShapes {
+			costSink += e.chunkedPrefillTime(&sp.gemm, c)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			costSink += e.chunkedPrefillTime(&sp.gemm, costPrefillShapes[i%len(costPrefillShapes)])
+		}
+	})
+}

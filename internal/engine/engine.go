@@ -14,6 +14,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"zipserv/internal/codec"
@@ -90,6 +91,10 @@ const (
 	dfloat11SyncPerMatrix = 280e-6
 )
 
+// ErrDoesNotFit reports a deployment whose weights and reserved
+// headroom leave no device memory for the KV cache; New wraps it.
+var ErrDoesNotFit = errors.New("does not fit")
+
 // Engine simulates one deployment.
 type Engine struct {
 	cfg  Config
@@ -111,6 +116,12 @@ func New(cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("engine: unknown backend %q", cfg.Backend)
 	}
+	// vLLM's rule: every rank holds whole attention heads. Without it
+	// shardedShape would price truncated shards.
+	if cfg.Model.NumHeads%cfg.NumGPUs != 0 {
+		return nil, fmt.Errorf("engine: tensor-parallel degree %d does not divide the %d attention heads of %s",
+			cfg.NumGPUs, cfg.Model.NumHeads, cfg.Model.Name)
+	}
 	if cfg.Compression.Ratio == 0 {
 		cfg.Compression = gpu.DefaultCompression()
 	}
@@ -127,8 +138,8 @@ func New(cfg Config) (*Engine, error) {
 	kvPerTokenPerGPU := cfg.Model.KVBytesPerToken() / int64(cfg.NumGPUs)
 	plan, err := kvcache.PlanCapacity(vram, wBytes, reserved, kvPerTokenPerGPU, kvcache.DefaultBlockTokens)
 	if err != nil {
-		return nil, fmt.Errorf("engine: %s does not fit on %d× %s: %w",
-			cfg.Model.Name, cfg.NumGPUs, cfg.Device.Name, err)
+		return nil, fmt.Errorf("engine: %s %w on %d× %s: %w",
+			cfg.Model.Name, ErrDoesNotFit, cfg.NumGPUs, cfg.Device.Name, err)
 	}
 	return &Engine{cfg: cfg, plan: plan, weightBytesPerGPU: wBytes}, nil
 }
@@ -205,14 +216,68 @@ func (e *Engine) gemmTime(kind weights.LayerKind, n int) float64 {
 	}
 }
 
-// stepGEMMTime prices all weight GEMMs of one decode step (batch b):
-// four block layers × layers + the LM head.
-func (e *Engine) stepGEMMTime(b int) float64 {
+// blockGEMMTime prices the weight GEMMs of every transformer block at
+// token count n: the four block layer kinds, times the layer count.
+// The explicit conversion rounds the product, so a tabled entry and a
+// direct price agree bit for bit on every architecture (Go may
+// otherwise fuse the multiply into the caller's add).
+func (e *Engine) blockGEMMTime(n int) float64 {
 	var perBlock float64
 	for _, kind := range weights.BlockLayerKinds {
-		perBlock += e.gemmTime(kind, b)
+		perBlock += e.gemmTime(kind, n)
 	}
-	return perBlock*float64(e.cfg.Model.NumLayers) + e.gemmTime(weights.LMHead, b)
+	return float64(perBlock * float64(e.cfg.Model.NumLayers))
+}
+
+// gemmTable memoizes the two weight-GEMM terms of the cost model that
+// depend on nothing but a token count: block[n] = blockGEMMTime(n) and
+// head[n] = the LM head's gemmTime at n. A cell is priced on first use
+// (0 = not yet priced), so a table grows only as far as the batch sizes
+// and packed prefill widths its stepper meets: at most the plan's
+// blocks and KV tokens. Each Stepper owns one and fills it on its
+// scheduler goroutine; the exported Engine methods pass nil and price
+// directly, which keeps them the oracle the table is tested against.
+type gemmTable struct {
+	block, head []float64
+}
+
+// cell returns tab's entry for n, growing tab to hold it.
+func cell(tab *[]float64, n int) *float64 {
+	if n >= len(*tab) {
+		*tab = append(*tab, make([]float64, n+1-len(*tab))...)
+	}
+	return &(*tab)[n]
+}
+
+// blockGEMM returns blockGEMMTime(n), read from t unless t is nil.
+func (e *Engine) blockGEMM(t *gemmTable, n int) float64 {
+	if t == nil {
+		return e.blockGEMMTime(n)
+	}
+	p := cell(&t.block, n)
+	if *p == 0 {
+		*p = e.blockGEMMTime(n)
+	}
+	return *p
+}
+
+// headGEMM returns the LM head's GEMM time at n tokens, read from t
+// unless t is nil.
+func (e *Engine) headGEMM(t *gemmTable, n int) float64 {
+	if t == nil {
+		return e.gemmTime(weights.LMHead, n)
+	}
+	p := cell(&t.head, n)
+	if *p == 0 {
+		*p = e.gemmTime(weights.LMHead, n)
+	}
+	return *p
+}
+
+// stepGEMMTime prices all weight GEMMs of one decode step (batch b):
+// every block's layers plus the LM head, read from t unless t is nil.
+func (e *Engine) stepGEMMTime(t *gemmTable, b int) float64 {
+	return e.blockGEMM(t, b) + e.headGEMM(t, b)
 }
 
 // attentionTime prices the decode attention sweep: reading b×ctx
@@ -265,11 +330,19 @@ func (e *Engine) DecodeStepTime(b, ctx int) float64 {
 }
 
 // BatchDecodeStepTime prices one decode step over a heterogeneous
-// running batch: b sequences whose context lengths sum to sumCtx. This
-// is the step-granular entry point the continuous-batching loops
-// (offline Serve and the live internal/serve scheduler) consume.
+// running batch: b sequences whose context lengths sum to sumCtx. It
+// prices directly, every GEMM through the kernel model on every call;
+// a Stepper prices its steps by the same formula with its weight-GEMM
+// terms read from a table, and this method is the oracle that table is
+// checked against.
 func (e *Engine) BatchDecodeStepTime(b, sumCtx int) float64 {
-	return e.stepGEMMTime(b) + e.attentionTimeTotal(sumCtx) + e.otherTime() + e.allReduceTime(b)
+	return e.batchDecodeStepTime(nil, b, sumCtx)
+}
+
+// batchDecodeStepTime is BatchDecodeStepTime with the weight-GEMM
+// terms read from t (nil prices them directly).
+func (e *Engine) batchDecodeStepTime(t *gemmTable, b, sumCtx int) float64 {
+	return e.stepGEMMTime(t, b) + e.attentionTimeTotal(sumCtx) + e.otherTime() + e.allReduceTime(b)
 }
 
 // PrefillChunk describes the slice of one prompt processed in a single
@@ -294,7 +367,15 @@ type PrefillChunk struct {
 // overheads make it strictly dearer). The LM head runs only for Final
 // chunks — only completing sequences sample a token. A whole prompt
 // processed as one chunk degenerates to PackedPrefillTime exactly.
+// Like BatchDecodeStepTime it prices directly and is the oracle for a
+// Stepper's tabled prices.
 func (e *Engine) ChunkedPrefillTime(chunks []PrefillChunk) float64 {
+	return e.chunkedPrefillTime(nil, chunks)
+}
+
+// chunkedPrefillTime is ChunkedPrefillTime with the weight-GEMM terms
+// read from t (nil prices them directly).
+func (e *Engine) chunkedPrefillTime(t *gemmTable, chunks []PrefillChunk) float64 {
 	if len(chunks) == 0 {
 		return 0
 	}
@@ -305,16 +386,12 @@ func (e *Engine) ChunkedPrefillTime(chunks []PrefillChunk) float64 {
 			finals++
 		}
 	}
-	var gemm float64
-	for _, kind := range weights.BlockLayerKinds {
-		gemm += e.gemmTime(kind, n)
-	}
-	gemm *= float64(e.cfg.Model.NumLayers)
+	gemm := e.blockGEMM(t, n)
 	if finals > 0 {
-		gemm += e.gemmTime(weights.LMHead, finals)
+		gemm += e.headGEMM(t, finals)
 	}
 
-	m := e.cfg.Model
+	m := &e.cfg.Model
 	var attnFLOPs float64
 	for _, c := range chunks {
 		attnFLOPs += 4 * float64(c.Tokens) * float64(2*c.Start+c.Tokens) * float64(m.HiddenDim) * float64(m.NumLayers)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -32,8 +33,16 @@ func TestNewValidation(t *testing.T) {
 	// A 70B model cannot fit on a single 24 GiB card with dense
 	// weights.
 	big, _ := weights.ByName("LLaMA3.1-70B")
-	if _, err := New(Config{Model: big, Device: gpu.MustByName("RTX4090"), Backend: BackendVLLM}); err == nil {
-		t.Error("70B on one RTX4090 accepted")
+	if _, err := New(Config{Model: big, Device: gpu.MustByName("RTX4090"), Backend: BackendVLLM}); !errors.Is(err, ErrDoesNotFit) {
+		t.Errorf("70B on one RTX4090: got %v, want ErrDoesNotFit", err)
+	}
+	// Every rank must hold whole attention heads: 32 heads do not split
+	// 3 or 5000 ways.
+	for _, tp := range []int{3, 5000} {
+		_, err := New(Config{Model: model, Device: gpu.MustByName("RTX4090"), NumGPUs: tp, Backend: BackendZipServ})
+		if err == nil || !strings.Contains(err.Error(), "attention heads") {
+			t.Errorf("TP %d on LLaMA3.1-8B: got %v, want an attention-head error", tp, err)
+		}
 	}
 }
 
@@ -68,7 +77,7 @@ func TestStepBreakdownFig17(t *testing.T) {
 	vllm := newEngine(t, "LLaMA3.1-8B", "RTX4090", 1, BackendVLLM)
 	zip := newEngine(t, "LLaMA3.1-8B", "RTX4090", 1, BackendZipServ)
 
-	g := vllm.stepGEMMTime(32)
+	g := vllm.stepGEMMTime(nil, 32)
 	if g < 15e-3 || g > 30e-3 {
 		t.Errorf("vLLM step GEMM %.2f ms, paper ≈25 ms", g*1e3)
 	}
@@ -76,7 +85,7 @@ func TestStepBreakdownFig17(t *testing.T) {
 	if frac < 0.65 || frac > 0.92 {
 		t.Errorf("GEMM fraction %.2f of step, paper 0.836", frac)
 	}
-	speedup := g / zip.stepGEMMTime(32)
+	speedup := g / zip.stepGEMMTime(nil, 32)
 	if speedup < 1.35 || speedup > 1.95 {
 		t.Errorf("linear-layer speedup %.2f, paper 1.69", speedup)
 	}

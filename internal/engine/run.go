@@ -87,7 +87,7 @@ func (e *Engine) Run(batch, promptLen, outputLen int) (Metrics, error) {
 
 		// Decode: one step per output token; context grows, blocks are
 		// claimed as sequences cross block boundaries.
-		gemm := e.stepGEMMTime(b) // context-independent, hoisted
+		gemm := e.stepGEMMTime(nil, b) // context-independent, hoisted
 		other := e.otherTime() + e.allReduceTime(b)
 		var decode float64
 		for t := 0; t < outputLen; t++ {
@@ -131,7 +131,7 @@ func (e *Engine) Run(batch, promptLen, outputLen int) (Metrics, error) {
 		TotalSeconds:   total,
 		Throughput:     float64(batch) * float64(outputLen) / total,
 
-		StepGEMMSeconds:  e.stepGEMMTime(min(batch, perWave)),
+		StepGEMMSeconds:  e.stepGEMMTime(nil, min(batch, perWave)),
 		StepAttnSeconds:  e.attentionTime(min(batch, perWave), finalCtx),
 		StepOtherSeconds: e.otherTime() + e.allReduceTime(min(batch, perWave)),
 	}

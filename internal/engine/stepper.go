@@ -35,10 +35,11 @@ import (
 // The Stepper runs once per emitted token, so its bookkeeping is
 // allocation-lean: sequence states and per-iteration scratch (chunk
 // lists, metric buffers) come from sync.Pools shared across Stepper
-// instances, prompt block hashes are computed once per request, and
-// the admission capacity lookup is memoized per (request, trie
+// instances, prompt block hashes are computed once per request, the
+// admission capacity lookup is memoized per (request, trie
 // generation) so CanAdmitRequest followed by Admit walks the prefix
-// trie once, not twice.
+// trie once, not twice, and the weight-GEMM prices come from a table
+// filled on first use, so the kernel model runs once per token count.
 //
 // A Stepper is not safe for concurrent use; callers serialise
 // scheduling decisions, as vLLM's engine loop does.
@@ -75,6 +76,11 @@ type Stepper struct {
 
 	e   *Engine
 	mgr *kvcache.Manager
+
+	// gemm memoizes the weight-GEMM terms every decode step, prefill
+	// iteration and controller probe prices: pure in the token count,
+	// so each is priced once per stepper, on first use.
+	gemm gemmTable
 
 	chunkCtl *chunkController // nil = static chunk budget
 
@@ -700,7 +706,7 @@ func (s *Stepper) Prefill() ([]RequestMetrics, float64) {
 	// a cached prefix's tokens as computed would silently erase the
 	// TTFT win the cache exists for.
 	if chunked || s.PackedPrefill || s.mgr.PrefixCacheEnabled() {
-		elapsed = s.e.ChunkedPrefillTime(chunks)
+		elapsed = s.e.chunkedPrefillTime(&s.gemm, chunks)
 	} else {
 		maxPrompt := 0
 		for i := range chunks {
@@ -762,7 +768,7 @@ func (s *Stepper) DecodeStep() ([]RequestMetrics, float64, error) {
 	for _, q := range s.active {
 		sumCtx += q.ctx
 	}
-	elapsed := s.e.BatchDecodeStepTime(b, sumCtx)
+	elapsed := s.e.batchDecodeStepTime(&s.gemm, b, sumCtx)
 	if s.TimeDilation != nil {
 		elapsed *= s.TimeDilation(s.now)
 	}

@@ -118,6 +118,9 @@ func TestSimulateErrors(t *testing.T) {
 		{"unknownDevice", SimulateRequest{Model: "LLaMA3.1-8B", Device: "TPU", Batch: 1, Prompt: 1, Output: 1}, 400},
 		{"unknownBackend", SimulateRequest{Model: "LLaMA3.1-8B", Device: "RTX4090", Backend: "triton", Batch: 1, Prompt: 1, Output: 1}, 400},
 		{"doesNotFit", SimulateRequest{Model: "LLaMA3.1-405B", Device: "RTX4090", Backend: "vllm", Batch: 1, Prompt: 1, Output: 1}, 400},
+		// A TP degree must divide the model's 32 attention heads.
+		{"tpSplitsHeads", SimulateRequest{Model: "LLaMA3.1-8B", Device: "RTX4090", GPUs: 3, Batch: 8, Prompt: 128, Output: 64}, 400},
+		{"tpExceedsHeads", SimulateRequest{Model: "LLaMA3.1-8B", Device: "RTX4090", GPUs: 5000, Batch: 8, Prompt: 128, Output: 64}, 400},
 		{"zeroBatch", SimulateRequest{Model: "LLaMA3.1-8B", Device: "RTX4090", Backend: "zipserv", Batch: 0, Prompt: 1, Output: 1}, 400},
 	}
 	for _, c := range cases {

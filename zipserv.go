@@ -261,6 +261,10 @@ type Engine = engine.Engine
 // NewEngine builds a serving engine.
 func NewEngine(cfg ServingConfig) (*Engine, error) { return engine.New(cfg) }
 
+// ErrEngineDoesNotFit is wrapped by NewEngine's error for a deployment
+// that leaves no device memory for the KV cache.
+var ErrEngineDoesNotFit = engine.ErrDoesNotFit
+
 // ---- Paged KV cache ----
 
 // KVManager is a paged KV-cache allocator (PagedAttention-style).
