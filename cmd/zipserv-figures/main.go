@@ -27,17 +27,30 @@ func main() {
 	device := flag.String("device", "L40S", "GPU for the Figure 11 sweep (RTX4090, L40S, RTX5090, A100, H800)")
 	flag.Parse()
 
+	tables, err := selectTables(*fig, *exp, *ablations, *quick, *device)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "zipserv-figures: %v\n", err)
+		os.Exit(2)
+	}
+	for _, t := range tables {
+		fmt.Println(t)
+	}
+}
+
+// selectTables computes the tables the flags select, in print order:
+// one figure, one experiment, the ablations, or by default everything.
+func selectTables(fig, exp string, ablations, quick bool, device string) ([]*bench.Table, error) {
 	figures := map[string]func() *bench.Table{
 		"1":   bench.Fig01,
 		"2":   bench.Fig02,
 		"5":   bench.Fig05,
-		"11":  func() *bench.Table { return bench.Fig11(*device) },
+		"11":  func() *bench.Table { return bench.Fig11(device) },
 		"11c": bench.Fig11c,
 		"12":  bench.Fig12,
 		"13":  bench.Fig13,
 		"14":  bench.Fig14,
 		"15":  bench.Fig15,
-		"16":  func() *bench.Table { return bench.Fig16(*quick) },
+		"16":  func() *bench.Table { return bench.Fig16(quick) },
 		"17":  bench.Fig17,
 		"18":  bench.Fig18,
 	}
@@ -52,34 +65,27 @@ func main() {
 	}
 
 	switch {
-	case *fig != "":
-		f, ok := figures[*fig]
+	case fig != "":
+		f, ok := figures[fig]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "zipserv-figures: unknown figure %q\n", *fig)
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown figure %q", fig)
 		}
-		fmt.Println(f())
-	case *exp != "":
-		f, ok := experiments[*exp]
+		return []*bench.Table{f()}, nil
+	case exp != "":
+		f, ok := experiments[exp]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "zipserv-figures: unknown experiment %q\n", *exp)
-			os.Exit(2)
+			return nil, fmt.Errorf("unknown experiment %q", exp)
 		}
-		fmt.Println(f())
-	case *ablations:
-		for _, t := range bench.Ablations() {
-			fmt.Println(t)
-		}
-	default:
-		order := []string{"1", "2", "5", "11", "11c", "12", "13", "14", "15", "16", "17", "18"}
-		for _, k := range order {
-			fmt.Println(figures[k]())
-		}
-		for _, k := range []string{"3.1", "3.2", "4.2", "6.4", "6.5", "7", "7b"} {
-			fmt.Println(experiments[k]())
-		}
-		for _, t := range bench.Ablations() {
-			fmt.Println(t)
-		}
+		return []*bench.Table{f()}, nil
+	case ablations:
+		return bench.Ablations(), nil
 	}
+	var out []*bench.Table
+	for _, k := range []string{"1", "2", "5", "11", "11c", "12", "13", "14", "15", "16", "17", "18"} {
+		out = append(out, figures[k]())
+	}
+	for _, k := range []string{"3.1", "3.2", "4.2", "6.4", "6.5", "7", "7b"} {
+		out = append(out, experiments[k]())
+	}
+	return append(out, bench.Ablations()...), nil
 }

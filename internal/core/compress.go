@@ -66,27 +66,81 @@ func CompressWithOptions(m *bf16.Matrix, opts Options) (*Compressed, error) {
 // exponent analysis: it picks the in-window exponents and records them
 // as BaseExp and Codebook on an otherwise empty Compressed.
 func newCompressed(m *bf16.Matrix, opts Options) (*Compressed, error) {
-	if err := opts.validate(); err != nil {
+	if err := checkInput(m.Rows, m.Cols, opts); err != nil {
 		return nil, err
 	}
-	if m.Rows <= 0 || m.Cols <= 0 {
-		return nil, fmt.Errorf("core: cannot compress empty %d×%d matrix", m.Rows, m.Cols)
-	}
 	hist := exponentHistogram(m)
-	c := &Compressed{Grid: tile.NewGrid(m.Rows, m.Cols), Opts: opts}
+	cb := selectExponents(&hist, opts)
+	return &Compressed{
+		Grid:     tile.NewGrid(m.Rows, m.Cols),
+		Opts:     opts,
+		BaseExp:  int16(cb[0]) - 1, // informational under TopFrequencySelection
+		Codebook: append([]uint8(nil), cb[:opts.WindowSize()]...),
+	}, nil
+}
+
+// SizeOf returns the exact size CompressWithOptions(m, opts) would
+// encode m to — its SizeBytes — without encoding it, and rejects the
+// inputs CompressWithOptions rejects.
+func SizeOf(m *bf16.Matrix, opts Options) (int, error) {
+	hist := exponentHistogram(m)
+	return SizeOfHistogram(&hist, m.Rows, m.Cols, opts)
+}
+
+// SizeOfHistogram is SizeOf for a rows×cols matrix known only by its
+// exponent histogram, which must count every one of its elements.
+// TCA-TBE is fixed-length (§4.2), so the size is a closed form of
+// Phase I's choice: each in-window element and each padding element
+// (codeword 1, one byte each) costs a PackedSignMantissa byte, each
+// outlier a 2-byte FullValue, and the bit-planes, offsets, codebook and
+// header depend on the geometry alone. No bit is packed.
+func SizeOfHistogram(hist *[256]int64, rows, cols int, opts Options) (int, error) {
+	if err := checkInput(rows, cols, opts); err != nil {
+		return 0, err
+	}
+	cb := selectExponents(hist, opts)
+	k := opts.WindowSize()
+	high := 0
+	for _, e := range cb[:k] {
+		high += int(hist[e])
+	}
+	g := tile.NewGrid(rows, cols)
+	elems := rows * cols
+	pad := g.PaddedRows*g.PaddedCols - elems
+	return footprint(g.NumFrags()*opts.CodewordBits, high+pad, elems-high, 2*(g.NumBlocks()+1), k), nil
+}
+
+// checkInput rejects what the codec cannot encode: invalid options or
+// an empty matrix.
+func checkInput(rows, cols int, opts Options) error {
+	if err := opts.validate(); err != nil {
+		return err
+	}
+	if rows <= 0 || cols <= 0 {
+		return fmt.Errorf("core: cannot compress empty %d×%d matrix", rows, cols)
+	}
+	return nil
+}
+
+// maxWindowSize is the widest supported window: 2^4−1 exponents.
+const maxWindowSize = 1<<4 - 1
+
+// selectExponents is Phase I's choice: the opts.WindowSize() in-window
+// exponents, ascending, so codeword c encodes exponent cb[c-1] — the
+// best contiguous window (cb[0] is then BaseExp+1, the implicit
+// lookup's base) or the individually most frequent exponents.
+func selectExponents(hist *[256]int64, opts Options) (cb [maxWindowSize]uint8) {
+	k := opts.WindowSize()
 	switch opts.Selection {
 	case WindowSelection:
-		start, _ := BestWindow(hist, opts.WindowSize())
-		c.BaseExp = int16(start) - 1
-		c.Codebook = make([]uint8, opts.WindowSize())
-		for i := range c.Codebook {
-			c.Codebook[i] = uint8(start + i)
+		start, _ := BestWindow(*hist, k)
+		for i := range cb[:k] {
+			cb[i] = uint8(start + i)
 		}
 	case TopFrequencySelection:
-		c.Codebook = topExponents(hist, opts.WindowSize())
-		c.BaseExp = int16(c.Codebook[0]) - 1 // informational only
+		copy(cb[:], topExponents(*hist, k))
 	}
-	return c, nil
+	return cb
 }
 
 // encodeBlock encodes one 64×64 BlockTile, writing its bit-planes into

@@ -203,6 +203,9 @@ func TestCompressRejectsBadOptions(t *testing.T) {
 		if _, err := CompressWithOptions(m, opts); err == nil {
 			t.Errorf("options %+v accepted, want error", opts)
 		}
+		if _, err := SizeOf(m, opts); err == nil {
+			t.Errorf("SizeOf accepted options %+v, want error", opts)
+		}
 	}
 }
 
@@ -283,6 +286,34 @@ func TestSizeAccounting(t *testing.T) {
 		8*2*(cm.Grid.NumBlocks()+1) + len(cm.Codebook)
 	if got := cm.SizeBytes(); got != want {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
+	}
+}
+
+// TestSizeOfMatchesCompress is SizeOf's oracle: on random shapes up to
+// 200×200 (mostly partial tiles, so the padding term counts) and three
+// value distributions, it equals the encoded payload's SizeBytes under
+// every option set.
+func TestSizeOfMatchesCompress(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	sets := append(referenceOptions[:len(referenceOptions):len(referenceOptions)],
+		Options{CodewordBits: 2, Selection: TopFrequencySelection})
+	for i := 0; i < 40; i++ {
+		rows, cols, seed := 1+rng.Intn(200), 1+rng.Intn(200), rng.Int63()
+		for _, m := range []*bf16.Matrix{
+			gaussianMatrix(t, rows, cols, 0.02, seed),
+			randomBitsMatrix(t, rows, cols, seed),
+			bimodalMatrix(rows, cols, seed),
+		} {
+			for _, opts := range sets {
+				cm, err := CompressWithOptions(m, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := SizeOf(m, opts); err != nil || got != cm.SizeBytes() {
+					t.Fatalf("%d×%d under %+v: SizeOf = %d, %v; SizeBytes = %d", rows, cols, opts, got, err, cm.SizeBytes())
+				}
+			}
+		}
 	}
 }
 
@@ -451,5 +482,8 @@ func TestDecompressRejectsInvalid(t *testing.T) {
 func TestCompressEmptyMatrix(t *testing.T) {
 	if _, err := Compress(&bf16.Matrix{}); err == nil {
 		t.Error("expected error compressing empty matrix")
+	}
+	if _, err := SizeOf(&bf16.Matrix{Rows: 4}, DefaultOptions()); err == nil {
+		t.Error("SizeOf accepted an empty matrix")
 	}
 }

@@ -154,13 +154,16 @@ func (c *Compressed) Indicator(frag int) uint64 {
 // value buffers, per-block offsets and the fixed header. This is the
 // numerator-side of every compression-ratio figure in the paper.
 func (c *Compressed) SizeBytes() int {
+	return footprint(len(c.Planes), len(c.High), len(c.Full), len(c.HighOff)+len(c.FullOff), len(c.Codebook))
+}
+
+// footprint prices a payload by its array lengths — the one size
+// formula behind SizeBytes and SizeOfHistogram: 8 bytes per bit-plane
+// word, one per PackedSignMantissa byte, two per FullValue entry, 8 per
+// offset, one per codebook entry, plus the fixed header.
+func footprint(planes, high, full, offsets, codebook int) int {
 	const header = 32 // magic, version, dims, options, base exponent
-	return header +
-		8*len(c.Planes) +
-		len(c.High) +
-		2*len(c.Full) +
-		8*(len(c.HighOff)+len(c.FullOff)) +
-		len(c.Codebook)
+	return header + 8*planes + high + 2*full + 8*offsets + codebook
 }
 
 // CompressionRatio returns uncompressed bytes / compressed bytes.

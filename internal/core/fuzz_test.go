@@ -51,9 +51,10 @@ func FuzzReadFrom(f *testing.F) {
 }
 
 // FuzzCompressDecompress feeds arbitrary bit patterns through the full
-// codec: the round trip must always be bit-exact, and under the option
-// set optSel picks the table-driven codec must match the per-element
-// reference (reference_test.go) byte for byte.
+// codec: the round trip must always be bit-exact, SizeOf must equal the
+// encoded size under every option set, and under the option set optSel
+// picks the table-driven codec must match the per-element reference
+// (reference_test.go) byte for byte.
 func FuzzCompressDecompress(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2}, uint8(5), uint8(7), uint8(0))
 	f.Add([]byte{0xFF, 0x7F, 0x80, 0x00}, uint8(64), uint8(64), uint8(1))
@@ -83,6 +84,15 @@ func FuzzCompressDecompress(f *testing.F) {
 		}
 		if !m.Equal(got) {
 			t.Fatalf("round trip not bit-exact at %d", m.FirstDiff(got))
+		}
+		for _, opts := range referenceOptions {
+			c, err := CompressWithOptions(m, opts)
+			if err != nil {
+				t.Fatalf("Compress under %+v: %v", opts, err)
+			}
+			if size, err := SizeOf(m, opts); err != nil || size != c.SizeBytes() {
+				t.Fatalf("SizeOf under %+v = %d, %v; SizeBytes = %d", opts, size, err, c.SizeBytes())
+			}
 		}
 		checkAgainstReference(t, m, referenceOptions[int(optSel)%len(referenceOptions)])
 	})

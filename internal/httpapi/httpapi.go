@@ -33,6 +33,7 @@ package httpapi
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 
 	"zipserv/internal/core"
@@ -254,6 +255,12 @@ func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	// The body is one JSON value: anything but whitespace after it is
+	// rejected, never silently dropped.
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "bad request body: data after the JSON value")
 		return false
 	}
 	return true

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -444,6 +445,46 @@ func TestMethodAndMalformedJSON(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusBadRequest {
 				t.Errorf("POST %s body %q status %d, want 400", path, bad, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// TestPostRejectsTrailingData: a POST body is exactly one JSON value.
+// Bytes after it — garbage or a second object, whose fields would
+// otherwise be silently dropped — answer 400, while trailing
+// whitespace, a final newline included, stays accepted.
+func TestPostRejectsTrailingData(t *testing.T) {
+	srv, _ := newLiveServer(t, serve.Config{QueueDepth: 8})
+	for path, valid := range map[string]string{
+		"/v1/generate": `{"prompt_len":8,"output_len":2}`,
+		"/v1/simulate": `{"model":"LLaMA3.1-8B","device":"RTX4090","batch":1,"prompt":8,"output":2}`,
+	} {
+		for _, tc := range []struct {
+			tail string
+			want int
+		}{
+			{"", http.StatusOK},
+			{"\n", http.StatusOK},
+			{" \r\n\t ", http.StatusOK},
+			{" trailing garbage", http.StatusBadRequest},
+			{`{"prompt_len":99999999}`, http.StatusBadRequest},
+			{"\n]", http.StatusBadRequest},
+		} {
+			resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(valid+tc.tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST %s with tail %q: status %d, want %d (%s)", path, tc.tail, resp.StatusCode, tc.want, body)
+			}
+			if tc.want == http.StatusBadRequest && !strings.Contains(string(body), "bad request body: ") {
+				t.Errorf("POST %s with tail %q: body %s, want a bad-request-body error", path, tc.tail, body)
 			}
 		}
 	}

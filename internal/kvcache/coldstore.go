@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"zipserv/internal/bf16"
+	"zipserv/internal/core"
 )
 
 // Compressed cold blocks: with EnableCompressedCache, a prefix-cache
 // block whose refcount drops to zero is no longer parked as a physical
-// block — its KV content is compressed with TCA-TBE into the payload of
-// its own trie node and the physical block returns to the free list
+// block — its KV content is accounted at its TCA-TBE size on its own
+// trie node and the physical block returns to the free list
 // immediately. The trie keeps advertising the content (the node
 // survives with block = -1 in the frozen pool), so a later identical
 // prompt still matches; claiming such a "frozen" block pops a fresh
@@ -20,16 +21,22 @@ import (
 // charges explicitly (gpu.KVDecompressTime).
 //
 // The engine is a discrete simulation — live blocks carry no real KV
-// tensors — so the block content fed to the codec is synthesized
-// deterministically from the block's token content key. The synthesis
-// is content-addressed and reproducible, which makes the compression
-// real (the codec runs on actual BF16 data, CompressionRatio is a
-// measured number) and the round-trip verifiable: CheckInvariants
-// re-synthesizes the content of every payload a trie node holds and
-// compares the decompressed tensor bit for bit. A claim itself only
-// validates the payload it thaws (load compressed, compute
-// decompressed): nothing in the simulation reads the decoded tensor,
-// and the cost model charges the decompress time regardless.
+// tensors — so a block's content is synthesized deterministically from
+// its token content key. The synthesis is content-addressed and
+// reproducible, which makes the compression real (the codec runs on
+// actual BF16 data, CompressionRatio is a measured number) and the
+// round trip verifiable. TCA-TBE is fixed-length, so a payload's size
+// is a closed form of its exponent histogram (core.SizeOfHistogram):
+// a node's first freeze records its sizes from one pass over the
+// synthesized values, without building the tensor or encoding it, and
+// the payload itself is made only when a thaw first reads it — content
+// frozen and evicted unclaimed is never compressed. A claim validates
+// the payload it thaws (load compressed, compute decompressed) without
+// decoding it: nothing in the simulation reads the decoded tensor, and
+// the cost model charges the decompress time regardless.
+// CheckInvariants decodes every payload a trie node holds against a
+// re-synthesis, bit for bit, and recomputes the sizes of the frozen
+// nodes that hold none.
 
 // compressedKVCols is the column width of the synthesized per-block KV
 // tensor: one block compresses as a (BlockTokens × 256) BF16 matrix.
@@ -87,10 +94,6 @@ func (m *Manager) CompressionRatio() float64 {
 // decompress price for a whole block of prefill work saved.
 func (m *Manager) DecompressClaims() int64 { return m.decompClaims }
 
-// DecompressedBytes returns the total logical bytes of the frozen
-// blocks restored by prefix claims.
-func (m *Manager) DecompressedBytes() int64 { return m.decompBytes }
-
 // SetCodecFault installs a codec fault predicate: while it returns
 // true, freeze skips compression and reports failure so the caller
 // parks the block physically — the graceful-degradation path the
@@ -102,80 +105,123 @@ func (m *Manager) SetCodecFault(fn func() bool) { m.codecFault = fn }
 // to plain parking — injected faults and real codec rejections alike.
 func (m *Manager) CodecFallbacks() int64 { return m.codecFallbacks }
 
-// countFrozen adds a payload to the frozen byte sums (sign +1) or takes
-// it out of them (sign −1).
-func (m *Manager) countFrozen(sb *storedBlock, sign int64) {
-	m.frozenOrig += sign * sb.origSize
-	m.frozenComp += sign * sb.compSize()
+// countFrozen adds a frozen node's recorded sizes to the frozen byte
+// sums (sign +1) or takes them out of them (sign −1).
+func (m *Manager) countFrozen(sz blockSize, sign int64) {
+	m.frozenOrig += sign * sz.orig
+	m.frozenComp += sign * sz.comp
 }
 
 // freeze detaches a refcount-zero advertised block's physical block,
-// leaving the trie node advertising the content from its payload.
-// Content is compressed once per node: the first freeze encodes it, and
-// since content is immutable and addressed by key, a node thawed since
-// freezes again on the payload it kept. Returns false — the caller then
-// parks the block physically, the pre-compression behaviour — if the
-// codec rejects the content (unreachable for the synthesized tensors,
-// but the cache must degrade rather than lose content).
+// leaving the trie node advertising the content at its recorded sizes.
+// The sizes are computed once per node, by its first freeze, from the
+// key alone (blockSizes); content is immutable and addressed by key,
+// so a node thawed since freezes again on the sizes it kept. Returns
+// false — the caller then parks the block physically, the
+// pre-compression behaviour — if the codec rejects the content
+// (unreachable for the synthesized tensors, but the cache must degrade
+// rather than lose content).
 func (m *Manager) freeze(b int, node *prefixNode) bool {
 	if m.codecFault != nil && m.codecFault() {
 		m.codecFallbacks++
 		return false
 	}
-	if node.payload == nil {
-		sb, err := encode(blockContent(node.key, m.cfg.BlockTokens))
+	if node.size == (blockSize{}) {
+		sz, err := blockSizes(node.key, m.cfg.BlockTokens)
 		if err != nil {
 			m.codecFallbacks++
 			return false
 		}
-		node.payload = sb
+		node.size = sz
 	}
 	delete(m.prefix.byBlock, b)
 	node.block = -1
-	m.countFrozen(node.payload, +1)
+	m.countFrozen(node.size, +1)
 	return true
 }
 
 // thaw restores a frozen node into a freshly popped physical block so
-// a claim can reference it. The claim's integrity check on the payload
-// is the structural Validate that decoding runs first — once it
-// passes, decoding cannot fail — so the payload is never decoded here;
-// the node keeps it for its next freeze. The caller has verified
-// capacity (frozen matches are charged as resurrections by LookupCost)
-// and owns the refcount it acquires here.
+// a claim can reference it. A node's first thaw is the first reader of
+// its bytes, so it encodes the payload from the key; the node keeps it
+// until it is evicted, so no later thaw or freeze encodes again. The
+// claim's integrity check on the payload is the structural Validate
+// that decoding runs first — once it passes, decoding cannot fail — so
+// the payload is never decoded here. The caller has verified capacity
+// (frozen matches are charged as resurrections by LookupCost) and owns
+// the refcount it acquires here.
 func (m *Manager) thaw(n *prefixNode) error {
-	if sb := n.payload; sb.cm != nil {
-		if err := sb.cm.Validate(); err != nil {
+	if n.payload == nil {
+		sb, err := encode(blockContent(n.key, m.cfg.BlockTokens))
+		if err != nil {
+			return fmt.Errorf("kvcache: thawing a frozen block: %w", err)
+		}
+		n.payload = sb
+	}
+	if cm := n.payload.cm; cm != nil {
+		if err := cm.Validate(); err != nil {
 			return fmt.Errorf("kvcache: thawing a frozen block: %w", err)
 		}
 	}
 	m.prefix.unpark(n)
-	m.countFrozen(n.payload, -1)
+	m.countFrozen(n.size, -1)
 	n.block = m.pop()
 	m.prefix.byBlock[n.block] = n
 	m.decompClaims++
-	m.decompBytes += n.payload.origSize
 	return nil
 }
 
+// kvSeed and kvStep are the generator behind a block's synthesized
+// content: the key's FNV-1a hash seeds an xorshift64 stream, and each
+// step maps to one BF16 value in a narrow centred band — the exponent
+// clustering TCA-TBE exploits. blockContent and blockSizes both draw
+// from it, so a block's tensor and its sizes cannot disagree. kvStep
+// is a pure function so that it inlines into both loops.
+func kvSeed(key string) uint64 {
+	if x := fnvString(fnvOffset64, key); x != 0 {
+		return x
+	}
+	return 0x9e3779b97f4a7c15 // xorshift must never run from 0
+}
+
+func kvStep(x uint64) (uint64, bf16.BF16) {
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	return x, bf16.FromFloat32(float32(int64(x>>40)-(1<<23)) / float32(1<<27))
+}
+
 // blockContent synthesizes the deterministic BF16 KV tensor of a block
-// from its token content key: the key's FNV-1a hash seeds an xorshift64
-// stream mapped into a narrow centred value band, the exponent
-// clustering TCA-TBE exploits. Identical token content always produces
+// from its token content key. Identical token content always produces
 // identical tensors, so the compressed round-trip is verifiable bit for
 // bit against a re-synthesis.
 func blockContent(key string, blockTokens int) *bf16.Matrix {
 	data := make([]bf16.BF16, blockTokens*compressedKVCols)
-	x := fnvString(fnvOffset64, key)
-	if x == 0 {
-		x = 0x9e3779b97f4a7c15 // xorshift must never run from 0
-	}
+	x := kvSeed(key)
 	for i := range data {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		f := float32(int64(x>>40)-(1<<23)) / float32(1<<27)
-		data[i] = bf16.FromFloat32(f)
+		x, data[i] = kvStep(x)
 	}
 	return &bf16.Matrix{Rows: blockTokens, Cols: compressedKVCols, Data: data}
+}
+
+// blockSizes returns the byte accounting of
+// encode(blockContent(key, blockTokens)) without building or encoding
+// the tensor: one pass over the same stream counts exponents into the
+// histogram of the matrix encode compresses — the tileShape geometry,
+// with reshapeForTiles' zero tail — which fixes the encoded size.
+// blockTokens must be positive.
+func blockSizes(key string, blockTokens int) (blockSize, error) {
+	n := blockTokens * compressedKVCols
+	rows, cols := tileShape(n)
+	var hist [256]int64
+	hist[0] = int64(rows*cols - n) // zero padding: exponent 0
+	x, v := kvSeed(key), bf16.BF16(0)
+	for i := 0; i < n; i++ {
+		x, v = kvStep(x)
+		hist[v.Exponent()]++
+	}
+	comp, err := core.SizeOfHistogram(&hist, rows, cols, core.DefaultOptions())
+	if err != nil {
+		return blockSize{}, err
+	}
+	return blockSize{orig: 2 * int64(n), comp: int64(comp)}, nil // 2 bytes per BF16
 }

@@ -97,13 +97,9 @@ func TestFreezeOnReleaseThawOnClaim(t *testing.T) {
 	if m.PrefixHits() != hits+1 {
 		t.Fatalf("PrefixHits = %d, want %d", m.PrefixHits(), hits+1)
 	}
+	// Each thaw counts one decompress claim without decoding its block.
 	if got := m.DecompressClaims(); got != 2 {
 		t.Fatalf("DecompressClaims = %d, want 2", got)
-	}
-	// Each thaw reports its block's logical size without decoding it:
-	// 16 tokens × compressedKVCols BF16 values.
-	if got, want := m.DecompressedBytes(), int64(2*16*compressedKVCols*2); got != want {
-		t.Fatalf("DecompressedBytes after thaw = %d, want %d", got, want)
 	}
 	if got := m.CompressedBlocks(); got != 0 {
 		t.Fatalf("CompressedBlocks after thaw = %d, want 0", got)
@@ -251,14 +247,93 @@ func chainNodes(m *Manager, prompt []int) []*prefixNode {
 	return out
 }
 
+// TestFreezeRecordsSizesWithoutEncoding: a freeze records a node's
+// sizes and encodes nothing — a frozen node that was never thawed holds
+// no payload — and the recorded sizes are exactly the ones encoding its
+// content gives, at every block size. CheckInvariants recomputes them,
+// so a recorded size one byte off fails it even where the frozen sums
+// agree with it; the first thaw then encodes a payload of those sizes.
+func TestFreezeRecordsSizesWithoutEncoding(t *testing.T) {
+	for _, bt := range []int{1, 16, 64} {
+		m, err := NewManager(Config{BlockTokens: bt, TotalBlocks: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.EnablePrefixCache(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.EnableCompressedCache(); err != nil {
+			t.Fatal(err)
+		}
+		prompt := toks(4*bt, bt)
+		if err := m.Allocate(1, len(prompt)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CommitPrefix(1, prompt, len(prompt)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(1); err != nil {
+			t.Fatal(err)
+		}
+		nodes := chainNodes(m, prompt)
+		if len(nodes) != 4 {
+			t.Fatalf("bt=%d: trie advertises %d blocks of the prompt, want 4", bt, len(nodes))
+		}
+		var orig, comp int64
+		for i, n := range nodes {
+			if n.block >= 0 || n.payload != nil {
+				t.Fatalf("bt=%d node %d: block %d, payload %p; want frozen without a payload", bt, i, n.block, n.payload)
+			}
+			sb, err := encode(blockContent(n.key, bt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n.size != sb.size() {
+				t.Fatalf("bt=%d node %d records %+v, encoding gives %+v", bt, i, n.size, sb.size())
+			}
+			orig += sb.origSize
+			comp += sb.compSize()
+		}
+		if m.frozenOrig != orig || m.CompressedKVBytes() != comp {
+			t.Fatalf("bt=%d: frozen sums %d/%d, encoded payloads %d/%d", bt, m.frozenOrig, m.CompressedKVBytes(), orig, comp)
+		}
+		mustInvariants(t, m)
+
+		n := nodes[len(nodes)-1]
+		n.size.comp++
+		if err := m.CheckInvariants(); err == nil {
+			t.Fatalf("bt=%d: CheckInvariants accepted a recorded size the frozen sums disagree with", bt)
+		}
+		m.frozenComp++
+		if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "encodes to") {
+			t.Fatalf("bt=%d: CheckInvariants with a recorded size one byte off = %v, want a size mismatch", bt, err)
+		}
+		n.size.comp--
+		m.frozenComp--
+		mustInvariants(t, m)
+
+		// One token past the cached blocks, so the claim takes them whole.
+		if got, err := m.ClaimPrefix(2, toks(len(prompt)+1, bt)); err != nil || got != len(prompt) {
+			t.Fatalf("bt=%d: ClaimPrefix = %d, %v; want %d", bt, got, err, len(prompt))
+		}
+		for i, n := range nodes {
+			if n.block < 0 || n.payload == nil || n.payload.size() != n.size {
+				t.Fatalf("bt=%d node %d after the thaw: block %d, payload %p; want thawed with a payload of %+v",
+					bt, i, n.block, n.payload, n.size)
+			}
+		}
+		mustInvariants(t, m)
+	}
+}
+
 // TestRefreezeReattachesThawedPayload walks content through freeze →
-// thaw → freeze and checks it is compressed only once: the first
-// freeze encodes the payload onto the trie node, the thaw leaves it
-// there, and the next freeze charges that same payload (pointer-
-// identical, so no re-encode) with the accounting a store of fresh Puts
-// would report. A codec fault during the re-freeze still parks the
-// block and counts a fallback, and evicting the parked node drops its
-// payload.
+// thaw → freeze → thaw and checks it is compressed only once: the first
+// freeze records sizes only, the first thaw encodes the payload onto
+// the trie node, the next freeze keeps it there, and the next thaw
+// reattaches that same payload (pointer-identical, so no re-encode),
+// with the accounting a store of fresh Puts would report. A codec fault
+// during a re-freeze still parks the block and counts a fallback, and
+// evicting the parked node drops its payload.
 func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	m := newCompressedManager(t, 8, 0)
 	prompt := toks(40, 1) // 2 full cacheable blocks + a partial tail
@@ -276,12 +351,26 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	if len(nodes) != 2 {
 		t.Fatalf("trie advertises %d blocks of the prompt, want 2", len(nodes))
 	}
-	encoded := make([]*storedBlock, len(nodes))
 	for i, n := range nodes {
-		if encoded[i] = n.payload; encoded[i] == nil || n.block >= 0 {
-			t.Fatalf("node %d after the freeze: block %d, payload %p; want frozen with a payload", i, n.block, n.payload)
+		if n.payload != nil || n.block >= 0 {
+			t.Fatalf("node %d after the first freeze: block %d, payload %p; want frozen without a payload", i, n.block, n.payload)
 		}
 	}
+
+	// The first claim thaws the chain and encodes each node's payload.
+	if got, err := m.ClaimPrefix(2, prompt); err != nil || got != 32 {
+		t.Fatalf("ClaimPrefix(2) = %d, %v; want 32", got, err)
+	}
+	encoded := make([]*storedBlock, len(nodes))
+	for i, n := range nodes {
+		if encoded[i] = n.payload; encoded[i] == nil || n.block < 0 {
+			t.Fatalf("node %d after the first thaw: block %d, payload %p; want thawed with a payload", i, n.block, n.payload)
+		}
+	}
+	if err := m.Free(2); err != nil {
+		t.Fatal(err)
+	}
+	mustInvariants(t, m)
 
 	// claimAndFree thaws the chain into sequence id, grows it past the
 	// prompt, and releases it again.
@@ -292,7 +381,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 		}
 		for i, n := range nodes {
 			if n.payload != encoded[i] || n.block < 0 {
-				t.Fatalf("thawed node %d holds payload %p (block %d), want its frozen payload %p",
+				t.Fatalf("thawed node %d holds payload %p (block %d), want its first thaw's payload %p",
 					i, n.payload, n.block, encoded[i])
 			}
 		}
@@ -311,7 +400,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 		mustInvariants(t, m)
 	}
 
-	claimAndFree(2)
+	claimAndFree(3)
 	fresh := NewCompressedStore()
 	for i, n := range nodes {
 		if n.payload != encoded[i] || n.block >= 0 {
@@ -333,7 +422,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	// the parked nodes keep their payloads.
 	m.SetCodecFault(func() bool { return true })
 	fallbacks := m.CodecFallbacks()
-	claimAndFree(3)
+	claimAndFree(4)
 	if got := m.CodecFallbacks(); got != fallbacks+2 {
 		t.Fatalf("CodecFallbacks = %d, want %d", got, fallbacks+2)
 	}
@@ -351,7 +440,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	// Allocation pressure evicts both parked nodes, and their payloads
 	// go with them.
 	m.SetCodecFault(nil)
-	if err := m.Allocate(4, 8*16); err != nil {
+	if err := m.Allocate(5, 8*16); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range nodes {
@@ -383,13 +472,21 @@ func TestInvariantsCheckRetainedPayloads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Thaw both chains so their nodes hold payloads, then refreeze b's.
 	if _, err := m.ClaimPrefix(3, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ClaimPrefix(4, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free(4); err != nil {
 		t.Fatal(err)
 	}
 	mustInvariants(t, m)
 	thawed, frozen := chainNodes(m, a)[0], chainNodes(m, b)[0]
-	if thawed.block < 0 || frozen.block >= 0 {
-		t.Fatalf("setup: blocks %d and %d, want one thawed and one frozen node", thawed.block, frozen.block)
+	if thawed.block < 0 || frozen.block >= 0 || thawed.payload == nil || frozen.payload == nil {
+		t.Fatalf("setup: blocks %d and %d, payloads %p and %p; want one thawed and one frozen node, both holding payloads",
+			thawed.block, frozen.block, thawed.payload, frozen.payload)
 	}
 	own, other := thawed.payload, frozen.payload
 	mismatch := func(what string) {
@@ -410,10 +507,10 @@ func TestInvariantsCheckRetainedPayloads(t *testing.T) {
 }
 
 // TestThawRejectsCorruptPayload: a claim thaws without decoding, yet it
-// still rejects a structurally corrupt payload with the error decoding
-// would have raised, and rolls the whole claim back — the shallower
-// block it had already thawed refreezes, and no sequence, hit or
-// physical block leaks.
+// still rejects a structurally corrupt payload — one a node kept from
+// its first thaw — with the error decoding would have raised, and rolls
+// the whole claim back: the shallower block it had already thawed
+// refreezes, and no sequence, hit or physical block leaks.
 func TestThawRejectsCorruptPayload(t *testing.T) {
 	m := newCompressedManager(t, 32, 0)
 	prompt := toks(32, 1)
@@ -426,16 +523,23 @@ func TestThawRejectsCorruptPayload(t *testing.T) {
 	if err := m.Free(1); err != nil {
 		t.Fatal(err)
 	}
+	// The first claim encodes the payloads; its release refreezes them.
+	if _, err := m.ClaimPrefix(2, prompt); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Free(2); err != nil {
+		t.Fatal(err)
+	}
 	nodes := chainNodes(m, prompt)
-	if len(nodes) != 2 {
-		t.Fatalf("trie advertises %d blocks of the prompt, want 2", len(nodes))
+	if len(nodes) != 2 || nodes[1].payload == nil {
+		t.Fatalf("trie advertises %d blocks of the prompt, want 2 holding payloads", len(nodes))
 	}
 	cm := nodes[1].payload.cm
 	high := cm.High
 	cm.High = high[:len(high)-1]
 
 	hits := m.PrefixHits()
-	got, err := m.ClaimPrefix(2, prompt)
+	got, err := m.ClaimPrefix(3, prompt)
 	const want = "core: final offsets 4060/36 do not match buffer lengths 4059/36"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("ClaimPrefix over a corrupt payload = %d, %v; want an error containing %q", got, err, want)
@@ -454,6 +558,22 @@ func TestThawRejectsCorruptPayload(t *testing.T) {
 	}
 	cm.High = high
 	mustInvariants(t, m)
+}
+
+var sizeSink blockSize
+
+// BenchmarkBlockSizes is the fused pass a node's first freeze runs: a
+// 16-token block's sizes from its key alone, with no tensor built and
+// nothing encoded.
+func BenchmarkBlockSizes(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sz, err := blockSizes("bench/kv-block", DefaultBlockTokens)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sizeSink = sz
+	}
 }
 
 var summarySink *PrefixSummary

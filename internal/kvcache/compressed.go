@@ -58,6 +58,13 @@ func (sb *storedBlock) compSize() int64 {
 	return int64(sb.cm.SizeBytes())
 }
 
+// blockSize is a KV block's byte accounting: the logical size of its
+// tensor and the size TCA-TBE encodes it to.
+type blockSize struct{ orig, comp int64 }
+
+// size returns a payload's byte accounting.
+func (sb *storedBlock) size() blockSize { return blockSize{orig: sb.origSize, comp: sb.compSize()} }
+
 // decode decompresses a payload bit-exactly in its original shape.
 func (sb *storedBlock) decode() (*bf16.Matrix, error) {
 	if sb.cm == nil {
@@ -144,14 +151,19 @@ func reshapeForTiles(kv *bf16.Matrix) *bf16.Matrix {
 	if n == 0 || kv.Rows == 64 {
 		return kv
 	}
-	cols := (n + 63) / 64
-	if n == 64*cols {
-		return &bf16.Matrix{Rows: 64, Cols: cols, Data: kv.Data[:n]}
+	rows, cols := tileShape(n)
+	if n == rows*cols {
+		return &bf16.Matrix{Rows: rows, Cols: cols, Data: kv.Data[:n]}
 	}
-	flat := make([]bf16.BF16, 64*cols)
+	flat := make([]bf16.BF16, rows*cols)
 	copy(flat, kv.Data)
-	return &bf16.Matrix{Rows: 64, Cols: cols, Data: flat}
+	return &bf16.Matrix{Rows: rows, Cols: cols, Data: flat}
 }
+
+// tileShape is the geometry reshapeForTiles encodes a non-empty
+// n-element tensor in: 64 rows of ⌈n/64⌉ columns, the shape a 64-row
+// tensor already has.
+func tileShape(n int) (rows, cols int) { return 64, (n + 63) / 64 }
 
 // Len returns the number of stored blocks.
 func (s *CompressedStore) Len() int { return len(s.blocks) }

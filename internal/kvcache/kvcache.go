@@ -7,10 +7,11 @@
 //
 // The package also implements the paper's first future-work direction
 // (§7): lossless KV-block compression with TCA-TBE. One payload type
-// (compressed.go) carries it everywhere: a cold prefix block's bytes
-// live on its own trie node (coldstore.go), a handoff export holds one
-// payload per block (handoff.go), and CompressedStore keeps payloads by
-// id for standalone use.
+// (compressed.go) carries it everywhere it is read: a cold prefix
+// block's trie node records its encoded size when it freezes and holds
+// its payload from its first thaw on (coldstore.go), a handoff export
+// holds one payload per block (handoff.go), and CompressedStore keeps
+// payloads by id for standalone use.
 package kvcache
 
 import (
@@ -79,10 +80,9 @@ type Manager struct {
 	summaryGen int64          // generation the memoized digest was built at
 
 	// Compressed cold-block state (see coldstore.go).
-	frozenOrig   int64 // logical bytes of the payloads frozen nodes hold
-	frozenComp   int64 // compressed bytes of those payloads
+	frozenOrig   int64 // logical bytes recorded on the frozen nodes
+	frozenComp   int64 // compressed bytes recorded on the frozen nodes
 	decompClaims int64 // frozen blocks restored by prefix claims
-	decompBytes  int64 // logical bytes decompressed by those claims
 
 	// Codec fault injection (see SetCodecFault): while codecFault
 	// returns true, freeze degrades to plain physical parking; each
@@ -274,9 +274,10 @@ func (m *Manager) pop() int {
 // the trie: the flat node list is exactly the reachable nodes, each
 // node carries its path fingerprint, each pool heap holds exactly the
 // pooled nodes of its kind in heap order, every payload a node holds
-// decodes to the content its key addresses, and the frozen byte sums
-// match the frozen pool. Tests and the engine's failure-injection
-// suite call this after every mutation batch.
+// decodes to the content its key addresses, every recorded size is the
+// one its key's content encodes to, and the frozen byte sums match the
+// frozen pool. Tests and the engine's failure-injection suite call
+// this after every mutation batch.
 func (m *Manager) CheckInvariants() error {
 	// refs[b] counts block b's table references; the markers tag blocks
 	// no table holds.
@@ -364,8 +365,8 @@ func (h poolHeap) check(frozen bool) error {
 // reachable nodes and nothing else), the block index (which must hold
 // the physically backed ones and nothing else), pool membership (which
 // must hold exactly for frozen nodes and physically backed
-// refcount-zero ones) and payload content. Frozen payloads must sum to
-// the manager's frozen byte counters.
+// refcount-zero ones) and content (checkContent). The frozen nodes'
+// recorded sizes must sum to the manager's frozen byte counters.
 func (m *Manager) checkTrie() error {
 	p := m.prefix
 	if p.root.path != fnvOffset64 || p.root.heapIdx != -1 {
@@ -388,11 +389,11 @@ func (m *Manager) checkTrie() error {
 			}
 			pooled := c.block < 0 // frozen
 			if pooled {
-				if c.payload == nil {
-					return fmt.Errorf("kvcache: frozen trie node %q holds no payload", key)
+				if c.size == (blockSize{}) {
+					return fmt.Errorf("kvcache: frozen trie node %q records no size", key)
 				}
-				orig += c.payload.origSize
-				comp += c.payload.compSize()
+				orig += c.size.orig
+				comp += c.size.comp
 			} else {
 				indexed++
 				if p.byBlock[c.block] != c {
@@ -406,13 +407,8 @@ func (m *Manager) checkTrie() error {
 			if pooled {
 				pooledReachable++
 			}
-			if c.payload != nil {
-				// A frozen node's payload is its content; one kept from a
-				// thaw must still be exactly that content too, or the next
-				// freeze would store the wrong bytes.
-				if err := c.payload.verify(c.key, m.cfg.BlockTokens); err != nil {
-					return fmt.Errorf("kvcache: payload of trie node for block %d: %w", c.block, err)
-				}
+			if err := m.checkContent(c); err != nil {
+				return fmt.Errorf("kvcache: trie node for block %d: %w", c.block, err)
 			}
 			if err := walk(c); err != nil {
 				return err
@@ -431,8 +427,34 @@ func (m *Manager) checkTrie() error {
 		return fmt.Errorf("kvcache: pools hold %d nodes, trie reaches %d pooled ones", pooled, pooledReachable)
 	}
 	if orig != m.frozenOrig || comp != m.frozenComp {
-		return fmt.Errorf("kvcache: frozen byte sums %d/%d, frozen payloads hold %d/%d",
+		return fmt.Errorf("kvcache: frozen byte sums %d/%d, frozen nodes record %d/%d",
 			m.frozenOrig, m.frozenComp, orig, comp)
+	}
+	return nil
+}
+
+// checkContent verifies what a trie node keeps of its content against
+// its key. A payload (made by the node's first thaw) must decode to the
+// key's content — or a later thaw would restore the wrong bytes — and
+// carry the node's recorded sizes. A node sized by a freeze but never
+// thawed holds only its sizes, which the fused pass recomputes.
+func (m *Manager) checkContent(c *prefixNode) error {
+	switch {
+	case c.payload != nil:
+		if err := c.payload.verify(c.key, m.cfg.BlockTokens); err != nil {
+			return fmt.Errorf("payload: %w", err)
+		}
+		if got := c.payload.size(); got != c.size {
+			return fmt.Errorf("recorded sizes %+v, its payload's %+v", c.size, got)
+		}
+	case c.size != (blockSize{}):
+		want, err := blockSizes(c.key, m.cfg.BlockTokens)
+		if err != nil {
+			return err
+		}
+		if want != c.size {
+			return fmt.Errorf("recorded sizes %+v, its key's content encodes to %+v", c.size, want)
+		}
 	}
 	return nil
 }

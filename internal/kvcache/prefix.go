@@ -45,10 +45,12 @@ type prefixNode struct {
 	listIdx int // position in prefixIndex.nodes
 	heapIdx int // position in its pool's heap (-1 = not pooled)
 
-	// payload is this content's compressed form: the node's first
-	// freeze makes it and the node keeps it until it is evicted, so a
-	// thaw decodes nothing and a refreeze compresses nothing (nil =
-	// never frozen; never nil while frozen).
+	// size is this content's byte accounting, recorded by the node's
+	// first freeze from its key alone (zero = never frozen). payload is
+	// its compressed form, made by the node's first thaw, the first
+	// reader of the bytes (nil = never thawed). The node keeps both
+	// until it is evicted, so no later freeze or thaw recomputes either.
+	size    blockSize
 	payload *storedBlock
 }
 
@@ -96,7 +98,7 @@ type prefixIndex struct {
 	nodes     []*prefixNode       // every registered trie node, in no order
 	byBlock   map[int]*prefixNode // registered blocks (owned or cached)
 	cached    poolHeap            // refcount-zero registered blocks (reclaimable)
-	frozen    poolHeap            // frozen nodes, holding only their payload (compressed cache only)
+	frozen    poolHeap            // frozen nodes, holding no physical block (compressed cache only)
 	committed map[int]commitMark  // seqID → deepest committed trie position
 	cap       int                 // max pooled (cached + frozen) blocks retained (0 = unbounded)
 	tick      int64
@@ -574,7 +576,7 @@ func (m *Manager) evictOne(includeFrozen bool) bool {
 
 // unregister detaches a node's whole subtree from the trie, returning
 // every physically cached block in it to the free list, taking frozen
-// payloads out of the frozen byte sums and dropping every payload.
+// nodes out of the frozen byte sums and dropping every payload.
 func (m *Manager) unregister(n *prefixNode) {
 	p := m.prefix
 	delete(n.parent.children, n.key)
@@ -593,7 +595,7 @@ func (m *Manager) unregister(n *prefixNode) {
 			}
 		}
 		if x.block < 0 {
-			m.countFrozen(x.payload, -1)
+			m.countFrozen(x.size, -1)
 		} else {
 			delete(p.byBlock, x.block)
 		}

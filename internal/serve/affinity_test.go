@@ -112,6 +112,39 @@ func TestAffinityPrefersSummaryMatchInBand(t *testing.T) {
 	}
 }
 
+// TestAffinitySeedsColdPromptOnEmptiestCache: a prompt no digest
+// matches goes least-loaded, and a load tie goes to the replica whose
+// digest advertises fewer blocks before free blocks decide. Both
+// replicas here show the same free count, as idle replicas do whatever
+// they cache (cached and frozen blocks count as free), so without that
+// tie-break every new prefix would land on the first replica.
+func TestAffinitySeedsColdPromptOnEmptiestCache(t *testing.T) {
+	full := &acceptStub{st: Stats{FreeKVBlocks: 1000, PrefixSummary: summaryOf(t, seqTokens(512, 42))}}
+	empty := &acceptStub{st: Stats{FreeKVBlocks: 1000, PrefixSummary: summaryOf(t)}}
+	r, err := NewRouter(full, empty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.EnableAffinity(AffinityConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	cold := Request{Prompt: seqTokens(512, 7), OutputLen: 16}
+	if _, err := r.Submit(cold); err != nil {
+		t.Fatal(err)
+	}
+	if full.submits != 0 || empty.submits != 1 {
+		t.Fatalf("cold prompt went full=%d empty=%d, want the emptier cache", full.submits, empty.submits)
+	}
+	// Load still comes first: a busier empty cache loses the tie-break.
+	empty.st.Active = 1
+	if _, err := r.Submit(cold); err != nil {
+		t.Fatal(err)
+	}
+	if full.submits != 1 {
+		t.Errorf("cold prompt went to the busier replica (full=%d empty=%d)", full.submits, empty.submits)
+	}
+}
+
 // TestAffinitySpillsOutOfBand: affinity must lose to load when the
 // preferred replica sits past the load band or under the free-block
 // floor — counted as spills, routed least-loaded.

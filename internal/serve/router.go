@@ -163,10 +163,11 @@ type candidate struct {
 	// pin moves the affinity pick to the front of its group (-1: in
 	// band with room for the reservation) or to its back (+1: spilled,
 	// kept only as last-resort failover).
-	pin  int
-	load int  // queued+active
-	free int  // free KV blocks
-	idle bool // adaptive chunk budget at the controller ceiling (affinity-scored only)
+	pin    int
+	load   int  // queued+active
+	cached int  // trie blocks its prefix digest advertises (affinity-scored only)
+	free   int  // free KV blocks
+	idle   bool // adaptive chunk budget at the controller ceiling (affinity-scored only)
 	// overlap is the estimated cached prompt prefix in tokens, at the
 	// digest's blockTokens granularity (affinity-scored only).
 	overlap     int
@@ -202,6 +203,12 @@ type ranking struct {
 // (engine.DefaultAdaptiveChunkMax: the idle point, a loop with prefill
 // headroom to spare) wins a load tie before free blocks do. The
 // published ChunkBudgetMax is the current budget, not that ceiling.
+// An affinity-scored load tie then goes to the replica whose digest
+// advertises fewer blocks, before free blocks: a prompt no replica
+// holds seeds its prefix where the cache is emptiest, so distinct
+// prefixes spread over an idle fleet instead of all landing on the
+// first replica. The free count cannot tell that apart, because it
+// counts cached and frozen blocks as free.
 // Every sort is stable, so remaining ties keep tier order. Requests
 // without prompt tokens are never affinity-scored: there is nothing to
 // match.
@@ -241,7 +248,7 @@ func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
 						hp = kvcache.HashPromptTokens(req.Prompt, s.BlockTokens)
 						hashed[s.BlockTokens] = hp
 					}
-					c.overlap, c.blockTokens = s.MatchTokens(hp), s.BlockTokens
+					c.overlap, c.blockTokens, c.cached = s.MatchTokens(hp), s.BlockTokens, s.Blocks
 				}
 			}
 			cands = append(cands, c)
@@ -308,6 +315,8 @@ func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
 			return x.load < y.load
 		case longPrompt && x.idle != y.idle:
 			return x.idle
+		case x.cached != y.cached:
+			return x.cached < y.cached
 		}
 		return x.free > y.free
 	})

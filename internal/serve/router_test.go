@@ -79,6 +79,55 @@ func TestRouterSpreadsLoad(t *testing.T) {
 	}
 }
 
+// TestRouterSplitsBurstWhileLoopsHold: a replica's loop takes a
+// submission off its channel long before the iteration that serves it
+// ends — here both loops sit in a two-second admission window — and
+// the router must still see that load. Once a loop has taken each
+// submission, the fleet's published load must count it, and a 2N
+// burst must split N/N; ranked on the snapshot of the last iteration,
+// every replica looks idle and the whole burst lands on the first.
+func TestRouterSplitsBurstWhileLoopsHold(t *testing.T) {
+	const n = 3
+	backends := make([]Backend, 2)
+	servers := make([]*Server, 2)
+	for i := range servers {
+		servers[i] = newServer(t, Config{QueueDepth: 2 * n, AdmissionWindow: 2 * time.Second})
+		backends[i] = servers[i]
+	}
+	r, err := NewRouter(backends...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Start()
+	tickets := make([]*Ticket, 0, 2*n)
+	for i := 0; i < 2*n; i++ {
+		tk, err := r.Submit(Request{PromptLen: 64, OutputLen: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tickets = append(tickets, tk)
+		waitStats(t, func() bool { return len(servers[0].submitCh)+len(servers[1].submitCh) == 0 })
+		waitStats(t, func() bool {
+			load := 0
+			for _, s := range servers {
+				st := s.Stats()
+				load += st.Queued + st.Active
+			}
+			return load == i+1
+		})
+	}
+	for i, s := range servers {
+		if got := s.Stats().Submitted; got != n {
+			t.Errorf("replica %d took %d of the %d-request burst, want %d", i, got, 2*n, n)
+		}
+	}
+	for i, tk := range tickets {
+		if res := awaitResult(t, tk); res.Err != nil {
+			t.Fatalf("request %d failed: %v", i, res.Err)
+		}
+	}
+}
+
 // TestRouterFailover: stopping one replica must reroute traffic to the
 // survivor without a single failed request, and stats must keep
 // aggregating across the stopped replica.

@@ -17,10 +17,13 @@ import (
 // router dispatched through before Submit, handoff dispatch and
 // resurrection shared one rank and one offer loop (router.go), kept
 // here as the oracle FuzzDispatchRankEquivalence checks that pair
-// against. The helpers are the originals renamed, with two edits: the
-// stale-digest guard is gone from refRankForRequest (its config knob
-// and counter no longer exist), and refResurrectTargets selects leaf
-// replicas rather than *Server, so stub fleets can stand in.
+// against. The helpers are the originals renamed, with three edits:
+// the stale-digest guard is gone from refRankForRequest (its config
+// knob and counter no longer exist), refRankForRequest breaks a load
+// tie toward the digest advertising fewer blocks before free blocks
+// (so new prefixes spread over an idle fleet), and refResurrectTargets
+// selects leaf replicas rather than *Server, so stub fleets can stand
+// in.
 
 // refRankByLoad orders backends least-loaded first by their Stats
 // snapshots: fewest queued+active requests, then most free KV blocks.
@@ -53,6 +56,7 @@ type refAffinityCandidate struct {
 	b           Backend
 	idx         int // original tier index, the final determinism tie-break
 	load        int // queued+active
+	cached      int // trie blocks the digest advertises
 	free        int // free KV blocks
 	overlap     int // estimated cached prompt tokens from the trie digest
 	blockTokens int // the candidate's digest granularity (0 = no digest)
@@ -102,6 +106,7 @@ func (r *Router) refRankForRequest(tier []Backend, req Request) (ranked []Backen
 			}
 			c.overlap = s.MatchTokens(hp)
 			c.blockTokens = s.BlockTokens
+			c.cached = s.Blocks
 		}
 		if minLoad < 0 || c.load < minLoad {
 			minLoad = c.load
@@ -123,13 +128,16 @@ func (r *Router) refRankForRequest(tier []Backend, req Request) (ranked []Backen
 	}
 
 	// Least-loaded order for everything else (and the spill path), with
-	// the long-prompt idle-loop tie-break folded in.
+	// the long-prompt idle-loop and emptiest-cache tie-breaks folded in.
 	sort.SliceStable(cands, func(i, j int) bool {
 		if cands[i].load != cands[j].load {
 			return cands[i].load < cands[j].load
 		}
 		if longPrompt && cands[i].idle != cands[j].idle {
 			return cands[i].idle
+		}
+		if cands[i].cached != cands[j].cached {
+			return cands[i].cached < cands[j].cached
 		}
 		return cands[i].free > cands[j].free
 	})

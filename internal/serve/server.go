@@ -440,6 +440,7 @@ func (s *Server) loop() {
 			}
 			continue
 		}
+		s.publishLoad()
 
 		// First work after an idle stretch: hold the admission window
 		// open so a wall-clock burst coalesces into one prefill batch.
@@ -538,6 +539,7 @@ func (s *Server) coalesce() {
 		select {
 		case c := <-s.submitCh:
 			s.arrive(c)
+			s.publishLoad()
 		case <-timer.C:
 			return
 		case <-s.stop:
@@ -881,6 +883,23 @@ func (s *Server) publish() {
 	}
 	s.statsMu.Lock()
 	s.stats = st
+	s.statsMu.Unlock()
+}
+
+// publishLoad brings the published queue depth up to date with what
+// the loop has taken off the channels since the last publish. A
+// drained submission leaves the channel count that Stats adds, and a
+// full publish waits for the end of an iteration — a prefill that
+// thaws and encodes compressed blocks, or a whole admission window —
+// so without this the replica would advertise its pre-arrival load
+// all that time and a router would keep ranking it idle.
+func (s *Server) publishLoad() {
+	q := s.core.len() + len(s.pendingHO)
+	if q == s.stats.Queued || s.cfg.Faults.statsStaleAt(s.sp.Clock()) {
+		return // unchanged, or frozen by a scripted stalestats window
+	}
+	s.statsMu.Lock()
+	s.stats.Queued = q
 	s.statsMu.Unlock()
 }
 

@@ -65,11 +65,12 @@
 // docs/prefix-caching.md.
 //
 // LiveConfig.CompressedCache layers the paper's codec under that
-// cache: a cached block whose last reference drops is frozen into the
-// TCA-TBE CompressedStore and its physical block freed, while the
-// content stays claimable — a later matching prompt thaws it
-// bit-exactly into a fresh block, paying a decompress price the cost
-// model charges into that prefill (LiveStats.DecompressClaims,
+// cache: a cached block whose last reference drops is frozen — it
+// stays on its prefix-trie node, accounted at its TCA-TBE encoded
+// size, and its physical block is freed — while the content stays
+// claimable: a later matching prompt thaws it bit-exactly into a fresh
+// block, paying a decompress price the cost model charges into that
+// prefill (LiveStats.DecompressClaims,
 // CompressedKVBlocks, KVCompressionRatio). Cold prefix content then
 // survives capacity pressure that would evict parked blocks. See
 // docs/compressed-kv.md.
