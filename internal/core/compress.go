@@ -146,42 +146,29 @@ func selectExponents(hist *[256]int64, opts Options) (cb [maxWindowSize]uint8) {
 // encodeBlock encodes one 64×64 BlockTile, writing its bit-planes into
 // the shared Planes array (disjoint region per block) and returning
 // its value buffers, sized exactly. Each FragTile is read as eight row
-// slices of m.Data found through the FragTile-origin table, and codes
-// come from the exponent → codeword table. Where a tile overhangs the
-// matrix edge its rows are clipped, and the clipped-off padding encodes
-// as codeword 1 with zero sign/mantissa — one High byte each, never
-// read back.
+// slices of m.Data found through the FragTile-origin table and encoded
+// a row at a time: encodeRow yields the row's eight codewords, one per
+// byte, and one multiply-gather per bit-plane moves bit b of each into
+// the plane's byte for that row (codes are below 2^CodewordBits, so
+// the planes past CodewordBits gather zeros and are not stored).
 func (c *Compressed) encodeBlock(m *bf16.Matrix, b int, codes *[256]uint8) (high []uint8, full []uint16) {
-	const padCode = 1
 	var hs [tile.FragsPerBlock * tile.FragElems]uint8
 	var fs [tile.FragsPerBlock * tile.FragElems]uint16
 	nh, nf := 0, 0
-	n := c.Opts.CodewordBits
 	br, bc := c.Grid.BlockOrigin(b)
 	for f := 0; f < tile.FragsPerBlock; f++ {
 		fr, fc := tile.FragOrigin(f)
 		var planes [4]uint64
 		for r := 0; r < tile.FragDim; r++ {
-			p := uint(r * tile.FragDim)
-			for _, w := range fragRow(m, br+fr+r, bc+fc) {
-				if code := codes[w.Exponent()]; code != 0 {
-					setCode(&planes, code, p)
-					hs[nh] = w.PackSignMantissa()
-					nh++
-				} else {
-					fs[nf] = w.Bits()
-					nf++
-				}
-				p++
-			}
-			for ; p < uint(r+1)*tile.FragDim; p++ {
-				setCode(&planes, padCode, p)
-				hs[nh] = 0
-				nh++
-			}
+			var row uint64
+			row, nh, nf = encodeRow(fragRow(m, br+fr+r, bc+fc), codes, &hs, &fs, nh, nf)
+			s := uint(8 * r)
+			planes[0] |= gather(row) << s
+			planes[1] |= gather(row>>1) << s
+			planes[2] |= gather(row>>2) << s
+			planes[3] |= gather(row>>3) << s
 		}
-		frag := b*tile.FragsPerBlock + f
-		copy(c.Planes[frag*n:frag*n+n], planes[:n])
+		copy(c.FragPlanes(b*tile.FragsPerBlock+f), planes[:])
 	}
 	high = make([]uint8, nh)
 	copy(high, hs[:nh])
@@ -190,13 +177,66 @@ func (c *Compressed) encodeBlock(m *bf16.Matrix, b int, codes *[256]uint8) (high
 	return high, full
 }
 
-// setCode ORs codeword code (at most 4 bits) into bit position p of
-// the bit-planes; planes beyond CodewordBits stay zero.
-func setCode(planes *[4]uint64, code uint8, p uint) {
-	planes[0] |= uint64(code&1) << p
-	planes[1] |= uint64(code>>1&1) << p
-	planes[2] |= uint64(code>>2&1) << p
-	planes[3] |= uint64(code>>3&1) << p
+// encodeRow encodes one FragTile row whose in-bounds elements are row
+// (eight, or fewer — possibly none — where the tile overhangs the
+// matrix edge): each in-window element's PackedSignMantissa byte goes
+// to hs at nh and each outlier's bits to fs at nf, in position order.
+// It returns the row's codewords, position k's in byte k, and the
+// advanced counts. A full row whose eight codes are all in-window (the
+// common case) writes its eight bytes straight through; any other row
+// takes the per-position loop, where clipped-off padding encodes as
+// codeword 1 with zero sign/mantissa — one High byte each, never read
+// back.
+func encodeRow(row []bf16.BF16, codes *[256]uint8, hs *[tile.FragsPerBlock * tile.FragElems]uint8,
+	fs *[tile.FragsPerBlock * tile.FragElems]uint16, nh, nf int) (uint64, int, int) {
+	const padCode = 1
+	var c8 uint64
+	if len(row) == tile.FragDim {
+		// Unrolled by hand, as is the store below: the compiler does not
+		// unroll loops, and these two lines carry most rows.
+		w := (*[tile.FragDim]bf16.BF16)(row)
+		c8 = uint64(codes[w[0].Exponent()]) | uint64(codes[w[1].Exponent()])<<8 |
+			uint64(codes[w[2].Exponent()])<<16 | uint64(codes[w[3].Exponent()])<<24 |
+			uint64(codes[w[4].Exponent()])<<32 | uint64(codes[w[5].Exponent()])<<40 |
+			uint64(codes[w[6].Exponent()])<<48 | uint64(codes[w[7].Exponent()])<<56
+		// Codes are at most 15, so adding 0x7f to a byte sets its top
+		// bit exactly when the code is non-zero, with no carry out.
+		if (c8+0x7f7f7f7f7f7f7f7f)&0x8080808080808080 == 0x8080808080808080 {
+			out := (*[tile.FragDim]uint8)(hs[nh:])
+			out[0], out[1] = w[0].PackSignMantissa(), w[1].PackSignMantissa()
+			out[2], out[3] = w[2].PackSignMantissa(), w[3].PackSignMantissa()
+			out[4], out[5] = w[4].PackSignMantissa(), w[5].PackSignMantissa()
+			out[6], out[7] = w[6].PackSignMantissa(), w[7].PackSignMantissa()
+			return c8, nh + tile.FragDim, nf
+		}
+	}
+	c8 = 0
+	for k := 0; k < tile.FragDim; k++ {
+		code, v := uint8(padCode), bf16.BF16(0)
+		if k < len(row) {
+			v = row[k]
+			code = codes[v.Exponent()]
+		}
+		if code != 0 {
+			hs[nh] = v.PackSignMantissa()
+			nh++
+		} else {
+			fs[nf] = v.Bits()
+			nf++
+		}
+		c8 |= uint64(code) << (8 * k)
+	}
+	return c8, nh, nf
+}
+
+// gather packs bit 0 of each byte of x into one byte, byte k's into
+// bit k. The multiplier is Σ 2^(7j+7) over j = 0…7, so bit 8k of the
+// masked x lands on bit 8k+7j+7: on bit 56+k for j = 7−k, and for every
+// other j on a bit below 56 or above 63 that no other partial product
+// shares, so the sum carries nothing into the top byte. The decoder's
+// spread table inverts it.
+func gather(x uint64) uint64 {
+	return (x & 0x0101010101010101) * 0x0102040810204080 >> 56
 }
 
 // fragRow returns the in-bounds elements of the FragTile row starting

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -442,6 +443,18 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		},
 		"badCodewordBits":  func(c *Compressed) { c.Opts.CodewordBits = 9 },
 		"shortOffsetArray": func(c *Compressed) { c.HighOff = c.HighOff[:1] },
+		// Headers no encoder writes: the implicit lookup would wrap
+		// uint8(BaseExp+code) and decode a different matrix.
+		"baseExp300":    func(c *Compressed) { rebase(c, 300) },
+		"baseExp250":    func(c *Compressed) { rebase(c, 250) },
+		"baseExpMinus5": func(c *Compressed) { rebase(c, -5) },
+		"baseExpOnly":   func(c *Compressed) { c.BaseExp++ },
+		"emptyCodebook": func(c *Compressed) { c.Codebook = nil },
+		"codebookEntry": func(c *Compressed) { c.Codebook[3]++ },
+		"shortTopFrequencyCodebook": func(c *Compressed) {
+			c.Opts.Selection = TopFrequencySelection
+			c.Codebook = c.Codebook[:len(c.Codebook)-1]
+		},
 	}
 	for name, mutate := range mutations {
 		t.Run(name, func(t *testing.T) {
@@ -450,7 +463,24 @@ func TestValidateDetectsCorruption(t *testing.T) {
 			if err := c.Validate(); err == nil {
 				t.Error("corruption not detected")
 			}
+			var buf bytes.Buffer
+			if _, err := c.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := new(Compressed).ReadFrom(&buf); err == nil {
+				t.Error("ReadFrom accepted the corrupted payload")
+			}
 		})
+	}
+}
+
+// rebase moves a window payload's BaseExp and rewrites its codebook as
+// the window's bytes would read, wrapping at 256 like the decoder's
+// uint8(BaseExp+code).
+func rebase(c *Compressed, base int16) {
+	c.BaseExp = base
+	for i := range c.Codebook {
+		c.Codebook[i] = uint8(int(base) + 1 + i)
 	}
 }
 

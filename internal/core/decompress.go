@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"zipserv/internal/bf16"
 	"zipserv/internal/tile"
 )
@@ -42,10 +44,8 @@ func (c *Counters) ALUOps() int64 { return c.LOP3 + c.IADD + c.SHF + c.POPC }
 // 2i+1).
 type FragView [tile.FragElems]bf16.BF16
 
-// Decompress reconstructs the original matrix bit-for-bit. It walks
-// blocks and frags in storage order, decoding each FragTile with the
-// thread-local procedure of Algorithm 2 and copying it back one row at
-// a time through the FragTile-origin table, discarding padding.
+// Decompress reconstructs the original matrix bit-for-bit:
+// DecompressInto on a fresh matrix.
 func Decompress(c *Compressed) (*bf16.Matrix, error) {
 	return decompress(c, nil)
 }
@@ -63,31 +63,62 @@ func DecompressCounted(c *Compressed) (*bf16.Matrix, Counters, error) {
 	return m, ctr, nil
 }
 
-// decompress is the one decoding loop behind Decompress and
-// DecompressCounted, counting architectural events into ctr unless it
-// is nil.
+// DecompressInto reconstructs the original matrix bit-for-bit into dst,
+// which must hold exactly Rows×Cols elements in row-major order. It
+// allocates nothing, so a caller that decodes many payloads of one
+// shape reuses one buffer.
+func DecompressInto(c *Compressed, dst []bf16.BF16) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if len(dst) != c.Grid.Rows*c.Grid.Cols {
+		return fmt.Errorf("core: %d-element destination for a %d×%d matrix", len(dst), c.Grid.Rows, c.Grid.Cols)
+	}
+	c.decode(dst, nil)
+	return nil
+}
+
+// decompress validates c and decodes it into a fresh matrix, counting
+// architectural events into ctr unless it is nil.
 func decompress(c *Compressed, ctr *Counters) (*bf16.Matrix, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	m := bf16.NewMatrix(c.Grid.Rows, c.Grid.Cols)
+	c.decode(m.Data, ctr)
+	return m, nil
+}
+
+// decode is the one decoding loop behind Decompress, DecompressCounted
+// and DecompressInto: it walks blocks and frags in storage order,
+// advancing the High and Full cursors row by row, and writes each
+// FragTile row straight into its place in dst (a valid c's Rows×Cols
+// row-major matrix). A row the matrix edge clips is decoded whole and
+// only its in-bounds part copied; padding is discarded.
+func (c *Compressed) decode(dst []bf16.BF16, ctr *Counters) {
 	g := c.Grid
-	m := bf16.NewMatrix(g.Rows, g.Cols)
+	m := bf16.Matrix{Rows: g.Rows, Cols: g.Cols, Data: dst}
 	exps := c.exponentTable()
-	var fv FragView
+	var clipped [tile.FragDim]bf16.BF16
 	for b := 0; b < g.NumBlocks(); b++ {
 		br, bc := g.BlockOrigin(b)
-		startH, startL := c.HighOff[b], c.FullOff[b]
+		h, l := int(c.HighOff[b]), int(c.FullOff[b])
 		for f := 0; f < tile.FragsPerBlock; f++ {
-			hi := c.decodeFrag(b*tile.FragsPerBlock+f, startH, startL, &exps, &fv, ctr)
+			pl := c.planes(b*tile.FragsPerBlock + f)
 			fr, fc := tile.FragOrigin(f)
+			h0 := h
 			for r := 0; r < tile.FragDim; r++ {
-				copy(fragRow(m, br+fr+r, bc+fc), fv[r*tile.FragDim:])
+				out := fragRow(&m, br+fr+r, bc+fc)
+				if len(out) == tile.FragDim {
+					h, l = c.decodeRow(&pl, r, h, l, &exps, (*[tile.FragDim]bf16.BF16)(out))
+				} else {
+					h, l = c.decodeRow(&pl, r, h, l, &exps, &clipped)
+					copy(out, clipped[:])
+				}
 			}
-			startH += int64(hi)
-			startL += int64(tile.FragElems - hi)
+			c.count(ctr, h-h0)
 		}
 	}
-	return m, nil
 }
 
 // FragStarts returns the High and Full buffer offsets at which global
@@ -119,52 +150,89 @@ func (c *Compressed) DecodeFrag(frag int, out *FragView) {
 // optionally counting architectural events into ctr (nil to skip).
 func (c *Compressed) DecodeFragAt(frag int, startH, startL int64, out *FragView, ctr *Counters) {
 	exps := c.exponentTable()
-	c.decodeFrag(frag, startH, startL, &exps, out, ctr)
+	pl := c.planes(frag)
+	h, l := int(startH), int(startL)
+	for r := 0; r < tile.FragDim; r++ {
+		h, l = c.decodeRow(&pl, r, h, l, &exps, (*[tile.FragDim]bf16.BF16)(out[r*tile.FragDim:]))
+	}
+	c.count(ctr, h-int(startH))
 }
 
-// decodeFrag implements the three-stage thread-local decompressor of
-// §4.3.2 for one 8×8 FragTile and returns its in-window element count:
-//
-//  1. Spatial bitmap indicator: M = B1 | B2 | B3 classifies every
-//     position as compressed (1) or fallback (0).
-//  2. Dynamic addressing: lane offsets are prefix popcounts over M —
-//     in-window elements index High by the count of 1s below their
-//     position, outliers index Full by the count of 0s.
-//  3. Fast exponent reassembly: the codeword, gathered from all planes
-//     at once, indexes exps (c.exponentTable: BaseExp + code under the
-//     implicit lookup) and is fused with the packed sign/mantissa byte
-//     into a BF16.
-//
-// The loop nests lanes × slots rather than flat positions to mirror
-// warp execution: every lane runs the identical instruction sequence,
-// which is what the Counters tally models.
-func (c *Compressed) decodeFrag(frag int, startH, startL int64, exps *[16]uint8, out *FragView, ctr *Counters) int {
-	var planes [4]uint64 // planes beyond CodewordBits stay zero
-	copy(planes[:], c.FragPlanes(frag))
-	m := planes[0] | planes[1] | planes[2] | planes[3]
-	high, full := c.High[startH:], c.Full[startL:]
+// planes returns FragTile frag's bit-planes, zero beyond CodewordBits.
+func (c *Compressed) planes(frag int) (pl [4]uint64) {
+	copy(pl[:], c.FragPlanes(frag))
+	return pl
+}
 
-	for lane := 0; lane < tile.WarpLanes; lane++ {
-		for k := 0; k < tile.ElemsPerLane; k++ {
-			p := uint(tile.ElemsPerLane*lane + k)
-			idxH := popcount(m & (uint64(1)<<p - 1))
-			if m>>p&1 == 1 {
-				// Case A: high-frequency path.
-				code := planes[0]>>p&1 | planes[1]>>p&1<<1 | planes[2]>>p&1<<2 | planes[3]>>p&1<<3
-				sign, mant := bf16.UnpackSignMantissa(high[idxH])
-				out[p] = bf16.Assemble(sign, exps[code], mant)
-			} else {
-				// Case B: fallback path.
-				out[p] = bf16.FromBits(full[int(p)-idxH])
-			}
-		}
-	}
-
-	hi := popcount(m)
+// count adds the closed-form cost of decoding one FragTile with hi
+// in-window elements to ctr, unless it is nil.
+func (c *Compressed) count(ctr *Counters, hi int) {
 	if ctr != nil {
 		ctr.Add(fragDecodeCost(c.Opts.CodewordBits, hi, c.Opts.Selection == WindowSelection))
 	}
-	return hi
+}
+
+// spread[x] puts bit k of x in bit 0 of byte k: one bit-plane's byte of
+// a FragTile row, widened to one codeword bit per position. It inverts
+// the encoder's gather.
+var spread = func() (t [256]uint64) {
+	for x := range t {
+		for k := 0; k < tile.FragDim; k++ {
+			t[x] |= uint64(x>>k&1) << (8 * k)
+		}
+	}
+	return t
+}()
+
+// decodeRow decodes row r of a FragTile with bit-planes pl into out,
+// reading in-window elements from High at h and outliers from Full at
+// l, and returns the advanced cursors. It is the CPU form of the
+// thread-local decompressor of §4.3.2, eight positions per step:
+//
+//  1. Spatial bitmap indicator: the OR of the row's plane bytes marks
+//     each position compressed (1) or fallback (0).
+//  2. Dynamic addressing: the cursors advance past each position's
+//     element, so no prefix popcount is needed; an all-in-window row
+//     (the common case) reads eight consecutive High bytes.
+//  3. Fast exponent reassembly: four spread lookups place the row's
+//     eight codewords one per byte; each indexes exps
+//     (c.exponentTable: BaseExp + code under the implicit lookup) and
+//     is fused with its packed sign/mantissa byte into a BF16.
+func (c *Compressed) decodeRow(pl *[4]uint64, r, h, l int, exps *[16]uint8, out *[tile.FragDim]bf16.BF16) (int, int) {
+	s := uint(r * tile.FragDim)
+	p0, p1, p2, p3 := uint8(pl[0]>>s), uint8(pl[1]>>s), uint8(pl[2]>>s), uint8(pl[3]>>s)
+	codes := spread[p0] | spread[p1]<<1 | spread[p2]<<2 | spread[p3]<<3
+	in := p0 | p1 | p2 | p3
+	if in == 0xff {
+		// Unrolled by hand: the compiler does not unroll loops, and most
+		// rows take this path.
+		high := (*[tile.FragDim]uint8)(c.High[h:])
+		out[0] = assemble(high[0], exps[codes&0xf])
+		out[1] = assemble(high[1], exps[codes>>8&0xf])
+		out[2] = assemble(high[2], exps[codes>>16&0xf])
+		out[3] = assemble(high[3], exps[codes>>24&0xf])
+		out[4] = assemble(high[4], exps[codes>>32&0xf])
+		out[5] = assemble(high[5], exps[codes>>40&0xf])
+		out[6] = assemble(high[6], exps[codes>>48&0xf])
+		out[7] = assemble(high[7], exps[codes>>56&0xf])
+		return h + tile.FragDim, l
+	}
+	for k := range out {
+		if in>>k&1 == 1 {
+			out[k] = assemble(c.High[h], exps[codes>>(8*k)&0xf])
+			h++
+		} else {
+			out[k] = bf16.FromBits(c.Full[l])
+			l++
+		}
+	}
+	return h, l
+}
+
+// assemble fuses a PackedSignMantissa byte with an exponent into a BF16.
+func assemble(packed, exp uint8) bf16.BF16 {
+	sign, mant := bf16.UnpackSignMantissa(packed)
+	return bf16.Assemble(sign, exp, mant)
 }
 
 // DecodeALUOpsPerElement returns the expected integer-pipeline
@@ -183,8 +251,12 @@ func DecodeALUOpsPerElement(n int, coverage float64) float64 {
 
 // fragDecodeCost returns the deterministic instruction cost of
 // decoding one FragTile with hi in-window elements out of 64, using
-// n bit-planes. The per-element sequences follow the CUDA decoder
-// sketch in §4.3.2:
+// n bit-planes. It models the GPU lane sequence in closed form, not
+// the CPU row decoder: on the GPU each of the 32 lanes runs the
+// identical branch-free sequence for its two positions, addressing by
+// prefix popcount, so the count depends on hi alone, however the CPU
+// reaches the same values. The per-element sequences follow the CUDA
+// decoder sketch in §4.3.2:
 //
 //	indicator:  n−1 LOP3 per lane (OR of n planes, once per lane);
 //	per element: 1 SHF + 1 IADD (mask), 1 POPC (prefix count),

@@ -212,10 +212,12 @@ func (c *Compressed) exponentTable() (t [16]uint8) {
 	return t
 }
 
-// Validate performs structural integrity checks: offset monotonicity,
-// buffer lengths consistent with bitmap population counts, and plane
-// array sizing. It returns a descriptive error for corrupted values,
-// making the format safe to load from untrusted files.
+// Validate performs structural integrity checks: a codebook of 2^n−1
+// entries (under WindowSelection, exactly the window after BaseExp),
+// offset monotonicity, buffer lengths consistent with bitmap population
+// counts, and plane array sizing. It returns a descriptive error for
+// corrupted values, making the format safe to load from untrusted
+// files.
 func (c *Compressed) Validate() error {
 	if err := c.Opts.validate(); err != nil {
 		return err
@@ -235,8 +237,20 @@ func (c *Compressed) Validate() error {
 		return fmt.Errorf("core: final offsets %d/%d do not match buffer lengths %d/%d",
 			c.HighOff[nb], c.FullOff[nb], len(c.High), len(c.Full))
 	}
-	if c.Opts.Selection == TopFrequencySelection && len(c.Codebook) != c.Opts.WindowSize() {
-		return fmt.Errorf("core: codebook has %d entries, want %d", len(c.Codebook), c.Opts.WindowSize())
+	k := c.Opts.WindowSize()
+	if len(c.Codebook) != k {
+		return fmt.Errorf("core: codebook has %d entries, want %d", len(c.Codebook), k)
+	}
+	if c.Opts.Selection == WindowSelection {
+		// The implicit lookup decodes codeword c as BaseExp + c, so the
+		// codebook must spell out that window, as the encoder writes it.
+		// Its entries are bytes, so this also holds the window inside
+		// [0, 255]: −1 ≤ BaseExp ≤ 255 − k.
+		for i, e := range c.Codebook {
+			if int(e) != int(c.BaseExp)+1+i {
+				return fmt.Errorf("core: codebook entry %d is %d, window starts at %d", i, e, c.BaseExp+1)
+			}
+		}
 	}
 	for b := 0; b < nb; b++ {
 		if c.HighOff[b+1] < c.HighOff[b] || c.FullOff[b+1] < c.FullOff[b] {

@@ -63,6 +63,17 @@ func FuzzCompressDecompress(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0), uint8(2))
 	f.Add([]byte{0x9a, 0x3d}, uint8(0), uint8(0), uint8(3))
 	f.Add(bytes.Repeat([]byte{0x9a, 0x3d}, 96*96), uint8(95), uint8(95), uint8(1))
+	// Narrow-band seeds, the KV generator's value band: random bits
+	// almost never fill a row with in-window codes, these mostly do, so
+	// mutations explore the all-in-window row path and its edges.
+	for i, sh := range [][2]int{{64, 64}, {16, 96}, {41, 73}, {96, 95}} {
+		nb := narrowBandMatrix(sh[0], sh[1], int64(i+1))
+		raw := make([]byte, 0, 2*len(nb.Data))
+		for _, v := range nb.Data {
+			raw = append(raw, byte(v.Bits()), byte(v.Bits()>>8))
+		}
+		f.Add(raw, uint8(sh[0]-1), uint8(sh[1]-1), uint8(i))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, rowsSel, colsSel, optSel uint8) {
 		rows := int(rowsSel%96) + 1
 		cols := int(colsSel%96) + 1

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -263,6 +264,103 @@ func TestFastCodecMatchesReference(t *testing.T) {
 					checkAgainstReference(t, m, opts)
 				})
 			}
+		}
+	}
+}
+
+// rowPatternMatrix builds a rows×cols matrix whose elements take the
+// codewords code assigns: code c ≥ 1 is exponent 119+c, and code 0, an
+// outlier, cycles through exponents 140…239. Every in-window exponent
+// is used more often than any outlier one, so Phase I picks exactly the
+// window — or the codebook — 120…119+k, and the encoder writes the
+// codes asked for.
+func rowPatternMatrix(rows, cols int, seed int64, code func(i, j int) int) *bf16.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	m := bf16.NewMatrix(rows, cols)
+	outliers := 0
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			e := 119 + code(i, j)
+			if e == 119 {
+				e = 140 + outliers%100
+				outliers++
+			}
+			m.Set(i, j, bf16.Assemble(uint16(rng.Intn(2)), uint8(e), uint8(rng.Intn(128))))
+		}
+	}
+	return m
+}
+
+// rowPatterns gives the FragTile row at matrix row i, columns 8J…8J+7,
+// pattern (i+3J) mod 10: 0 all in-window, 1 all outliers, 2…9 exactly
+// one outlier, at position 0…7. In-window codes cycle through 1…k.
+func rowPatterns(k int) func(i, j int) int {
+	return func(i, j int) int {
+		p := j % tile.FragDim
+		if q := (i + 3*(j/tile.FragDim)) % 10; q == 1 || q == p+2 {
+			return 0
+		}
+		return 1 + (i+p)%k
+	}
+}
+
+// planeBytes, over eight columns, gives bit-plane b every byte value x:
+// row 512b+x with every position in-window, row 512b+256+x with the
+// positions whose bit is clear as outliers. Rows past the n planes
+// cycle through all k codes.
+func planeBytes(k int) func(i, j int) int {
+	n := bits.Len(uint(k))
+	return func(i, j int) int {
+		b, x := i/512, i%256
+		if b >= n {
+			return 1 + (i+j)%k
+		}
+		bit := x >> j & 1 << b
+		switch {
+		case i%512 >= 256:
+			return bit
+		case b == 0:
+			return 2 | bit
+		}
+		return 1 | bit
+	}
+}
+
+// TestRowPathsMatchReference drives both row paths of the codec — the
+// all-in-window fast path and the per-position loop — through every
+// row shape, under every option set: all in-window, all outliers, one
+// outlier at each position, every byte value in every bit-plane, and
+// rows and columns clipped at every residue 1…7 mod 8.
+func TestRowPathsMatchReference(t *testing.T) {
+	type shape struct {
+		name       string
+		rows, cols int
+		code       func(k int) func(i, j int) int
+	}
+	shapes := []shape{
+		{"patterns", 64, 64, rowPatterns},
+		{"patterns-multiblock", 80, 136, rowPatterns},
+		{"plane-bytes", 4*512 + 256, 8, planeBytes},
+	}
+	for s := 1; s < tile.FragDim; s++ {
+		shapes = append(shapes, shape{fmt.Sprintf("clipped-%d", s), 16 + s, 24 + tile.FragDim - s, rowPatterns})
+	}
+	for si, sh := range shapes {
+		for _, opts := range referenceOptions {
+			k := opts.WindowSize()
+			t.Run(fmt.Sprintf("%s/n%d-%s", sh.name, opts.CodewordBits, opts.Selection), func(t *testing.T) {
+				m := rowPatternMatrix(sh.rows, sh.cols, int64(si), sh.code(k))
+				c, err := CompressWithOptions(m, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, e := range c.Codebook {
+					if int(e) != 120+i {
+						t.Fatalf("Phase I picked codebook %v, want 120…%d", c.Codebook, 119+k)
+					}
+				}
+				checkAgainstReference(t, m, opts)
+			})
 		}
 	}
 }

@@ -34,9 +34,9 @@ import (
 // the payload it thaws (load compressed, compute decompressed) without
 // decoding it: nothing in the simulation reads the decoded tensor, and
 // the cost model charges the decompress time regardless.
-// CheckInvariants decodes every payload a trie node holds against a
-// re-synthesis, bit for bit, and recomputes the sizes of the frozen
-// nodes that hold none.
+// CheckInvariants decodes every payload a trie node holds and compares
+// it bit for bit with its key's generated content, and recomputes the
+// sizes of the frozen nodes that hold none.
 
 // compressedKVCols is the column width of the synthesized per-block KV
 // tensor: one block compresses as a (BlockTokens × 256) BF16 matrix.
@@ -151,7 +151,7 @@ func (m *Manager) freeze(b int, node *prefixNode) bool {
 // the refcount it acquires here.
 func (m *Manager) thaw(n *prefixNode) error {
 	if n.payload == nil {
-		sb, err := encode(blockContent(n.key, m.cfg.BlockTokens))
+		sb, err := encode(m.synthesize(n.key))
 		if err != nil {
 			return fmt.Errorf("kvcache: thawing a frozen block: %w", err)
 		}
@@ -173,9 +173,10 @@ func (m *Manager) thaw(n *prefixNode) error {
 // kvSeed and kvStep are the generator behind a block's synthesized
 // content: the key's FNV-1a hash seeds an xorshift64 stream, and each
 // step maps to one BF16 value in a narrow centred band — the exponent
-// clustering TCA-TBE exploits. blockContent and blockSizes both draw
-// from it, so a block's tensor and its sizes cannot disagree. kvStep
-// is a pure function so that it inlines into both loops.
+// clustering TCA-TBE exploits. fillBlock, storedBlock.verify and
+// blockSizes all draw from it, so a block's tensor, its check and its
+// sizes cannot disagree. kvStep is a pure function so that it inlines
+// into all three loops.
 func kvSeed(key string) uint64 {
 	if x := fnvString(fnvOffset64, key); x != 0 {
 		return x
@@ -190,21 +191,42 @@ func kvStep(x uint64) (uint64, bf16.BF16) {
 	return x, bf16.FromFloat32(float32(int64(x>>40)-(1<<23)) / float32(1<<27))
 }
 
-// blockContent synthesizes the deterministic BF16 KV tensor of a block
-// from its token content key. Identical token content always produces
-// identical tensors, so the compressed round-trip is verifiable bit for
-// bit against a re-synthesis.
-func blockContent(key string, blockTokens int) *bf16.Matrix {
-	data := make([]bf16.BF16, blockTokens*compressedKVCols)
+// fillBlock writes the deterministic BF16 KV content of the block key
+// addresses into data, row-major. Identical token content always
+// produces identical tensors, so the compressed round trip is
+// verifiable bit for bit against the generator.
+func fillBlock(key string, data []bf16.BF16) {
 	x := kvSeed(key)
 	for i := range data {
 		x, data[i] = kvStep(x)
 	}
-	return &bf16.Matrix{Rows: blockTokens, Cols: compressedKVCols, Data: data}
 }
 
-// blockSizes returns the byte accounting of
-// encode(blockContent(key, blockTokens)) without building or encoding
+// scratchBlock returns the Manager's one (BlockTokens × 256) tensor
+// buffer, allocated on first use: every synthesis and every verify
+// runs in it, so the codec round trip allocates no tensors. A Manager
+// is driven by one goroutine, and each use ends before the next begins.
+func (m *Manager) scratchBlock() *bf16.Matrix {
+	if m.scratch.Data == nil {
+		m.scratch = bf16.Matrix{
+			Rows: m.cfg.BlockTokens, Cols: compressedKVCols,
+			Data: make([]bf16.BF16, m.cfg.BlockTokens*compressedKVCols),
+		}
+	}
+	return &m.scratch
+}
+
+// synthesize fills the scratch block with key's content and returns
+// it, for encode: the payload copies what it keeps, so the scratch is
+// free again once encode returns.
+func (m *Manager) synthesize(key string) *bf16.Matrix {
+	kv := m.scratchBlock()
+	fillBlock(key, kv.Data)
+	return kv
+}
+
+// blockSizes returns the byte accounting of encoding key's block
+// content (encode(m.synthesize(key))) without building or encoding
 // the tensor: one pass over the same stream counts exponents into the
 // histogram of the matrix encode compresses — the tileShape geometry,
 // with reshapeForTiles' zero tail — which fixes the encoded size.

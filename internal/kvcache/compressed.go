@@ -1,7 +1,6 @@
 package kvcache
 
 import (
-	"errors"
 	"fmt"
 
 	"zipserv/internal/bf16"
@@ -77,17 +76,24 @@ func (sb *storedBlock) decode() (*bf16.Matrix, error) {
 	return &bf16.Matrix{Rows: sb.rows, Cols: sb.cols, Data: flat.Data[:sb.rows*sb.cols]}, nil
 }
 
-// verify decodes a payload and compares it bit for bit with a
-// re-synthesis of the content its key addresses: the one round-trip
-// proof, run by ImportKV on every wire block it expands and by
-// CheckInvariants on every payload a trie node holds.
-func (sb *storedBlock) verify(key string, blockTokens int) error {
-	kv, err := sb.decode()
-	if err != nil {
+// verify decodes a payload into kv — a Manager's scratch block, in the
+// shape the key's content has — and compares it element by element with
+// the key's generator stream: the one round-trip proof, run by ImportKV
+// on every wire block it expands and by CheckInvariants on every
+// payload a trie node holds. It allocates nothing unless it fails.
+func (sb *storedBlock) verify(key string, kv *bf16.Matrix) error {
+	if sb.rows != kv.Rows || sb.cols != kv.Cols {
+		return fmt.Errorf("%d×%d payload for a %d×%d block", sb.rows, sb.cols, kv.Rows, kv.Cols)
+	}
+	if err := core.DecompressInto(sb.cm, kv.Data); err != nil {
 		return fmt.Errorf("unreadable: %w", err)
 	}
-	if !kv.Equal(blockContent(key, blockTokens)) {
-		return errors.New("decompressed content differs from its key's")
+	x, want := kvSeed(key), bf16.BF16(0)
+	for i, got := range kv.Data {
+		x, want = kvStep(x)
+		if got != want {
+			return fmt.Errorf("decompressed content differs from its key's at element %d", i)
+		}
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package kvcache
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"zipserv/internal/bf16"
@@ -223,6 +225,57 @@ func FuzzCompressedStoreRoundtrip(f *testing.F) {
 	})
 }
 
+// blockContent returns key's block tensor in a fresh matrix: what a
+// Manager's synthesize writes into its scratch block.
+func blockContent(key string, blockTokens int) *bf16.Matrix {
+	kv := bf16.NewMatrix(blockTokens, compressedKVCols)
+	fillBlock(key, kv.Data)
+	return kv
+}
+
+// TestVerifyComparesEveryElement: a payload that decodes to its key's
+// content in all but one element — the first, a middle one or the last
+// — fails verify, which names that element, while the exact payload
+// passes, before and after the failures leave the scratch dirty. A
+// payload of another shape fails before it is decoded.
+func TestVerifyComparesEveryElement(t *testing.T) {
+	m, err := NewManager(Config{BlockTokens: DefaultBlockTokens, TotalBlocks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "verify/one-element"
+	want := blockContent(key, DefaultBlockTokens)
+	exact, err := encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := exact.verify(key, m.scratchBlock()); err != nil {
+		t.Fatalf("exact payload: %v", err)
+	}
+	for _, i := range []int{0, len(want.Data) / 2, len(want.Data) - 1} {
+		kv := want.Clone()
+		kv.Data[i] ^= 1 // the mantissa's low bit
+		sb, err := encode(kv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sb.verify(key, m.scratchBlock())
+		if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("at element %d", i)) {
+			t.Fatalf("payload differing at element %d: verify = %v", i, err)
+		}
+	}
+	if err := exact.verify(key, m.scratchBlock()); err != nil {
+		t.Fatalf("exact payload after failed checks: %v", err)
+	}
+	wide, err := encode(blockContent(key, 2*DefaultBlockTokens))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wide.verify(key, m.scratchBlock()); err == nil {
+		t.Fatal("a 32×256 payload verified as a 16×256 block")
+	}
+}
+
 var kvBlockSink *bf16.Matrix
 
 // BenchmarkCompressedStoreKVBlock measures the codec at the real KV
@@ -243,5 +296,30 @@ func BenchmarkCompressedStoreKVBlock(b *testing.B) {
 			b.Fatal(err)
 		}
 		kvBlockSink = out
+	}
+}
+
+// BenchmarkVerifyKVBlock is the content check ImportKV runs on every
+// block it expands and CheckInvariants on every payload a node holds:
+// decode one 16×256 payload into the Manager's scratch block and
+// compare it with its key's generator stream. It allocates nothing.
+func BenchmarkVerifyKVBlock(b *testing.B) {
+	m, err := NewManager(Config{BlockTokens: DefaultBlockTokens, TotalBlocks: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const key = "bench/kv-block"
+	sb, err := encode(blockContent(key, DefaultBlockTokens))
+	if err != nil {
+		b.Fatal(err)
+	}
+	kv := m.scratchBlock()
+	b.SetBytes(sb.origSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sb.verify(key, kv); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

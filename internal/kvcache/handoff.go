@@ -16,9 +16,10 @@ import (
 // (the prompt's per-block keys), so a target whose prefix trie already
 // advertises them reuses the resident blocks and only the genuinely new
 // tail is decompressed from the wire payload.
-// Every expanded block is verified against a re-synthesis of its key's
-// content before any state is committed, by the same round-trip check
-// CheckInvariants applies to every payload a trie node holds.
+// Every expanded block is decoded and compared, element by element,
+// with its key's generated content before any state is committed, by
+// the same round-trip check CheckInvariants applies to every payload a
+// trie node holds.
 //
 // Import is idempotent by construction: a duplicate import of a
 // sequence id already present fails with ErrSequenceExists without
@@ -85,7 +86,7 @@ func (m *Manager) ExportKV(seqID int, hp HashedPrompt) (*KVExport, error) {
 		HP: hp, Keys: keys, payloads: make([]*storedBlock, len(keys)),
 	}
 	for i, key := range keys {
-		sb, err := encode(blockContent(key, b))
+		sb, err := encode(m.synthesize(key))
 		if err != nil {
 			return nil, fmt.Errorf("kvcache: compressing sequence %d block %d: %w", seqID, i, err)
 		}
@@ -116,7 +117,7 @@ type ImportStats struct {
 
 // ImportKV thaws an export into this manager, deduplicating prompt
 // blocks against the prefix trie. Wire-expanded blocks are verified
-// bit-for-bit against a re-synthesis of their content keys before any
+// bit-for-bit against the content their keys generate before any
 // allocation is committed; on any failure the claim is rolled back and
 // the manager is unchanged. A sequence id already present fails with
 // ErrSequenceExists (duplicate handoff). After a successful import the
@@ -163,7 +164,7 @@ func (m *Manager) ImportKV(exp *KVExport) (ImportStats, error) {
 	// before committing any allocation: each must decompress to exactly
 	// the content its key addresses.
 	for i := supplied; i < len(exp.Keys); i++ {
-		if err := exp.payloads[i].verify(exp.Keys[i], m.cfg.BlockTokens); err != nil {
+		if err := exp.payloads[i].verify(exp.Keys[i], m.scratchBlock()); err != nil {
 			rollback()
 			return stats, fmt.Errorf("kvcache: import of sequence %d block %d: %w", exp.SeqID, i, err)
 		}

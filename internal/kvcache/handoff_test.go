@@ -416,3 +416,38 @@ func FuzzKVHandoffRoundtrip(f *testing.F) {
 		_ = stats
 	})
 }
+
+// BenchmarkExportImportKV is one disaggregated handoff as disagg-long's
+// replicas run it: export a 784-token (49-block) sequence of a
+// length-only request (private handoff keys), import it into a Manager
+// without the prefix cache — so every block is decoded and verified —
+// and free it there.
+func BenchmarkExportImportKV(b *testing.B) {
+	const tokens = 49 * DefaultBlockTokens
+	cfg := Config{BlockTokens: DefaultBlockTokens, TotalBlocks: 64}
+	src, err := NewManager(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst, err := NewManager(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := src.Allocate(1, tokens); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exp, err := src.ExportKV(1, HashedPrompt{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st, err := dst.ImportKV(exp); err != nil || st.ExpandedBlocks != 49 {
+			b.Fatalf("import expanded %d blocks, %v; want 49", st.ExpandedBlocks, err)
+		}
+		if err := dst.Free(1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+
+	"zipserv/internal/bf16"
 )
 
 // DefaultBlockTokens is the paged-attention block granularity.
@@ -90,6 +92,8 @@ type Manager struct {
 	// rejection).
 	codecFault     func() bool
 	codecFallbacks int64
+
+	scratch bf16.Matrix // one block's tensor, reused (see scratchBlock)
 }
 
 // NewManager builds a manager with all blocks free.
@@ -441,7 +445,7 @@ func (m *Manager) checkTrie() error {
 func (m *Manager) checkContent(c *prefixNode) error {
 	switch {
 	case c.payload != nil:
-		if err := c.payload.verify(c.key, m.cfg.BlockTokens); err != nil {
+		if err := c.payload.verify(c.key, m.scratchBlock()); err != nil {
 			return fmt.Errorf("payload: %w", err)
 		}
 		if got := c.payload.size(); got != c.size {

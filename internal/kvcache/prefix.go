@@ -358,10 +358,13 @@ func (m *Manager) walk(hp HashedPrompt) (int, []*prefixNode) {
 		node = child
 	}
 	if matched >= len(hp.tokens) && matched > 0 {
-		// Fully cached prompt: keep every block claimed but recompute
-		// the final token, which partially consumes the tail block —
-		// the copy-on-write case once the sequence grows into it.
+		// Fully cached prompt: recompute the final token, which
+		// partially consumes the tail block — the copy-on-write case
+		// once the sequence grows into it — and claim only the blocks
+		// the remaining tokens fill. Below two tokens per block the
+		// tail block holds nothing but that final token, so it drops.
 		matched = len(hp.tokens) - 1
+		nodes = nodes[:BlocksFor(matched, b)]
 	}
 	m.prefix.walkScratch = nodes
 	return matched, nodes

@@ -126,6 +126,54 @@ func TestPrefixLookupClaimAndResurrect(t *testing.T) {
 	mustInvariants(t, m)
 }
 
+// TestFullyCachedPromptClaimsOnlyNeededBlocks: a fully cached prompt
+// is capped one token short, and the claim (and LookupCost's
+// resurrection charge) must cover only the blocks those tokens fill. At
+// one token per block the capped tail block holds nothing but the
+// recomputed final token, so it must not be claimed; from two tokens
+// per block on, the cap leaves every block claimed.
+func TestFullyCachedPromptClaimsOnlyNeededBlocks(t *testing.T) {
+	for _, bt := range []int{1, 2, 16} {
+		m, err := NewManager(Config{BlockTokens: bt, TotalBlocks: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.EnablePrefixCache(0); err != nil {
+			t.Fatal(err)
+		}
+		prompt := toks(4*bt, bt)
+		if err := m.Allocate(1, len(prompt)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CommitPrefix(1, prompt, len(prompt)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(1); err != nil {
+			t.Fatal(err)
+		}
+		want := BlocksFor(len(prompt)-1, bt)
+		if matched, resurrect := m.LookupCost(prompt); matched != len(prompt)-1 || resurrect != want {
+			t.Fatalf("bt=%d: LookupCost = %d tokens, %d resurrections; want %d, %d",
+				bt, matched, resurrect, len(prompt)-1, want)
+		}
+		if matched, err := m.ClaimPrefix(2, prompt); err != nil || matched != len(prompt)-1 {
+			t.Fatalf("bt=%d: ClaimPrefix = %d, %v; want %d", bt, matched, err, len(prompt)-1)
+		}
+		if table, _ := m.BlockTable(2); len(table) != want {
+			t.Fatalf("bt=%d: claim holds %d blocks for %d tokens, want %d", bt, len(table), len(prompt)-1, want)
+		}
+		mustInvariants(t, m)
+		if err := m.Extend(2, 1); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+		if err := m.Free(2); err != nil {
+			t.Fatal(err)
+		}
+		mustInvariants(t, m)
+	}
+}
+
 // TestPrefixCopyOnWrite covers the partially consumed shared tail: a
 // fully cached block-aligned prompt claims every block but recomputes
 // its final token, so the first Extend writes into a shared block and
