@@ -28,14 +28,16 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"` // -1 when -benchmem was off
 }
 
-// benchLine matches e.g.
+// benchLine matches a result line's name and iteration count, and
+// captures the value/unit pairs that follow. They come in any order,
+// and b.SetBytes and b.ReportMetric add columns between them, e.g.
 //
-//	BenchmarkStepperDecodeHeavy-8   4936   249973 ns/op   200832 B/op   42 allocs/op
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//	BenchmarkVerifyKVBlock-2   200   43325 ns/op   189.08 MB/s   0 B/op   0 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.*)$`)
 
 // Parse extracts benchmark results from `go test -bench` output,
-// ignoring the surrounding goos/pkg/PASS chatter.
+// ignoring the surrounding goos/pkg/PASS chatter, the lines without an
+// ns/op value, and units other than ns/op, B/op and allocs/op.
 func Parse(r io.Reader) ([]Result, error) {
 	var out []Result
 	sc := bufio.NewScanner(r)
@@ -45,22 +47,27 @@ func Parse(r io.Reader) ([]Result, error) {
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
-		if err != nil {
-			return nil, fmt.Errorf("benchfmt: bad ns/op in %q: %w", sc.Text(), err)
-		}
-		res := Result{Name: m[1], NsPerOp: ns, BytesPerOp: -1, AllocsPerOp: -1}
-		if m[3] != "" {
-			if res.BytesPerOp, err = strconv.ParseInt(m[3], 10, 64); err != nil {
-				return nil, fmt.Errorf("benchfmt: bad B/op in %q: %w", sc.Text(), err)
+		res := Result{Name: m[1], BytesPerOp: -1, AllocsPerOp: -1}
+		timed := false
+		f := strings.Fields(m[2])
+		for i := 0; i+1 < len(f); i += 2 {
+			var err error
+			switch f[i+1] {
+			case "ns/op":
+				res.NsPerOp, err = strconv.ParseFloat(f[i], 64)
+				timed = true
+			case "B/op":
+				res.BytesPerOp, err = strconv.ParseInt(f[i], 10, 64)
+			case "allocs/op":
+				res.AllocsPerOp, err = strconv.ParseInt(f[i], 10, 64)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("benchfmt: bad %s in %q: %w", f[i+1], sc.Text(), err)
 			}
 		}
-		if m[4] != "" {
-			if res.AllocsPerOp, err = strconv.ParseInt(m[4], 10, 64); err != nil {
-				return nil, fmt.Errorf("benchfmt: bad allocs/op in %q: %w", sc.Text(), err)
-			}
+		if timed {
+			out = append(out, res)
 		}
-		out = append(out, res)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -14,6 +14,8 @@ BenchmarkStepperSharedPrefixUncached 	    3853	    284954 ns/op	  200275 B/op	  
 BenchmarkStepperDecodeHeavy          	    4578	    250993 ns/op	  200832 B/op	      42 allocs/op
 BenchmarkLiveSharedPrefix/uncached-8         	    8908	    131060 ns/op	  118573 B/op	     154 allocs/op
 BenchmarkLiveSharedPrefix/cached-8           	    6478	    182335.5 ns/op
+BenchmarkVerifyKVBlock-2  200  43325 ns/op  189.08 MB/s  0 B/op  0 allocs/op
+BenchmarkExportImportKV-2   	     312	   3811442 ns/op	        49.00 blocks/op	  318004 B/op	     689 allocs/op
 PASS
 ok  	zipserv/internal/engine	3.446s
 `
@@ -23,8 +25,8 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 4 {
-		t.Fatalf("parsed %d results, want 4: %+v", len(got), got)
+	if len(got) != 6 {
+		t.Fatalf("parsed %d results, want 6: %+v", len(got), got)
 	}
 	if got[1].Name != "BenchmarkStepperDecodeHeavy" || got[1].NsPerOp != 250993 ||
 		got[1].BytesPerOp != 200832 || got[1].AllocsPerOp != 42 {
@@ -35,6 +37,12 @@ func TestParse(t *testing.T) {
 	}
 	if got[3].NsPerOp != 182335.5 || got[3].AllocsPerOp != -1 || got[3].BytesPerOp != -1 {
 		t.Errorf("benchmem-less line parsed as %+v", got[3])
+	}
+	if want := (Result{Name: "BenchmarkVerifyKVBlock", NsPerOp: 43325}); got[4] != want {
+		t.Errorf("b.SetBytes line parsed as %+v, want %+v", got[4], want)
+	}
+	if want := (Result{Name: "BenchmarkExportImportKV", NsPerOp: 3811442, BytesPerOp: 318004, AllocsPerOp: 689}); got[5] != want {
+		t.Errorf("b.ReportMetric line parsed as %+v, want %+v", got[5], want)
 	}
 	if _, err := Parse(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Error("empty input accepted")

@@ -41,19 +41,26 @@ func statsJSONKeys(t *testing.T, typ reflect.Type, into map[string]bool) {
 }
 
 // docKeyRow matches a stats-reference table row and captures the key
-// it documents.
-var docKeyRow = regexp.MustCompile("^\\| `([a-z0-9_]+)` \\|")
+// it documents and its aggregation column.
+var docKeyRow = regexp.MustCompile("^\\| `([a-z0-9_]+)` \\| [^|]* \\| ([^|]*) \\|")
 
 // TestStatsReferenceDocumentsEveryKey fails when a key served by
 // /v1/stats — the flat serve.Stats surface, the routed extras, or the
 // nested prefix-summary digest — is missing from
-// docs/stats-reference.md, and when a table row there documents a key
-// none of them serves. Adding a stats field without documenting its
-// unit and fleet aggregation rule is a doc regression, and so is a row
-// left behind by a deleted one; both are caught here.
+// docs/stats-reference.md, when a table row there documents a key
+// none of them serves, and when a serve.Stats row's aggregation column
+// does not start with the rule the field's agg tag declares. Adding a
+// stats field without documenting its unit and fleet aggregation rule
+// is a doc regression, and so is a row left behind by a deleted one or
+// a rule the code no longer folds by; all are caught here.
 func TestStatsReferenceDocumentsEveryKey(t *testing.T) {
 	keys := make(map[string]bool)
 	statsJSONKeys(t, reflect.TypeOf(serve.Stats{}), keys)
+	rules := make(map[string]string)
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(serve.Stats{})) {
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		rules[key] = f.Tag.Get("agg")
+	}
 	statsJSONKeys(t, reflect.TypeOf(RoutedStats{}), keys)
 	statsJSONKeys(t, reflect.TypeOf(kvcache.PrefixSummary{}), keys)
 
@@ -80,6 +87,10 @@ func TestStatsReferenceDocumentsEveryKey(t *testing.T) {
 			if !keys[m[1]] {
 				unserved = append(unserved, m[1])
 			}
+			if rule, ok := rules[m[1]]; ok && !strings.HasPrefix(m[2], "`"+rule+"`") {
+				t.Errorf("docs/stats-reference.md: `%s` aggregation %q does not start with its agg rule `%s`", m[1], m[2], rule)
+			}
+			delete(rules, m[1])
 		}
 	}
 	if rows == 0 {
@@ -88,5 +99,8 @@ func TestStatsReferenceDocumentsEveryKey(t *testing.T) {
 	if len(unserved) > 0 {
 		t.Errorf("docs/stats-reference.md documents %d key(s) no stats struct serves: %s",
 			len(unserved), strings.Join(unserved, ", "))
+	}
+	for key := range rules {
+		t.Errorf("docs/stats-reference.md has no table row stating the rule of `%s`", key)
 	}
 }

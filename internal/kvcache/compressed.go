@@ -136,12 +136,6 @@ func (s *CompressedStore) Delete(blockID int) {
 	}
 }
 
-// Has reports whether a block is stored, without decompressing it.
-func (s *CompressedStore) Has(blockID int) bool {
-	_, ok := s.blocks[blockID]
-	return ok
-}
-
 // reshapeForTiles views the tensor's elements as a 64-row matrix so
 // the 64×64 BlockTile grid wastes at most one partial column of tiles
 // instead of 3/4 of every block. Element order is preserved, so the

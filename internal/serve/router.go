@@ -379,12 +379,9 @@ func refusalRank(err error) int {
 	return 0
 }
 
-// Stats returns the fleet-wide aggregate: counters, queue depths and
-// KV headroom summed across replicas, SimSeconds the slowest replica's
-// clock, rates recomputed against it, and latency means weighted by
-// each replica's completions. PeakConcurrency sums the per-replica
-// peaks (an upper bound: replica clocks are independent). Submitted
-// and Rejected are counted at the router, not summed: a failover probe
+// Stats returns the fleet-wide aggregate: the replicas folded by
+// aggregateStats, plus this router's own counters. Submitted and
+// Rejected are counted at the router, not summed: a failover probe
 // into a full replica is not a client-visible rejection.
 func (r *Router) Stats() Stats {
 	agg, _ := r.Snapshot()
@@ -462,166 +459,4 @@ func (r *Router) Stop(ctx context.Context) error {
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// aggregateStats folds per-replica snapshots into one fleet view. Safe
-// on an empty slice (all-zero aggregate, no NaNs): a router may be
-// asked for stats while its replica set is still being assembled.
-func aggregateStats(replicas []Stats) Stats {
-	var agg Stats
-	var ttft, tpot, wait float64
-	var hitEWMA float64
-	adaptiveCaches := 0
-	var compOrigBytes float64
-	var summaries []*kvcache.PrefixSummary
-	for i, st := range replicas {
-		agg.Submitted += st.Submitted
-		agg.Rejected += st.Rejected
-		agg.Completed += st.Completed
-		agg.Failed += st.Failed
-		agg.Preempted += st.Preempted
-		agg.Queued += st.Queued
-		agg.Active += st.Active
-		agg.FreeKVBlocks += st.FreeKVBlocks
-		agg.TotalKVBlocks += st.TotalKVBlocks
-		agg.OutputTokens += st.OutputTokens
-		agg.DecodeSteps += st.DecodeSteps
-		agg.PeakConcurrency += st.PeakConcurrency
-		agg.RecentDrainRPS += st.RecentDrainRPS
-		agg.PrefillIterations += st.PrefillIterations
-		agg.PrefillTokens += st.PrefillTokens
-		agg.PrefixCacheEnabled = agg.PrefixCacheEnabled || st.PrefixCacheEnabled
-		agg.PrefixHits += st.PrefixHits
-		agg.PrefixTokensSaved += st.PrefixTokensSaved
-		agg.CachedKVBlocks += st.CachedKVBlocks
-		agg.SharedKVBlocks += st.SharedKVBlocks
-		// Affinity telemetry: counters sum (nested routers report their
-		// own dispatch outcomes; leaf replicas report 0), the trie
-		// digests merge below, and the fleet summary age is the oldest
-		// replica's — the staleness bound on any overlap estimate made
-		// from this aggregate.
-		agg.PrefixAffinityHits += st.PrefixAffinityHits
-		agg.AffinitySpills += st.AffinitySpills
-		if st.PrefixSummary != nil {
-			summaries = append(summaries, st.PrefixSummary)
-		}
-		if st.SummaryAgeSeconds > agg.SummaryAgeSeconds {
-			agg.SummaryAgeSeconds = st.SummaryAgeSeconds
-		}
-		// Compressed-cache counters sum like the capacity they describe;
-		// the fleet ratio is reconstructed below from per-replica
-		// original footprints (ratio × compressed bytes), so replicas
-		// holding more content weigh more.
-		agg.CompressedCacheEnabled = agg.CompressedCacheEnabled || st.CompressedCacheEnabled
-		agg.CompressedKVBlocks += st.CompressedKVBlocks
-		agg.CompressedKVBytes += st.CompressedKVBytes
-		agg.DecompressClaims += st.DecompressClaims
-		compOrigBytes += st.KVCompressionRatio * float64(st.CompressedKVBytes)
-		agg.Handoffs += st.Handoffs
-		agg.HandoffBytes += st.HandoffBytes
-		agg.HandoffFailures += st.HandoffFailures
-		agg.HandoffImports += st.HandoffImports
-		// Robustness and health telemetry: counters sum (a dispatching
-		// router adds its own breaker/retry outcomes in Snapshot, like
-		// affinity; nested routers' aggregates fold through here), the
-		// enablement flag ORs, and the census sums nested fleets'
-		// counts. HealthState is a per-replica annotation and never
-		// aggregates.
-		agg.LostRequests += st.LostRequests
-		agg.HandoffDrops += st.HandoffDrops
-		agg.CodecFallbacks += st.CodecFallbacks
-		agg.HealthEnabled = agg.HealthEnabled || st.HealthEnabled
-		agg.ReplicasHealthy += st.ReplicasHealthy
-		agg.ReplicasDegraded += st.ReplicasDegraded
-		agg.ReplicasEjected += st.ReplicasEjected
-		agg.Ejections += st.Ejections
-		agg.HealthProbes += st.HealthProbes
-		agg.Reinstatements += st.Reinstatements
-		agg.Resurrections += st.Resurrections
-		agg.RetryExhausted += st.RetryExhausted
-		// Worst-replica cadence stall and the largest configured budget
-		// (fleets are normally homogeneous; max is the honest summary
-		// when they are not).
-		if st.MaxDecodeGap > agg.MaxDecodeGap {
-			agg.MaxDecodeGap = st.MaxDecodeGap
-		}
-		if st.PrefillChunkTokens > agg.PrefillChunkTokens {
-			agg.PrefillChunkTokens = st.PrefillChunkTokens
-		}
-		// Adaptive-controller telemetry: the fleet budget spread is the
-		// min/max over the replicas' own spreads (nested routers fold
-		// correctly), the headline budget and step-time figures are the
-		// worst replica's, pool targets sum like the capacity they
-		// bound, and the hit-rate EWMA averages the replicas that run
-		// the sizing controller.
-		agg.AdaptiveChunking = agg.AdaptiveChunking || st.AdaptiveChunking
-		agg.AdaptivePrefixCache = agg.AdaptivePrefixCache || st.AdaptivePrefixCache
-		// The fleet's tightest budget is the min over replicas that have
-		// one: a monolithic replica's 0 means "no per-iteration bound",
-		// not "bound of zero", so folding it in would report the loosest
-		// replica as the tightest. 0 survives only on an all-monolithic
-		// fleet.
-		if st.ChunkBudgetMin > 0 && (agg.ChunkBudgetMin == 0 || st.ChunkBudgetMin < agg.ChunkBudgetMin) {
-			agg.ChunkBudgetMin = st.ChunkBudgetMin
-		}
-		if st.ChunkBudgetMax > agg.ChunkBudgetMax {
-			agg.ChunkBudgetMax = st.ChunkBudgetMax
-		}
-		if st.ChunkBudget > agg.ChunkBudget {
-			agg.ChunkBudget = st.ChunkBudget
-		}
-		if st.TargetStepTime > agg.TargetStepTime {
-			agg.TargetStepTime = st.TargetStepTime
-		}
-		if st.StepTimeEWMA > agg.StepTimeEWMA {
-			agg.StepTimeEWMA = st.StepTimeEWMA
-		}
-		if st.CachePressureEWMA > agg.CachePressureEWMA {
-			agg.CachePressureEWMA = st.CachePressureEWMA
-		}
-		agg.CachePoolTarget += st.CachePoolTarget
-		if st.AdaptivePrefixCache {
-			hitEWMA += st.CacheHitRateEWMA
-			adaptiveCaches++
-		}
-		if st.SimSeconds > agg.SimSeconds {
-			agg.SimSeconds = st.SimSeconds
-		}
-		if st.WallSeconds > agg.WallSeconds {
-			agg.WallSeconds = st.WallSeconds
-		}
-		if i == 0 {
-			agg.Policy = st.Policy
-			agg.Pool = st.Pool
-		} else {
-			if agg.Policy != st.Policy {
-				agg.Policy = "mixed"
-			}
-			if agg.Pool != st.Pool {
-				agg.Pool = string(PoolMixed)
-			}
-		}
-		ttft += st.MeanTTFT * float64(st.Completed)
-		tpot += st.MeanTPOT * float64(st.Completed)
-		wait += st.MeanQueueWait * float64(st.Completed)
-	}
-	if agg.Completed > 0 {
-		agg.MeanTTFT = ttft / float64(agg.Completed)
-		agg.MeanTPOT = tpot / float64(agg.Completed)
-		agg.MeanQueueWait = wait / float64(agg.Completed)
-	}
-	if adaptiveCaches > 0 {
-		agg.CacheHitRateEWMA = hitEWMA / float64(adaptiveCaches)
-	}
-	if agg.CompressedKVBytes > 0 {
-		agg.KVCompressionRatio = compOrigBytes / float64(agg.CompressedKVBytes)
-	} else if agg.CompressedCacheEnabled {
-		agg.KVCompressionRatio = 1.0 // enabled fleet, nothing frozen yet
-	}
-	agg.PrefixSummary = kvcache.MergePrefixSummaries(summaries)
-	if agg.SimSeconds > 0 {
-		agg.Goodput = float64(agg.Completed) / agg.SimSeconds
-		agg.Throughput = float64(agg.OutputTokens) / agg.SimSeconds
-	}
-	return agg
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"testing"
 	"time"
@@ -336,6 +337,47 @@ func TestRouterAggregatesAdaptiveStats(t *testing.T) {
 	}
 	if agg.PeakConcurrency != 15 {
 		t.Errorf("peak concurrency %d, want the 15-sequence fleet sum", agg.PeakConcurrency)
+	}
+}
+
+// TestNestedHealthFleetStats pins how a health router folds two
+// nested health routers, with 3 and 1 replicas. The census counts the
+// 4 leaves (reported by the inner routers) plus the 2 inner routers
+// themselves (counted by the root as its replicas). The hit-rate EWMA
+// is the mean of the inner routers' means, not of the 4 leaves (0.7).
+// The compression ratio is weighted by compressed bytes, which makes it
+// the fleet's raw/compressed byte ratio.
+func TestNestedHealthFleetStats(t *testing.T) {
+	leaf := func(hit float64, comp int64, ratio float64) Backend {
+		return &statsStub{Stats{
+			AdaptivePrefixCache: true, CacheHitRateEWMA: hit,
+			CompressedCacheEnabled: true, CompressedKVBytes: comp, KVCompressionRatio: ratio,
+		}}
+	}
+	healthRouter := func(replicas ...Backend) *Router {
+		r, err := NewRouter(replicas...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.EnableHealth(HealthConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	root := healthRouter(
+		healthRouter(leaf(0.9, 100, 1.2), leaf(0.9, 100, 1.2), leaf(0.9, 200, 1.5)),
+		healthRouter(leaf(0.1, 600, 1.4)))
+	agg := root.Stats()
+	if agg.ReplicasHealthy != 6 || agg.ReplicasDegraded != 0 || agg.ReplicasEjected != 0 {
+		t.Errorf("census %d/%d/%d healthy/degraded/ejected, want 6/0/0",
+			agg.ReplicasHealthy, agg.ReplicasDegraded, agg.ReplicasEjected)
+	}
+	if agg.CacheHitRateEWMA != 0.5 {
+		t.Errorf("hit-rate EWMA %v, want 0.5", agg.CacheHitRateEWMA)
+	}
+	// Raw bytes 120+120+300+840 over compressed bytes 1000.
+	if agg.CompressedKVBytes != 1000 || math.Abs(agg.KVCompressionRatio-1.38) > 1e-12 {
+		t.Errorf("compression %d bytes at ratio %v, want 1000 at 1.38", agg.CompressedKVBytes, agg.KVCompressionRatio)
 	}
 }
 

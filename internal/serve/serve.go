@@ -298,41 +298,39 @@ type Result struct {
 }
 
 // Stats is an aggregate snapshot of one backend. For a Router it spans
-// all replicas (counters summed, SimSeconds the slowest replica's
-// clock, rate and latency aggregates recomputed fleet-wide).
+// all replicas: each field's agg tag names the rule aggregateStats folds
+// it by (docs/stats-reference.md describes every rule and key).
 type Stats struct {
-	Submitted int64 `json:"submitted"`
+	Submitted int64 `json:"submitted" agg:"sum"`
 	// Rejected counts client-visible submit failures: queue-full fast
 	// failures and, on a router, every refusal it returned (a malformed
 	// request, or one every replica refused: all stopped, or a request
 	// that can never fit).
-	Rejected  int64 `json:"rejected"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Preempted int64 `json:"preempted"` // policy evictions (requeued, not failed)
+	Rejected  int64 `json:"rejected" agg:"sum"`
+	Completed int64 `json:"completed" agg:"sum"`
+	Failed    int64 `json:"failed" agg:"sum"`
+	Preempted int64 `json:"preempted" agg:"sum"` // policy evictions (requeued, not failed)
 
-	Queued int `json:"queued"` // waiting for admission
-	Active int `json:"active"` // holding KV capacity
+	Queued int `json:"queued" agg:"sum"` // waiting for admission
+	Active int `json:"active" agg:"sum"` // holding KV capacity
 
 	// KV headroom, the router's capacity-aware dispatch signal.
-	FreeKVBlocks  int `json:"free_kv_blocks"`
-	TotalKVBlocks int `json:"total_kv_blocks"`
+	FreeKVBlocks  int `json:"free_kv_blocks" agg:"sum"`
+	TotalKVBlocks int `json:"total_kv_blocks" agg:"sum"`
 
-	Policy string `json:"policy,omitempty"`
+	Policy string `json:"policy,omitempty" agg:"same"`
 
-	// Disaggregation metrics. Pool echoes the replica's configured role
-	// ("mixed" on a heterogeneous router aggregate); Handoffs counts
-	// sequences this replica exported to a decode replica after their
-	// first token, with HandoffBytes their total compressed wire
-	// footprint; HandoffFailures counts dispatches no decode replica
+	// Disaggregation metrics. Pool echoes the replica's configured role;
+	// Handoffs counts sequences this replica exported to a decode replica
+	// after their first token, with HandoffBytes their total compressed
+	// wire footprint; HandoffFailures counts dispatches no decode replica
 	// accepted (the sequence then continued co-located); HandoffImports
 	// counts sequences this replica imported and decoded to completion.
-	// A router sums the counters.
-	Pool            string `json:"pool,omitempty"`
-	Handoffs        int64  `json:"handoffs"`
-	HandoffBytes    int64  `json:"handoff_bytes"`
-	HandoffFailures int64  `json:"handoff_failures"`
-	HandoffImports  int64  `json:"handoff_imports"`
+	Pool            string `json:"pool,omitempty" agg:"same"`
+	Handoffs        int64  `json:"handoffs" agg:"sum"`
+	HandoffBytes    int64  `json:"handoff_bytes" agg:"sum"`
+	HandoffFailures int64  `json:"handoff_failures" agg:"sum"`
+	HandoffImports  int64  `json:"handoff_imports" agg:"sum"`
 
 	// Robustness metrics (docs/robustness.md). LostRequests counts
 	// requests this replica held (queued or in-flight) when it crashed,
@@ -342,10 +340,10 @@ type Stats struct {
 	// the wire (injected by fault plans). CodecFallbacks counts cold
 	// prefix-cache blocks that degraded to plain physical parking
 	// because the KV codec failed — the graceful-degradation path for
-	// codec faults. A router sums all three.
-	LostRequests   int64 `json:"lost_requests"`
-	HandoffDrops   int64 `json:"handoff_drops"`
-	CodecFallbacks int64 `json:"codec_fallbacks"`
+	// codec faults.
+	LostRequests   int64 `json:"lost_requests" agg:"sum"`
+	HandoffDrops   int64 `json:"handoff_drops" agg:"sum"`
+	CodecFallbacks int64 `json:"codec_fallbacks" agg:"sum"`
 
 	// Health-aware routing telemetry (router-owned; see
 	// docs/robustness.md). HealthEnabled reports whether the router
@@ -359,75 +357,71 @@ type Stats struct {
 	// Reinstatements the probes that brought one back. Resurrections
 	// counts lost requests resubmitted to another replica;
 	// RetryExhausted the resurrections abandoned after the retry
-	// budget (client-visible failures, also folded into Failed). Nested
-	// routers report their own counters; a parent sums them.
-	HealthEnabled    bool   `json:"health_enabled,omitempty"`
-	HealthState      string `json:"health_state,omitempty"`
-	ReplicasHealthy  int    `json:"replicas_healthy,omitempty"`
-	ReplicasDegraded int    `json:"replicas_degraded,omitempty"`
-	ReplicasEjected  int    `json:"replicas_ejected,omitempty"`
-	Ejections        int64  `json:"ejections,omitempty"`
-	HealthProbes     int64  `json:"health_probes,omitempty"`
-	Reinstatements   int64  `json:"reinstatements,omitempty"`
-	Resurrections    int64  `json:"resurrections,omitempty"`
-	RetryExhausted   int64  `json:"retry_exhausted,omitempty"`
+	// budget (client-visible failures, also folded into Failed).
+	HealthEnabled    bool   `json:"health_enabled,omitempty" agg:"or"`
+	HealthState      string `json:"health_state,omitempty" agg:"replica"`
+	ReplicasHealthy  int    `json:"replicas_healthy,omitempty" agg:"sum"`
+	ReplicasDegraded int    `json:"replicas_degraded,omitempty" agg:"sum"`
+	ReplicasEjected  int    `json:"replicas_ejected,omitempty" agg:"sum"`
+	Ejections        int64  `json:"ejections,omitempty" agg:"sum"`
+	HealthProbes     int64  `json:"health_probes,omitempty" agg:"sum"`
+	Reinstatements   int64  `json:"reinstatements,omitempty" agg:"sum"`
+	Resurrections    int64  `json:"resurrections,omitempty" agg:"sum"`
+	RetryExhausted   int64  `json:"retry_exhausted,omitempty" agg:"sum"`
 
 	// WallSeconds is real elapsed time since the scheduler started (0
 	// before Start) — the denominator for wall-clock rates, which the
 	// virtual-time Goodput is not.
-	WallSeconds float64 `json:"wall_seconds"`
+	WallSeconds float64 `json:"wall_seconds" agg:"max"`
 	// RecentDrainRPS is the wall-clock completion rate over the last
 	// ~30s — the current queue drain rate behind the HTTP layer's
 	// Retry-After estimate (a lifetime average would never recover
-	// from a long idle stretch). For a Router it sums the replicas.
-	RecentDrainRPS float64 `json:"recent_drain_rps"`
+	// from a long idle stretch).
+	RecentDrainRPS float64 `json:"recent_drain_rps" agg:"sum"`
 
-	SimSeconds      float64 `json:"sim_seconds"`
-	OutputTokens    int64   `json:"output_tokens"`
-	DecodeSteps     int64   `json:"decode_steps"`
-	PeakConcurrency int     `json:"peak_concurrency"`
+	SimSeconds      float64 `json:"sim_seconds" agg:"max"`
+	OutputTokens    int64   `json:"output_tokens" agg:"sum"`
+	DecodeSteps     int64   `json:"decode_steps" agg:"sum"`
+	PeakConcurrency int     `json:"peak_concurrency" agg:"sum"`
 
 	// Chunked-prefill and cadence metrics. PrefillChunkTokens echoes
 	// the configured per-iteration budget (0 = monolithic);
 	// PrefillIterations and PrefillTokens count prefill work done;
 	// MaxDecodeGap is the worst inter-token stall any decoding sequence
 	// has seen (virtual seconds) — the number chunking bounds.
-	PrefillChunkTokens int     `json:"prefill_chunk_tokens"`
-	PrefillIterations  int64   `json:"prefill_iterations"`
-	PrefillTokens      int64   `json:"prefill_tokens"`
-	MaxDecodeGap       float64 `json:"max_decode_gap_seconds"`
+	PrefillChunkTokens int     `json:"prefill_chunk_tokens" agg:"max"`
+	PrefillIterations  int64   `json:"prefill_iterations" agg:"sum"`
+	PrefillTokens      int64   `json:"prefill_tokens" agg:"sum"`
+	MaxDecodeGap       float64 `json:"max_decode_gap_seconds" agg:"max"`
 
 	// Prefix-cache metrics. PrefixCacheEnabled echoes the config;
 	// PrefixHits counts admissions that reused cached blocks;
 	// PrefixTokensSaved totals the prompt tokens served by reference
 	// instead of re-prefilled; CachedKVBlocks are refcount-zero blocks
 	// kept warm (they still count as free capacity); SharedKVBlocks
-	// are blocks referenced by more than one live sequence. A router
-	// sums the counters across replicas.
-	PrefixCacheEnabled bool  `json:"prefix_cache_enabled,omitempty"`
-	PrefixHits         int64 `json:"prefix_hits"`
-	PrefixTokensSaved  int64 `json:"prefix_tokens_saved"`
-	CachedKVBlocks     int   `json:"cached_kv_blocks"`
-	SharedKVBlocks     int   `json:"shared_kv_blocks"`
+	// are blocks referenced by more than one live sequence.
+	PrefixCacheEnabled bool  `json:"prefix_cache_enabled,omitempty" agg:"or"`
+	PrefixHits         int64 `json:"prefix_hits" agg:"sum"`
+	PrefixTokensSaved  int64 `json:"prefix_tokens_saved" agg:"sum"`
+	CachedKVBlocks     int   `json:"cached_kv_blocks" agg:"sum"`
+	SharedKVBlocks     int   `json:"shared_kv_blocks" agg:"sum"`
 
 	// Prefix-affinity routing telemetry (docs/routing.md). PrefixSummary
 	// is the replica's immutable prefix-trie digest (root fingerprints +
 	// a bloom filter over committed block paths), published on the
-	// admission-epoch cadence; a router merges the replicas' digests
-	// (roots unioned, equal-sized blooms OR'd). SummaryAgeSeconds is the
-	// virtual time since the digest last changed (max across a fleet —
-	// the staleness bound on the router's overlap estimates).
-	// PrefixAffinityHits counts submissions an affinity-enabled router
-	// dispatched to the replica with the best estimated prefix overlap;
-	// AffinitySpills counts submissions that had a preferred replica but
-	// were routed least-loaded instead because the preferred one sat
-	// outside the load band or under the free-block floor. Replicas
-	// always report 0 for both; routers sum nested routers' counts and
-	// add their own.
-	PrefixSummary      *kvcache.PrefixSummary `json:"prefix_summary,omitempty"`
-	SummaryAgeSeconds  float64                `json:"prefix_summary_age_seconds"`
-	PrefixAffinityHits int64                  `json:"prefix_affinity_hits"`
-	AffinitySpills     int64                  `json:"affinity_spills"`
+	// admission-epoch cadence. SummaryAgeSeconds is the virtual time
+	// since the digest last changed — on a fleet, the staleness bound on
+	// the router's overlap estimates. PrefixAffinityHits counts
+	// submissions an affinity-enabled router dispatched to the replica
+	// with the best estimated prefix overlap; AffinitySpills counts
+	// submissions that had a preferred replica but were routed
+	// least-loaded instead because the preferred one sat outside the
+	// load band or under the free-block floor. Replicas always report 0
+	// for both.
+	PrefixSummary      *kvcache.PrefixSummary `json:"prefix_summary,omitempty" agg:"merge"`
+	SummaryAgeSeconds  float64                `json:"prefix_summary_age_seconds" agg:"max"`
+	PrefixAffinityHits int64                  `json:"prefix_affinity_hits" agg:"sum"`
+	AffinitySpills     int64                  `json:"affinity_spills" agg:"sum"`
 
 	// Compressed-cache metrics. CompressedCacheEnabled echoes the
 	// config; CompressedKVBlocks are cold blocks currently held in
@@ -435,13 +429,12 @@ type Stats struct {
 	// CompressedKVBytes their stored footprint; KVCompressionRatio is
 	// the measured aggregate orig/compressed ratio (1.0 while nothing
 	// is frozen); DecompressClaims counts frozen blocks restored by
-	// prefix claims. A router sums blocks/bytes/claims and weights the
-	// ratio by compressed bytes.
-	CompressedCacheEnabled bool    `json:"compressed_cache_enabled,omitempty"`
-	CompressedKVBlocks     int     `json:"compressed_kv_blocks"`
-	CompressedKVBytes      int64   `json:"compressed_bytes"`
-	KVCompressionRatio     float64 `json:"compression_ratio"`
-	DecompressClaims       int64   `json:"decompress_claims"`
+	// prefix claims.
+	CompressedCacheEnabled bool    `json:"compressed_cache_enabled,omitempty" agg:"or"`
+	CompressedKVBlocks     int     `json:"compressed_kv_blocks" agg:"sum"`
+	CompressedKVBytes      int64   `json:"compressed_bytes" agg:"sum"`
+	KVCompressionRatio     float64 `json:"compression_ratio" agg:"mean:compressed_bytes"`
+	DecompressClaims       int64   `json:"decompress_claims" agg:"sum"`
 
 	// Adaptive-controller telemetry. AdaptiveChunking/AdaptivePrefixCache
 	// echo the config; ChunkBudget is the budget the next iteration will
@@ -449,27 +442,27 @@ type Stats struct {
 	// ChunkBudgetMin/Max the fleet spread on a router (min==max==budget
 	// on one replica); TargetStepTime is the chunk controller's combined
 	// step-time target and StepTimeEWMA the smoothed iteration time it
-	// holds under it (worst replica on a router). CachePoolTarget is the
-	// cached-pool bound the sizing controller (or static config)
-	// currently enforces, summed fleet-wide; CacheHitRateEWMA averages
-	// the adaptive replicas and CachePressureEWMA reports the worst one.
-	AdaptiveChunking    bool    `json:"adaptive_chunking,omitempty"`
-	ChunkBudget         int     `json:"chunk_budget_tokens"`
-	ChunkBudgetMin      int     `json:"chunk_budget_min_tokens"`
-	ChunkBudgetMax      int     `json:"chunk_budget_max_tokens"`
-	TargetStepTime      float64 `json:"target_step_time_seconds,omitempty"`
-	StepTimeEWMA        float64 `json:"step_time_ewma_seconds"`
-	AdaptivePrefixCache bool    `json:"adaptive_prefix_cache,omitempty"`
-	CachePoolTarget     int     `json:"cache_pool_target_blocks"`
-	CacheHitRateEWMA    float64 `json:"cache_hit_rate_ewma"`
-	CachePressureEWMA   float64 `json:"cache_pressure_ewma"`
+	// holds under it. CachePoolTarget is the cached-pool bound the
+	// sizing controller (or static config) currently enforces;
+	// CacheHitRateEWMA and CachePressureEWMA are its smoothed admission
+	// hit rate and KV pressure.
+	AdaptiveChunking    bool    `json:"adaptive_chunking,omitempty" agg:"or"`
+	ChunkBudget         int     `json:"chunk_budget_tokens" agg:"max"`
+	ChunkBudgetMin      int     `json:"chunk_budget_min_tokens" agg:"minpos"`
+	ChunkBudgetMax      int     `json:"chunk_budget_max_tokens" agg:"max"`
+	TargetStepTime      float64 `json:"target_step_time_seconds,omitempty" agg:"max"`
+	StepTimeEWMA        float64 `json:"step_time_ewma_seconds" agg:"max"`
+	AdaptivePrefixCache bool    `json:"adaptive_prefix_cache,omitempty" agg:"or"`
+	CachePoolTarget     int     `json:"cache_pool_target_blocks" agg:"sum"`
+	CacheHitRateEWMA    float64 `json:"cache_hit_rate_ewma" agg:"mean:adaptive_prefix_cache"`
+	CachePressureEWMA   float64 `json:"cache_pressure_ewma" agg:"max"`
 
-	Goodput    float64 `json:"goodput_rps"`      // completed / sim second
-	Throughput float64 `json:"throughput_tok_s"` // tokens / sim second
+	Goodput    float64 `json:"goodput_rps" agg:"derived"`      // completed / sim second
+	Throughput float64 `json:"throughput_tok_s" agg:"derived"` // tokens / sim second
 
-	MeanTTFT      float64 `json:"mean_ttft_seconds"`
-	MeanTPOT      float64 `json:"mean_tpot_seconds"`
-	MeanQueueWait float64 `json:"mean_queue_wait_seconds"`
+	MeanTTFT      float64 `json:"mean_ttft_seconds" agg:"mean:completed"`
+	MeanTPOT      float64 `json:"mean_tpot_seconds" agg:"mean:completed"`
+	MeanQueueWait float64 `json:"mean_queue_wait_seconds" agg:"mean:completed"`
 }
 
 // Ticket tracks one accepted request.

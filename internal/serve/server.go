@@ -368,10 +368,7 @@ func (s *Server) Stats() Stats {
 	if started := s.startedAt.Load(); started != 0 {
 		st.WallSeconds = time.Since(time.Unix(0, started)).Seconds()
 	}
-	if st.SimSeconds > 0 {
-		st.Goodput = float64(st.Completed) / st.SimSeconds
-		st.Throughput = float64(st.OutputTokens) / st.SimSeconds
-	}
+	st.derive()
 	return st
 }
 

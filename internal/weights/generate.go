@@ -62,15 +62,6 @@ func GaussianWithOutliers(rows, cols int, sigma, outlierFrac float64, seed int64
 	return m
 }
 
-// LayerMatrix materialises the weight matrix of one layer of a model,
-// seeded deterministically by model name, kind and layer index. Large
-// models' LM heads run to hundreds of millions of elements — callers
-// benchmarking shapes only should use the Shape methods instead.
-func LayerMatrix(m Model, kind LayerKind, layerIdx int) *bf16.Matrix {
-	s := m.LayerShape(kind)
-	return Gaussian(s.M, s.K, sigmaForKind(kind), layerSeed(m.Name, kind, layerIdx))
-}
-
 // SampledLayerMatrix materialises a proportionally shrunken version of
 // a layer (both dimensions divided by shrink, rounded up to a tile
 // multiple of 64) so statistical experiments can cover the whole zoo
