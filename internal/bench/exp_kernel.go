@@ -93,33 +93,6 @@ func Fig11(device string) *Table {
 	return t
 }
 
-// Fig11Averages computes the per-codec average speedups of Figure 11
-// without materialising the full table.
-func Fig11Averages(device string) map[string]float64 {
-	spec := gpu.MustByName(device)
-	comp := gpu.DefaultCompression()
-	sums := map[string]float64{}
-	count := 0
-	for _, m := range weights.Zoo() {
-		for _, kind := range weights.BlockLayerKinds {
-			for _, n := range []int{8, 16, 32} {
-				s := shapeOf(m, kind, n)
-				cu := gpu.CuBLAS(spec, s).Total
-				sums["zipserv-tbe"] += cu / gpu.ZipGEMM(spec, s, comp).Total
-				for _, cn := range baselineCodecs {
-					p, _ := gpu.Decoupled(spec, s, paperCR, cn)
-					sums[cn] += cu / p.Total
-				}
-				count++
-			}
-		}
-	}
-	for k := range sums {
-		sums[k] /= float64(count)
-	}
-	return sums
-}
-
 // Fig11c reproduces Figure 11(c): layer-wise analysis of the LLaMA3.1
 // family on L40S, including the O_proj slowdown and block-level
 // aggregate speedups.

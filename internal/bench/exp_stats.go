@@ -59,19 +59,13 @@ func Fig05() *Table {
 		Title:   "Figure 5: roofline analysis (M=K=4096, RTX4090, CR=1.51)",
 		Headers: []string{"N", "pipeline", "CI(FLOP/B)", "attainable(TFLOP/s)", "vs GEMM"},
 	}
-	for _, n := range []int{8, 16, 32, 64} {
-		gemmCI := roofline.CIGemm(4096, 4096, n)
-		for _, p := range []struct {
-			name string
-			ci   float64
-		}{
-			{"GEMM", gemmCI},
-			{"Decoupled", roofline.CIDecoupled(4096, 4096, n, 1.51)},
-			{"ZipServ", roofline.CIZipServ(4096, 4096, n, 1.51)},
-		} {
-			t.AddRow(n, p.name, p.ci, roofline.Attainable(spec, p.ci)/1e12,
-				fmt.Sprintf("%+.1f%%", (p.ci/gemmCI-1)*100))
+	var gemmCI float64
+	for _, p := range roofline.Figure5(spec, 4096, []int{8, 16, 32, 64}, 1.51) {
+		if p.Pipeline == "GEMM" {
+			gemmCI = p.CI
 		}
+		t.AddRow(p.N, p.Pipeline, p.CI, p.Attainable/1e12,
+			fmt.Sprintf("%+.1f%%", (p.CI/gemmCI-1)*100))
 	}
 	t.Notes = append(t.Notes, "paper: decoupled CI -62.3/-62.2/-62.0/-61.7%; ZipServ ~ +50%")
 	return t

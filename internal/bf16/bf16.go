@@ -111,19 +111,6 @@ func (x BF16) IsInf() bool {
 	return x.Exponent() == ExponentMax && x.Mantissa() == 0
 }
 
-// IsZero reports whether x is ±0.
-func (x BF16) IsZero() bool { return uint16(x)&^uint16(signMask) == 0 }
-
-// IsSubnormal reports whether x is a nonzero subnormal (zero exponent,
-// nonzero mantissa).
-func (x BF16) IsSubnormal() bool {
-	return x.Exponent() == 0 && x.Mantissa() != 0
-}
-
-// Neg returns x with the sign bit flipped (bit-level negation; also
-// flips the sign of zeros and NaNs, like hardware FNEG).
-func (x BF16) Neg() BF16 { return x ^ signMask }
-
 // Abs returns x with the sign bit cleared.
 func (x BF16) Abs() BF16 { return x &^ signMask }
 

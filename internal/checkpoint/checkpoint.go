@@ -6,9 +6,9 @@
 // single stream: a manifest (names, shapes, offsets, per-tensor CRC)
 // followed by each tensor's TCA-TBE encoding. Tensors compress in
 // parallel across CPU cores (the paper's offline compressor used a
-// 16-core Xeon), and loading supports both full restore and lazy
-// single-tensor access by manifest offset — what a serving engine does
-// when sharding a model across GPUs.
+// 16-core Xeon), and loading is lazy: each tensor decodes on its own,
+// located by its manifest offset — what a serving engine does when
+// sharding a model across GPUs.
 package checkpoint
 
 import (
@@ -47,11 +47,6 @@ type namedTensor struct {
 // options.
 func NewWriter() *Writer {
 	return &Writer{opts: core.DefaultOptions()}
-}
-
-// NewWriterWithOptions returns a writer with explicit codec options.
-func NewWriterWithOptions(opts core.Options) *Writer {
-	return &Writer{opts: opts}
 }
 
 // Add queues a tensor under the given name. Names must be unique and
@@ -264,32 +259,6 @@ func (c *Checkpoint) Tensor(name string) (*bf16.Matrix, error) {
 			name, m.Rows, m.Cols, e.Rows, e.Cols)
 	}
 	return m, nil
-}
-
-// All decompresses every tensor (in parallel) into a name-keyed map.
-func (c *Checkpoint) All() (map[string]*bf16.Matrix, error) {
-	out := make(map[string]*bf16.Matrix, len(c.entries))
-	errs := make([]error, len(c.entries))
-	mats := make([]*bf16.Matrix, len(c.entries))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	for i := range c.entries {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			mats[i], errs[i] = c.Tensor(c.entries[i].Name)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-		out[c.entries[i].Name] = mats[i]
-	}
-	return out, nil
 }
 
 func writeString(w io.Writer, s string) error {

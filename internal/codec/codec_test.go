@@ -129,30 +129,6 @@ func TestCompressionRatiosOrdering(t *testing.T) {
 	}
 }
 
-func TestTBEOf(t *testing.T) {
-	m := gaussianMatrix(t, 64, 64, 0.02, 4)
-	z, _ := New(NameZipServ)
-	blob, err := z.Compress(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, ok := TBEOf(blob)
-	if !ok || cm == nil {
-		t.Fatal("TBEOf failed on a ZipServ blob")
-	}
-	if cm.Grid.Rows != 64 || cm.Grid.Cols != 64 {
-		t.Errorf("TBE grid %dx%d, want 64x64", cm.Grid.Rows, cm.Grid.Cols)
-	}
-	d, _ := New(NameDFloat11)
-	hb, err := d.Compress(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := TBEOf(hb); ok {
-		t.Error("TBEOf succeeded on a Huffman blob")
-	}
-}
-
 func TestRegisterDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

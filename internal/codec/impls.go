@@ -42,20 +42,6 @@ func (b *tbeBlob) Decompress() (*bf16.Matrix, error) { return core.Decompress(b.
 func (b *tbeBlob) SizeBytes() int                    { return b.cm.SizeBytes() }
 func (b *tbeBlob) OriginalBytes() int                { return b.origBytes }
 
-// TBE exposes the underlying TCA-TBE structure for fused-kernel
-// consumers (ZipGEMM needs direct bitmap/buffer access, not a
-// materialised matrix).
-func (b *tbeBlob) TBE() *core.Compressed { return b.cm }
-
-// TBEOf extracts the TCA-TBE representation from a Blob if it has one.
-func TBEOf(b Blob) (*core.Compressed, bool) {
-	t, ok := b.(interface{ TBE() *core.Compressed })
-	if !ok {
-		return nil, false
-	}
-	return t.TBE(), true
-}
-
 // DFloat11 is the Huffman-over-exponents baseline: the 8-bit exponent
 // stream is entropy coded, the sign/mantissa byte is stored raw —
 // "Dynamic-Length Float" with 11-ish effective bits per weight.

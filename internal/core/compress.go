@@ -79,16 +79,12 @@ func newCompressed(m *bf16.Matrix, opts Options) (*Compressed, error) {
 	}, nil
 }
 
-// SizeOf returns the exact size CompressWithOptions(m, opts) would
-// encode m to — its SizeBytes — without encoding it, and rejects the
-// inputs CompressWithOptions rejects.
-func SizeOf(m *bf16.Matrix, opts Options) (int, error) {
-	hist := exponentHistogram(m)
-	return SizeOfHistogram(&hist, m.Rows, m.Cols, opts)
-}
-
-// SizeOfHistogram is SizeOf for a rows×cols matrix known only by its
-// exponent histogram, which must count every one of its elements.
+// SizeOfHistogram returns the exact size CompressWithOptions would
+// encode a rows×cols matrix to — its SizeBytes — knowing only the
+// matrix's exponent histogram, which must count every one of its
+// elements, and rejects the shapes and options CompressWithOptions
+// rejects.
+//
 // TCA-TBE is fixed-length (§4.2), so the size is a closed form of
 // Phase I's choice: each in-window element and each padding element
 // (codeword 1, one byte each) costs a PackedSignMantissa byte, each

@@ -36,9 +36,6 @@ func (c *Counters) Add(other Counters) {
 	c.Elements += other.Elements
 }
 
-// ALUOps returns the total integer-pipeline instruction count.
-func (c *Counters) ALUOps() int64 { return c.LOP3 + c.IADD + c.SHF + c.POPC }
-
 // FragView is a decoded 8×8 FragTile in row-major order, the register
 // image a warp holds after decompression (lane i owns elements 2i and
 // 2i+1).
@@ -50,9 +47,10 @@ func Decompress(c *Compressed) (*bf16.Matrix, error) {
 	return decompress(c, nil)
 }
 
-// DecompressCounted is Decompress plus architectural event counting;
-// it is the instrumented path behind Figure 12 and the standalone
-// decompression benchmarks (Figure 13).
+// DecompressCounted is Decompress plus architectural event counting.
+// No serving path counts: the counters are the functional oracle that
+// the tests of the analytical instruction model (Figure 12) compare
+// against.
 func DecompressCounted(c *Compressed) (*bf16.Matrix, Counters, error) {
 	var ctr Counters
 	m, err := decompress(c, &ctr)
@@ -119,31 +117,6 @@ func (c *Compressed) decode(dst []bf16.BF16, ctr *Counters) {
 			c.count(ctr, h-h0)
 		}
 	}
-}
-
-// FragStarts returns the High and Full buffer offsets at which global
-// FragTile frag begins. Offsets are stored only per BlockTile (the
-// paper's GroupTile offset array); within a block they are derived by
-// summing indicator popcounts of the preceding frags — the same
-// prefix-sum the GPU performs warp-locally.
-func (c *Compressed) FragStarts(frag int) (startH, startL int64) {
-	b := frag / tile.FragsPerBlock
-	startH, startL = c.HighOff[b], c.FullOff[b]
-	for f := b * tile.FragsPerBlock; f < frag; f++ {
-		hi := popcount(c.Indicator(f))
-		startH += int64(hi)
-		startL += int64(tile.FragElems - hi)
-	}
-	return startH, startL
-}
-
-// DecodeFrag decodes global FragTile frag into a FragView using
-// Algorithm 2. It is the random-access entry point used by the fused
-// ZipGEMM kernel; sequential consumers should track offsets
-// incrementally instead of calling FragStarts per tile.
-func (c *Compressed) DecodeFrag(frag int, out *FragView) {
-	startH, startL := c.FragStarts(frag)
-	c.DecodeFragAt(frag, startH, startL, out, nil)
 }
 
 // DecodeFragAt decodes FragTile frag given its known buffer offsets,

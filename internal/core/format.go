@@ -128,10 +128,6 @@ type Compressed struct {
 	FullOff []int64
 }
 
-// NumPlanesPerFrag returns the number of bit-planes each FragTile
-// stores (= CodewordBits).
-func (c *Compressed) NumPlanesPerFrag() int { return c.Opts.CodewordBits }
-
 // FragPlanes returns the bit-planes of global FragTile frag.
 func (c *Compressed) FragPlanes(frag int) []uint64 {
 	n := c.Opts.CodewordBits
@@ -177,13 +173,6 @@ func (c *Compressed) CompressionRatio() float64 {
 func (c *Compressed) BitsPerElement() float64 {
 	return 8 * float64(c.SizeBytes()) / float64(c.Grid.Rows*c.Grid.Cols)
 }
-
-// HighCount returns the number of in-window (PackedSignMantissa)
-// elements, including padding elements.
-func (c *Compressed) HighCount() int { return len(c.High) }
-
-// FullCount returns the number of fallback (full-precision) elements.
-func (c *Compressed) FullCount() int { return len(c.Full) }
 
 // CoverageRatio returns the fraction of stored elements that took the
 // high-frequency path. For matrices whose dimensions are multiples of

@@ -101,7 +101,7 @@ func FuzzCompressDecompress(f *testing.F) {
 			if err != nil {
 				t.Fatalf("Compress under %+v: %v", opts, err)
 			}
-			if size, err := SizeOf(m, opts); err != nil || size != c.SizeBytes() {
+			if size, err := sizeOf(m, opts); err != nil || size != c.SizeBytes() {
 				t.Fatalf("SizeOf under %+v = %d, %v; SizeBytes = %d", opts, size, err, c.SizeBytes())
 			}
 		}

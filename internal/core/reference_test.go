@@ -18,6 +18,23 @@ import (
 // gathers code bits one plane at a time. Phase I (exponent analysis)
 // is shared: the table-driven rewrite did not touch it.
 
+// fragStarts returns the High and Full buffer offsets at which global
+// FragTile frag begins. Offsets are stored only per BlockTile (the
+// paper's GroupTile offset array); within a block they are derived by
+// summing indicator popcounts of the preceding frags — the same
+// prefix-sum the GPU performs warp-locally. Production decoders track
+// the offsets incrementally; this random-access form is their oracle.
+func fragStarts(c *Compressed, frag int) (startH, startL int64) {
+	b := frag / tile.FragsPerBlock
+	startH, startL = c.HighOff[b], c.FullOff[b]
+	for f := b * tile.FragsPerBlock; f < frag; f++ {
+		hi := popcount(c.Indicator(f))
+		startH += int64(hi)
+		startL += int64(tile.FragElems - hi)
+	}
+	return startH, startL
+}
+
 // referenceCode returns the 1-based codeword for exponent e, or 0 if e
 // is an outlier.
 func referenceCode(c *Compressed, e uint8) int {
@@ -201,11 +218,11 @@ func checkAgainstReference(t testing.TB, m *bf16.Matrix, opts Options) {
 
 	var fv, rv FragView
 	for frag := 0; frag < fast.Grid.NumFrags(); frag++ {
-		fast.DecodeFrag(frag, &fv)
-		h, l := ref.FragStarts(frag)
+		h, l := fragStarts(ref, frag)
+		fast.DecodeFragAt(frag, h, l, &fv, nil)
 		referenceDecodeFrag(ref, frag, h, l, &rv, nil)
 		if fv != rv {
-			t.Fatalf("%+v: DecodeFrag(%d) differs from the reference decoder", opts, frag)
+			t.Fatalf("%+v: DecodeFragAt(%d) differs from the reference decoder", opts, frag)
 		}
 	}
 }

@@ -90,7 +90,7 @@ func TestAdaptiveChunkingDecodeFreeOperatingPoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	iters := 0
-	for sp.AdmittedCount() > 0 {
+	for len(sp.admitted) > 0 {
 		if iters++; iters > 1<<10 {
 			t.Fatal("prefill failed to make progress")
 		}
@@ -144,7 +144,7 @@ func TestAdaptiveChunkingHoldsStepTarget(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for sp.AdmittedCount() > 0 {
+	for len(sp.admitted) > 0 {
 		sp.Prefill() // the 2048-token ceiling needs two carves for 24×128
 	}
 	if sp.ActiveCount() != 24 {
@@ -269,10 +269,10 @@ func TestAdmissionLookupMemoized(t *testing.T) {
 
 	r := Request{ID: 2, PromptLen: 128, OutputLen: 4, Prompt: prefixTokens(128, 1)}
 	before := sp.mgr.Walks()
-	if got := sp.Lookup(r); got == 0 {
+	if got, _ := sp.lookupCost(r); got == 0 {
 		t.Fatal("seeded prefix did not match")
 	}
-	if sp.Lookup(r); sp.mgr.Walks() != before+1 {
+	if sp.lookupCost(r); sp.mgr.Walks() != before+1 {
 		t.Fatalf("%d walks for two identical lookups, want 1 (memoized)", sp.mgr.Walks()-before)
 	}
 	// Admit reuses the memoized lookup; only the claim itself walks.
@@ -285,7 +285,7 @@ func TestAdmissionLookupMemoized(t *testing.T) {
 	}
 	// The claim moved the generation: a fresh lookup must re-walk.
 	before = sp.mgr.Walks()
-	sp.Lookup(r)
+	sp.lookupCost(r)
 	if got := sp.mgr.Walks() - before; got != 1 {
 		t.Fatalf("stale-generation lookup performed %d walks, want 1", got)
 	}

@@ -249,8 +249,8 @@ func TestPreemptMidPrefill(t *testing.T) {
 	// Two chunk iterations: 128 of 300 prompt tokens prefilled.
 	sp.Prefill()
 	sp.Prefill()
-	if sp.AdmittedCount() != 1 || sp.ActiveCount() != 0 {
-		t.Fatalf("sequence left mid-prefill: admitted=%d active=%d", sp.AdmittedCount(), sp.ActiveCount())
+	if len(sp.admitted) != 1 || sp.ActiveCount() != 0 {
+		t.Fatalf("sequence left mid-prefill: admitted=%d active=%d", len(sp.admitted), sp.ActiveCount())
 	}
 	if got := sp.PrefillTokens(); got != 128 {
 		t.Fatalf("prefilled %d tokens over two 64-chunks, want 128", got)

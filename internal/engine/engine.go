@@ -322,13 +322,6 @@ func (e *Engine) allReduceTime(n int) float64 {
 	return 2 * ring * float64(e.cfg.Model.NumLayers)
 }
 
-// DecodeStepTime returns the full latency of one decode step at batch
-// b and context length ctx (the homogeneous special case of
-// BatchDecodeStepTime).
-func (e *Engine) DecodeStepTime(b, ctx int) float64 {
-	return e.BatchDecodeStepTime(b, b*ctx)
-}
-
 // BatchDecodeStepTime prices one decode step over a heterogeneous
 // running batch: b sequences whose context lengths sum to sumCtx. It
 // prices directly, every GEMM through the kernel model on every call;

@@ -81,7 +81,7 @@ func TestStepBreakdownFig17(t *testing.T) {
 	if g < 15e-3 || g > 30e-3 {
 		t.Errorf("vLLM step GEMM %.2f ms, paper ≈25 ms", g*1e3)
 	}
-	frac := g / vllm.DecodeStepTime(32, 1024)
+	frac := g / vllm.BatchDecodeStepTime(32, 32*1024)
 	if frac < 0.65 || frac > 0.92 {
 		t.Errorf("GEMM fraction %.2f of step, paper 0.836", frac)
 	}
@@ -291,7 +291,7 @@ func TestPrefillUsesDecoupledPath(t *testing.T) {
 	if zp > vp*1.08 {
 		t.Errorf("prefill %.1f ms vs dense %.1f ms: overhead above 8%%", zp*1e3, vp*1e3)
 	}
-	if zd, vd := zip.DecodeStepTime(32, 512), vllm.DecodeStepTime(32, 512); zd >= vd {
+	if zd, vd := zip.BatchDecodeStepTime(32, 32*512), vllm.BatchDecodeStepTime(32, 32*512); zd >= vd {
 		t.Errorf("decode step %.2f ms not below dense %.2f ms", zd*1e3, vd*1e3)
 	}
 }

@@ -21,7 +21,7 @@ func prefillToFirstToken(t testing.TB, e *Engine, r Request) *Stepper {
 	if err := sp.Admit(r); err != nil {
 		t.Fatal(err)
 	}
-	for iters := 0; sp.AdmittedCount() > 0; iters++ {
+	for iters := 0; len(sp.admitted) > 0; iters++ {
 		if iters > 1<<10 {
 			t.Fatal("prefill failed to make progress")
 		}

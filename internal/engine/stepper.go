@@ -200,10 +200,6 @@ func (s *Stepper) AdvanceTo(t float64) {
 // ActiveCount returns the number of sequences in the decoding batch.
 func (s *Stepper) ActiveCount() int { return len(s.active) }
 
-// AdmittedCount returns the number of admitted sequences awaiting or
-// mid-way through prefill.
-func (s *Stepper) AdmittedCount() int { return len(s.admitted) }
-
 // InFlight returns all sequences holding KV capacity (admitted or
 // decoding).
 func (s *Stepper) InFlight() int { return len(s.admitted) + len(s.active) }
@@ -382,13 +378,6 @@ func (s *Stepper) SharedKVBlocks() int { return s.mgr.SharedBlocks() }
 func (s *Stepper) reservationFor(r Request, matched int) int {
 	return kvcache.BlocksFor(r.PromptLen+r.OutputLen, kvcache.DefaultBlockTokens) -
 		matched/kvcache.DefaultBlockTokens
-}
-
-// Lookup returns the cached-prefix token match for a request (0 when
-// caching is off or the request carries no tokens).
-func (s *Stepper) Lookup(r Request) int {
-	matched, _ := s.lookupCost(r)
-	return matched
 }
 
 // lookupCost returns the cached-prefix match plus how many matched

@@ -228,11 +228,6 @@ var codecProfiles = map[string]codecProfile{
 	codec.NameZipServ: {bwEff: 0.84, trafficFactor: 1.0, conflictsPerElem: 4e-5, kernelLaunches: 1},
 }
 
-// CodecNames lists codecs known to the cost model.
-func CodecNames() []string {
-	return []string{codec.NameZipServ, codec.NameDFloat11, codec.NameDietGPU, codec.NameNvComp}
-}
-
 // DecompressTime prices a standalone decompression of origBytes of
 // weights compressed at the given ratio (Figures 1 and 13): the kernel
 // reads the compressed buffer and writes the expanded one at the

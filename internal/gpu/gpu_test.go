@@ -20,8 +20,8 @@ func TestSpecRegistry(t *testing.T) {
 	if _, err := ByName("TPU"); err == nil {
 		t.Error("unknown device accepted")
 	}
-	for _, s := range EvaluationGPUs() {
-		if s.MemBWGBps <= 0 || s.BF16TFLOPS <= 0 || s.SMs <= 0 {
+	for _, name := range Names() {
+		if s := MustByName(name); s.MemBWGBps <= 0 || s.BF16TFLOPS <= 0 || s.SMs <= 0 {
 			t.Errorf("%s: incomplete spec %+v", s.Name, s)
 		}
 	}

@@ -137,12 +137,3 @@ func Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// EvaluationGPUs returns the five NVIDIA devices of §6 in the paper's
-// order.
-func EvaluationGPUs() []Spec {
-	return []Spec{
-		MustByName("RTX4090"), MustByName("L40S"), MustByName("RTX5090"),
-		MustByName("A100"), MustByName("H800"),
-	}
-}

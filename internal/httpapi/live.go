@@ -265,22 +265,17 @@ func poolBreakdown(per []serve.Stats) map[string]serve.Stats {
 	return serve.PoolAggregate(per)
 }
 
-// fleetSnapshotter is implemented by serve.Router; any backend
-// exposing a consistent aggregate + per-replica snapshot (computed in
-// one pass, so the breakdown sums to the aggregate) gets the routed
-// stats shape.
-type fleetSnapshotter interface {
-	Snapshot() (serve.Stats, []serve.Stats)
-}
-
 func handleStats(live serve.Backend) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			httpError(w, http.StatusMethodNotAllowed, "GET only")
 			return
 		}
-		if fs, ok := live.(fleetSnapshotter); ok {
-			agg, per := fs.Snapshot()
+		// A router serves the routed shape: its aggregate and per-replica
+		// breakdown come from one pass, so the breakdown sums to the
+		// aggregate.
+		if router, ok := live.(*serve.Router); ok {
+			agg, per := router.Snapshot()
 			writeJSON(w, http.StatusOK, RoutedStats{
 				Stats: agg, Replicas: per, Pools: poolBreakdown(per),
 			})

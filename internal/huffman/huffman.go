@@ -139,17 +139,6 @@ func (s *Stream) DecodeChunk(i int) ([]byte, error) {
 // NumChunks returns the number of independently decodable chunks.
 func (s *Stream) NumChunks() int { return len(s.ChunkBitOff) }
 
-// ExpectedBits returns the information-theoretic size of the encoded
-// symbols under the stream's code (sum of freq × len), in bits. Used
-// by the compression-ratio analyses.
-func (s *Stream) ExpectedBits(data []byte) uint64 {
-	var total uint64
-	for _, b := range data {
-		total += uint64(s.CodeLens[b])
-	}
-	return total
-}
-
 // buildCodeLengths computes Huffman code lengths for the given
 // frequency table, rescaling if the tree exceeds MaxCodeLen.
 func buildCodeLengths(freq [256]int64) [256]uint8 {

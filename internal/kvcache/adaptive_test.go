@@ -29,17 +29,24 @@ func TestHashPromptMatchesUnhashedWalk(t *testing.T) {
 	if err := m.Allocate(1, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 20); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 20); err != nil {
 		t.Fatal(err)
 	}
 	hp := m.HashPrompt(prompt)
 	if hp.Len() != 20 || len(hp.keys) != 5 {
 		t.Fatalf("HashPrompt: len %d, %d keys; want 20 tokens, 5 keys", hp.Len(), len(hp.keys))
 	}
-	gm, gr := m.LookupCost(prompt)
+	for i, k := range hp.keys {
+		if k != contentKey(prompt[4*i:4*i+4]) {
+			t.Fatalf("HashPrompt key %d differs from its block's content key", i)
+		}
+	}
+	// The router hashes without a manager: at the same block size it
+	// must walk the trie exactly as the manager's own hash does.
+	gm, gr := m.LookupCostHashed(HashPromptTokens(prompt, 4))
 	hm, hr := m.LookupCostHashed(hp)
 	if gm != hm || gr != hr {
-		t.Fatalf("hashed lookup (%d,%d) != unhashed (%d,%d)", hm, hr, gm, gr)
+		t.Fatalf("manager-hashed lookup (%d,%d) != HashPromptTokens lookup (%d,%d)", hm, hr, gm, gr)
 	}
 	if gm == 0 {
 		t.Fatal("committed prompt produced no match")
@@ -58,7 +65,7 @@ func TestGenerationTracksLookupMutations(t *testing.T) {
 	if err := m.Allocate(1, 16); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 16); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 16); err != nil {
 		t.Fatal(err)
 	}
 	if m.Generation() == gen {
@@ -103,7 +110,7 @@ func TestSetPrefixCacheCapEvictsImmediately(t *testing.T) {
 	if err := m.Allocate(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 32); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 32); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {
@@ -149,7 +156,7 @@ func TestAdaptiveCacheShrinksUnderPressure(t *testing.T) {
 	if err := m.Allocate(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 32); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 32); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {

@@ -147,7 +147,7 @@ func (m *Manager) freeze(b int, node *prefixNode) bool {
 // claim's integrity check on the payload is the structural Validate
 // that decoding runs first — once it passes, decoding cannot fail — so
 // the payload is never decoded here. The caller has verified capacity
-// (frozen matches are charged as resurrections by LookupCost) and owns
+// (frozen matches are charged as resurrections by LookupCostHashed) and owns
 // the refcount it acquires here.
 func (m *Manager) thaw(n *prefixNode) error {
 	if n.payload == nil {

@@ -47,7 +47,7 @@ func TestFreezeOnReleaseThawOnClaim(t *testing.T) {
 	if err := m.Allocate(1, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 40); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 40); err != nil {
 		t.Fatal(err)
 	}
 	mustInvariants(t, m)
@@ -79,10 +79,10 @@ func TestFreezeOnReleaseThawOnClaim(t *testing.T) {
 
 	// Still advertised: lookups match, and the matched frozen blocks
 	// are charged as resurrections (a claim must pop fresh blocks).
-	if got := m.Lookup(prompt); got != 32 {
+	if got := lookup(m, prompt); got != 32 {
 		t.Fatalf("Lookup(frozen prefix) = %d, want 32", got)
 	}
-	matched, resurrect := m.LookupCost(prompt)
+	matched, resurrect := m.LookupCostHashed(m.HashPrompt(prompt))
 	if matched != 32 || resurrect != 2 {
 		t.Fatalf("LookupCost = (%d, %d), want (32, 2)", matched, resurrect)
 	}
@@ -90,7 +90,7 @@ func TestFreezeOnReleaseThawOnClaim(t *testing.T) {
 	// The claim thaws both blocks: content restored into fresh physical
 	// blocks, decompress counters advanced, store drained.
 	hits := m.PrefixHits()
-	got, err := m.ClaimPrefix(2, prompt)
+	got, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt))
 	if err != nil || got != 32 {
 		t.Fatalf("ClaimPrefix over frozen blocks = %d, %v; want 32", got, err)
 	}
@@ -129,7 +129,7 @@ func TestFrozenSurvivesFullOccupancy(t *testing.T) {
 	if err := m.Allocate(1, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 40); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 40); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {
@@ -155,7 +155,7 @@ func TestFrozenSurvivesFullOccupancy(t *testing.T) {
 	if err := m.Free(2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := m.ClaimPrefix(3, prompt)
+	got, err := m.ClaimPrefixHashed(3, m.HashPrompt(prompt))
 	if err != nil || got != 32 {
 		t.Fatalf("ClaimPrefix after occupancy episode = %d, %v; want 32", got, err)
 	}
@@ -174,10 +174,10 @@ func TestFrozenCountsAgainstPoolCap(t *testing.T) {
 	if err := m.Allocate(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 32); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 32); err != nil {
 		t.Fatal(err)
 	}
-	evictions := m.PrefixEvictions()
+	evictions := m.prefix.evictions
 	if err := m.Free(1); err != nil {
 		t.Fatal(err)
 	}
@@ -186,11 +186,11 @@ func TestFrozenCountsAgainstPoolCap(t *testing.T) {
 	if got := m.CompressedBlocks(); got != 1 {
 		t.Fatalf("CompressedBlocks under cap 1 = %d, want 1", got)
 	}
-	if m.PrefixEvictions() != evictions+1 {
-		t.Fatalf("PrefixEvictions = %d, want %d", m.PrefixEvictions(), evictions+1)
+	if m.prefix.evictions != evictions+1 {
+		t.Fatalf("PrefixEvictions = %d, want %d", m.prefix.evictions, evictions+1)
 	}
 	// The surviving root block still matches a 16-token claim.
-	if got := m.Lookup(prompt[:20]); got != 16 {
+	if got := lookup(m, prompt[:20]); got != 16 {
 		t.Fatalf("Lookup after cap eviction = %d, want 16", got)
 	}
 	mustInvariants(t, m)
@@ -269,7 +269,7 @@ func TestFreezeRecordsSizesWithoutEncoding(t *testing.T) {
 		if err := m.Allocate(1, len(prompt)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CommitPrefix(1, prompt, len(prompt)); err != nil {
+		if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), len(prompt)); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Free(1); err != nil {
@@ -313,7 +313,7 @@ func TestFreezeRecordsSizesWithoutEncoding(t *testing.T) {
 		mustInvariants(t, m)
 
 		// One token past the cached blocks, so the claim takes them whole.
-		if got, err := m.ClaimPrefix(2, toks(len(prompt)+1, bt)); err != nil || got != len(prompt) {
+		if got, err := m.ClaimPrefixHashed(2, m.HashPrompt(toks(len(prompt)+1, bt))); err != nil || got != len(prompt) {
 			t.Fatalf("bt=%d: ClaimPrefix = %d, %v; want %d", bt, got, err, len(prompt))
 		}
 		for i, n := range nodes {
@@ -340,7 +340,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	if err := m.Allocate(1, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 40); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 40); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {
@@ -358,7 +358,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	}
 
 	// The first claim thaws the chain and encodes each node's payload.
-	if got, err := m.ClaimPrefix(2, prompt); err != nil || got != 32 {
+	if got, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt)); err != nil || got != 32 {
 		t.Fatalf("ClaimPrefix(2) = %d, %v; want 32", got, err)
 	}
 	encoded := make([]*storedBlock, len(nodes))
@@ -376,7 +376,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	// prompt, and releases it again.
 	claimAndFree := func(id int) {
 		t.Helper()
-		if got, err := m.ClaimPrefix(id, prompt); err != nil || got != 32 {
+		if got, err := m.ClaimPrefixHashed(id, m.HashPrompt(prompt)); err != nil || got != 32 {
 			t.Fatalf("ClaimPrefix(%d) = %d, %v; want 32", id, got, err)
 		}
 		for i, n := range nodes {
@@ -411,11 +411,11 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.CompressedKVBytes() != fresh.CompressedBytes() ||
-		m.frozenOrig != fresh.OrigBytes() || m.CompressionRatio() != fresh.Ratio() {
+	if m.CompressedKVBytes() != fresh.compBytes ||
+		m.frozenOrig != fresh.origBytes || m.CompressionRatio() != fresh.Ratio() {
 		t.Fatalf("re-frozen sums comp=%d orig=%d ratio=%v, fresh Puts give comp=%d orig=%d ratio=%v",
 			m.CompressedKVBytes(), m.frozenOrig, m.CompressionRatio(),
-			fresh.CompressedBytes(), fresh.OrigBytes(), fresh.Ratio())
+			fresh.compBytes, fresh.origBytes, fresh.Ratio())
 	}
 
 	// A codec fault during the re-freeze degrades to physical parking;
@@ -448,7 +448,7 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 			t.Fatalf("evicted node %d still retains its payload", i)
 		}
 	}
-	if got := m.Lookup(prompt); got != 0 {
+	if got := lookup(m, prompt); got != 0 {
 		t.Fatalf("Lookup after eviction = %d, want 0", got)
 	}
 	mustInvariants(t, m)
@@ -465,7 +465,7 @@ func TestInvariantsCheckRetainedPayloads(t *testing.T) {
 		if err := m.Allocate(id, 32); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CommitPrefix(id, prompt, 32); err != nil {
+		if err := m.CommitPrefixHashed(id, m.HashPrompt(prompt), 32); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Free(id); err != nil {
@@ -473,10 +473,10 @@ func TestInvariantsCheckRetainedPayloads(t *testing.T) {
 		}
 	}
 	// Thaw both chains so their nodes hold payloads, then refreeze b's.
-	if _, err := m.ClaimPrefix(3, a); err != nil {
+	if _, err := m.ClaimPrefixHashed(3, m.HashPrompt(a)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ClaimPrefix(4, b); err != nil {
+	if _, err := m.ClaimPrefixHashed(4, m.HashPrompt(b)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(4); err != nil {
@@ -517,14 +517,14 @@ func TestThawRejectsCorruptPayload(t *testing.T) {
 	if err := m.Allocate(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 32); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 32); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {
 		t.Fatal(err)
 	}
 	// The first claim encodes the payloads; its release refreezes them.
-	if _, err := m.ClaimPrefix(2, prompt); err != nil {
+	if _, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(2); err != nil {
@@ -539,7 +539,7 @@ func TestThawRejectsCorruptPayload(t *testing.T) {
 	cm.High = high[:len(high)-1]
 
 	hits := m.PrefixHits()
-	got, err := m.ClaimPrefix(3, prompt)
+	got, err := m.ClaimPrefixHashed(3, m.HashPrompt(prompt))
 	const want = "core: final offsets 4060/36 do not match buffer lengths 4059/36"
 	if err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("ClaimPrefix over a corrupt payload = %d, %v; want an error containing %q", got, err, want)
@@ -550,8 +550,8 @@ func TestThawRejectsCorruptPayload(t *testing.T) {
 	if got := m.PrefixHits(); got != hits {
 		t.Fatalf("PrefixHits after the failed claim = %d, want %d", got, hits)
 	}
-	if seqs := m.Sequences(); len(seqs) != 0 {
-		t.Fatalf("failed claim left sequences %v allocated", seqs)
+	if len(m.seqs) != 0 {
+		t.Fatalf("failed claim left %d sequences allocated", len(m.seqs))
 	}
 	if got := m.CompressedBlocks(); got != 2 {
 		t.Fatalf("CompressedBlocks after the failed claim = %d, want both blocks frozen again", got)

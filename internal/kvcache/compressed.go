@@ -179,10 +179,3 @@ func (s *CompressedStore) Ratio() float64 {
 	}
 	return float64(s.origBytes) / float64(s.compBytes)
 }
-
-// OrigBytes returns the logical (uncompressed) footprint of the stored
-// blocks — the bytes a claim would decompress back into KV memory.
-func (s *CompressedStore) OrigBytes() int64 { return s.origBytes }
-
-// CompressedBytes returns the stored footprint.
-func (s *CompressedStore) CompressedBytes() int64 { return s.compBytes }

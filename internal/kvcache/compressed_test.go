@@ -13,7 +13,7 @@ import (
 
 // TestCompressedStoreAccountingChurn locks the unified byte accounting
 // through insert / replace / delete churn across mixed geometries: the
-// store's OrigBytes must equal the sum over live blocks of the sizes
+// store's origBytes must equal the sum over live blocks of the sizes
 // they were Put with, whatever order they were replaced or deleted in.
 // The pre-fix code computed the insert side (kv.SizeBytes()) and the
 // remove side (2*old.rows*old.cols) independently — numerically equal
@@ -58,7 +58,7 @@ func TestCompressedStoreAccountingChurn(t *testing.T) {
 		for _, b := range live {
 			want += b
 		}
-		if got := s.OrigBytes(); got != want {
+		if got := s.origBytes; got != want {
 			t.Fatalf("step %d (%+v): OrigBytes = %d, want %d", i, o, got, want)
 		}
 		if got := s.Len(); got != len(live) {
@@ -67,8 +67,8 @@ func TestCompressedStoreAccountingChurn(t *testing.T) {
 	}
 	// Full drain: both aggregates must return to exactly zero — any
 	// insert/remove asymmetry leaves a residue here.
-	if s.OrigBytes() != 0 || s.CompressedBytes() != 0 {
-		t.Fatalf("drained store holds orig=%d comp=%d bytes", s.OrigBytes(), s.CompressedBytes())
+	if s.origBytes != 0 || s.compBytes != 0 {
+		t.Fatalf("drained store holds orig=%d comp=%d bytes", s.origBytes, s.compBytes)
 	}
 }
 
@@ -214,13 +214,13 @@ func FuzzCompressedStoreRoundtrip(f *testing.F) {
 		if !b.Equal(got) {
 			t.Fatalf("replacement %dx%d not bit-exact (first diff at %d)", r2, c2, b.FirstDiff(got))
 		}
-		if want := int64(b.SizeBytes()); s.OrigBytes() != want {
-			t.Fatalf("OrigBytes after replace = %d, want %d", s.OrigBytes(), want)
+		if want := int64(b.SizeBytes()); s.origBytes != want {
+			t.Fatalf("OrigBytes after replace = %d, want %d", s.origBytes, want)
 		}
 		s.Delete(1)
-		if s.Len() != 0 || s.OrigBytes() != 0 || s.CompressedBytes() != 0 || s.Ratio() != 1.0 {
+		if s.Len() != 0 || s.origBytes != 0 || s.compBytes != 0 || s.Ratio() != 1.0 {
 			t.Fatalf("drained store: len=%d orig=%d comp=%d ratio=%v",
-				s.Len(), s.OrigBytes(), s.CompressedBytes(), s.Ratio())
+				s.Len(), s.origBytes, s.compBytes, s.Ratio())
 		}
 	})
 }

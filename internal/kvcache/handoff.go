@@ -45,14 +45,8 @@ type KVExport struct {
 	origBytes, compBytes int64          // byte sums over payloads
 }
 
-// Blocks returns the number of KV blocks in the export.
-func (x *KVExport) Blocks() int { return len(x.Keys) }
-
 // CompressedBytes returns the wire footprint of the payload.
 func (x *KVExport) CompressedBytes() int64 { return x.compBytes }
-
-// OrigBytes returns the logical (uncompressed) payload size.
-func (x *KVExport) OrigBytes() int64 { return x.origBytes }
 
 // ExportKV serializes a live sequence's KV state. It is read-only: the
 // sequence keeps its allocation, and the caller decides separately

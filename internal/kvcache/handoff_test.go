@@ -31,7 +31,7 @@ func TestKVExportShape(t *testing.T) {
 	if exp.Tokens != 43 || exp.BlockTokens != 16 {
 		t.Fatalf("export = %d tokens at block size %d, want 43 at 16", exp.Tokens, exp.BlockTokens)
 	}
-	if got := exp.Blocks(); got != 3 {
+	if got := len(exp.Keys); got != 3 {
 		t.Fatalf("export holds %d blocks, want 3", got)
 	}
 	// Prompt-covered full blocks carry the prompt's content keys (the
@@ -46,12 +46,12 @@ func TestKVExportShape(t *testing.T) {
 	if exp.Keys[2] == hp.keys[0] || exp.Keys[2][:8] != "handoff/" {
 		t.Fatalf("tail block key %q, want a private handoff key", exp.Keys[2])
 	}
-	if exp.CompressedBytes() <= 0 || exp.CompressedBytes() >= exp.OrigBytes() {
+	if exp.CompressedBytes() <= 0 || exp.CompressedBytes() >= exp.origBytes {
 		t.Fatalf("compressed payload %d of %d original bytes, want real compression",
-			exp.CompressedBytes(), exp.OrigBytes())
+			exp.CompressedBytes(), exp.origBytes)
 	}
 	// Export is read-only: the source still owns every block.
-	if got := m.Tokens(1); got != 43 {
+	if got := liveSeq(t, m, 1).tokens; got != 43 {
 		t.Fatalf("source sequence holds %d tokens after export, want 43", got)
 	}
 	mustInvariants(t, m)
@@ -76,7 +76,7 @@ func TestKVImportColdTargetBitExact(t *testing.T) {
 	if stats.ExpandedBlocks != 3 || stats.GrowPops != 3 {
 		t.Fatalf("cold import expanded %d blocks with %d pops, want 3/3", stats.ExpandedBlocks, stats.GrowPops)
 	}
-	if got := dst.Tokens(exp.SeqID); got != exp.Tokens {
+	if got := liveSeq(t, dst, exp.SeqID).tokens; got != exp.Tokens {
 		t.Fatalf("imported sequence holds %d tokens, want %d", got, exp.Tokens)
 	}
 	mustInvariants(t, dst)
@@ -111,7 +111,7 @@ func TestKVImportColdTargetBitExact(t *testing.T) {
 
 	// The import committed the prompt to the target's trie: a sibling
 	// request sharing the prefix hits it.
-	if got := dst.Lookup(prompt); got != 32 {
+	if got := lookup(dst, prompt); got != 32 {
 		t.Fatalf("Lookup on import target = %d, want the 32 full prompt tokens", got)
 	}
 }
@@ -127,7 +127,7 @@ func TestKVImportDedupAgainstWarmTrie(t *testing.T) {
 	if err := dst.Allocate(1, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.CommitPrefix(1, prompt, 40); err != nil {
+	if err := dst.CommitPrefixHashed(1, dst.HashPrompt(prompt), 40); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Free(1); err != nil {
@@ -150,7 +150,7 @@ func TestKVImportDedupAgainstWarmTrie(t *testing.T) {
 	if dst.PrefixHits() != hits+1 {
 		t.Fatalf("PrefixHits = %d, want %d", dst.PrefixHits(), hits+1)
 	}
-	if got := dst.Tokens(exp.SeqID); got != exp.Tokens {
+	if got := liveSeq(t, dst, exp.SeqID).tokens; got != exp.Tokens {
 		t.Fatalf("imported sequence holds %d tokens, want %d", got, exp.Tokens)
 	}
 	mustInvariants(t, dst)
@@ -168,7 +168,7 @@ func TestKVImportThawsFrozenBlocks(t *testing.T) {
 	if err := dst.Allocate(1, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.CommitPrefix(1, prompt, 40); err != nil {
+	if err := dst.CommitPrefixHashed(1, dst.HashPrompt(prompt), 40); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Free(1); err != nil {
@@ -243,7 +243,7 @@ func TestKVImportRejectsCorruptPayload(t *testing.T) {
 		if _, err := dst.ImportKV(bad); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
-		if dst.FreeBlocks() != free || dst.Pops() != pops || len(dst.Sequences()) != 0 {
+		if dst.FreeBlocks() != free || dst.Pops() != pops || len(dst.seqs) != 0 {
 			t.Fatalf("rejected import (%s) left state behind", name)
 		}
 		mustInvariants(t, dst)
@@ -264,7 +264,7 @@ func TestKVImportCapacityFailureRollsBack(t *testing.T) {
 	if got := dst.FreeBlocks(); got != 2 {
 		t.Fatalf("failed import left %d free blocks, want 2", got)
 	}
-	if len(dst.Sequences()) != 0 {
+	if len(dst.seqs) != 0 {
 		t.Fatal("failed import left a sequence behind")
 	}
 	mustInvariants(t, dst)
@@ -346,7 +346,7 @@ func FuzzKVHandoffRoundtrip(f *testing.F) {
 			if err := dst.Allocate(9, len(prompt)); err != nil {
 				t.Fatal(err)
 			}
-			if err := dst.CommitPrefix(9, prompt, len(prompt)); err != nil {
+			if err := dst.CommitPrefixHashed(9, dst.HashPrompt(prompt), len(prompt)); err != nil {
 				t.Fatal(err)
 			}
 			if err := dst.Free(9); err != nil {
@@ -361,17 +361,14 @@ func FuzzKVHandoffRoundtrip(f *testing.F) {
 		if err := dst.CheckInvariants(); err != nil {
 			t.Fatalf("target after import: %v", err)
 		}
-		if got := dst.Tokens(exp.SeqID); got != exp.Tokens {
+		if got := liveSeq(t, dst, exp.SeqID).tokens; got != exp.Tokens {
 			t.Fatalf("imported %d tokens, want %d", got, exp.Tokens)
 		}
 		// Refcount conservation: the sequence owns exactly its block
 		// count, and free capacity dropped by exactly the physical
 		// blocks the import claimed (thaws and growth; dedup-supplied
 		// parked blocks were already outside the free pool only once).
-		table, err := dst.BlockTable(exp.SeqID)
-		if err != nil {
-			t.Fatal(err)
-		}
+		table := blockTable(t, dst, exp.SeqID)
 		if len(table) != BlocksFor(exp.Tokens, 16) {
 			t.Fatalf("imported table holds %d blocks for %d tokens", len(table), exp.Tokens)
 		}

@@ -16,7 +16,6 @@ package kvcache
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"zipserv/internal/bf16"
@@ -134,37 +133,10 @@ func (m *Manager) Pops() int64 { return m.pops }
 
 // Generation returns a counter bumped on every mutation that can change
 // the result of a prefix lookup (trie registration, eviction, refcount
-// transitions, pool resizing). A scheduler memoizes LookupCost per
+// transitions, pool resizing). A scheduler memoizes LookupCostHashed per
 // (request, generation): as long as the generation is unchanged, the
 // memoized match is exact and the trie walk can be skipped.
 func (m *Manager) Generation() int64 { return m.gen }
-
-// Sequences returns the ids of live sequences in ascending order.
-func (m *Manager) Sequences() []int {
-	out := make([]int, 0, len(m.seqs))
-	for id := range m.seqs {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Tokens returns the token count of a sequence (0 if absent).
-func (m *Manager) Tokens(seqID int) int {
-	if st := m.seqs[seqID]; st != nil {
-		return st.tokens
-	}
-	return 0
-}
-
-// BlockTable returns a copy of the sequence's block table.
-func (m *Manager) BlockTable(seqID int) ([]int, error) {
-	st, ok := m.seqs[seqID]
-	if !ok {
-		return nil, fmt.Errorf("kvcache: unknown sequence %d", seqID)
-	}
-	return append([]int(nil), st.table...), nil
-}
 
 // BlocksFor returns the number of blocks needed to hold the given
 // token count at the given block granularity. Schedulers use it to

@@ -26,6 +26,22 @@ func TestNewManagerValidation(t *testing.T) {
 	}
 }
 
+// liveSeq returns a live sequence's state.
+func liveSeq(t *testing.T, m *Manager, seqID int) *seqState {
+	t.Helper()
+	st, ok := m.seqs[seqID]
+	if !ok {
+		t.Fatalf("unknown sequence %d", seqID)
+	}
+	return st
+}
+
+// blockTable returns a copy of a live sequence's block table.
+func blockTable(t *testing.T, m *Manager, seqID int) []int {
+	t.Helper()
+	return append([]int(nil), liveSeq(t, m, seqID).table...)
+}
+
 func TestAllocateAndFree(t *testing.T) {
 	m := newTestManager(t, 10)
 	if err := m.Allocate(1, 33); err != nil { // 33 tokens → 3 blocks
@@ -34,9 +50,8 @@ func TestAllocateAndFree(t *testing.T) {
 	if m.UsedBlocks() != 3 || m.FreeBlocks() != 7 {
 		t.Errorf("used/free = %d/%d, want 3/7", m.UsedBlocks(), m.FreeBlocks())
 	}
-	table, err := m.BlockTable(1)
-	if err != nil || len(table) != 3 {
-		t.Fatalf("block table %v, err %v", table, err)
+	if table := blockTable(t, m, 1); len(table) != 3 {
+		t.Fatalf("block table %v, want 3 blocks", table)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -87,8 +102,8 @@ func TestAppendTokenBlockBoundary(t *testing.T) {
 	if err := m.AppendToken(7); err != nil {
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 2 || m.Tokens(7) != 17 {
-		t.Errorf("used=%d tokens=%d, want 2/17", m.UsedBlocks(), m.Tokens(7))
+	if m.UsedBlocks() != 2 || liveSeq(t, m, 7).tokens != 17 {
+		t.Errorf("used=%d tokens=%d, want 2/17", m.UsedBlocks(), liveSeq(t, m, 7).tokens)
 	}
 	// Fill to 48 tokens = 3 blocks, then the next append must fail.
 	for i := 17; i < 48; i++ {
@@ -113,8 +128,8 @@ func TestExtendChunks(t *testing.T) {
 	if err := m.Extend(3, 23); err != nil {
 		t.Fatal(err)
 	}
-	if m.UsedBlocks() != 3 || m.Tokens(3) != 33 {
-		t.Errorf("used=%d tokens=%d, want 3/33", m.UsedBlocks(), m.Tokens(3))
+	if m.UsedBlocks() != 3 || liveSeq(t, m, 3).tokens != 33 {
+		t.Errorf("used=%d tokens=%d, want 3/33", m.UsedBlocks(), liveSeq(t, m, 3).tokens)
 	}
 	if err := m.Extend(3, 0); err == nil {
 		t.Error("zero-token extension accepted")
@@ -123,15 +138,15 @@ func TestExtendChunks(t *testing.T) {
 	if err := m.Extend(3, 32); err == nil {
 		t.Error("extension beyond capacity accepted")
 	}
-	if m.UsedBlocks() != 3 || m.Tokens(3) != 33 {
-		t.Errorf("failed extension mutated state: used=%d tokens=%d", m.UsedBlocks(), m.Tokens(3))
+	if m.UsedBlocks() != 3 || liveSeq(t, m, 3).tokens != 33 {
+		t.Errorf("failed extension mutated state: used=%d tokens=%d", m.UsedBlocks(), liveSeq(t, m, 3).tokens)
 	}
 	// A chunk that exactly fills the cache succeeds.
 	if err := m.Extend(3, 31); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeBlocks() != 0 || m.Tokens(3) != 64 {
-		t.Errorf("free=%d tokens=%d, want 0/64", m.FreeBlocks(), m.Tokens(3))
+	if m.FreeBlocks() != 0 || liveSeq(t, m, 3).tokens != 64 {
+		t.Errorf("free=%d tokens=%d, want 0/64", m.FreeBlocks(), liveSeq(t, m, 3).tokens)
 	}
 	if err := m.Extend(9, 1); err == nil {
 		t.Error("extension of unknown sequence accepted")
@@ -149,9 +164,6 @@ func TestUnknownSequenceErrors(t *testing.T) {
 	if err := m.Free(9); err == nil {
 		t.Error("free of unknown sequence accepted")
 	}
-	if _, err := m.BlockTable(9); err == nil {
-		t.Error("block table of unknown sequence returned")
-	}
 }
 
 func TestSequences(t *testing.T) {
@@ -161,11 +173,12 @@ func TestSequences(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := m.Sequences()
-	want := []int{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Sequences = %v, want %v", got, want)
+	if len(m.seqs) != 3 {
+		t.Fatalf("%d live sequences, want 3", len(m.seqs))
+	}
+	for _, id := range []int{1, 3, 5} {
+		if got := liveSeq(t, m, id).tokens; got != 8 {
+			t.Fatalf("Tokens(%d) = %d, want 8", id, got)
 		}
 	}
 }
@@ -284,11 +297,11 @@ func TestCompressedStoreAccounting(t *testing.T) {
 	if err := s.Put(1, a); err != nil {
 		t.Fatal(err)
 	}
-	size1 := s.CompressedBytes()
+	size1 := s.compBytes
 	if err := s.Put(2, b); err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != 2 || s.CompressedBytes() <= size1 {
+	if s.Len() != 2 || s.compBytes <= size1 {
 		t.Error("second Put did not grow the store")
 	}
 	// Replacement must not double-count.
@@ -300,8 +313,8 @@ func TestCompressedStoreAccounting(t *testing.T) {
 	}
 	s.Delete(1)
 	s.Delete(2)
-	if s.Len() != 0 || s.CompressedBytes() != 0 {
-		t.Errorf("store not empty after deletes: len=%d bytes=%d", s.Len(), s.CompressedBytes())
+	if s.Len() != 0 || s.compBytes != 0 {
+		t.Errorf("store not empty after deletes: len=%d bytes=%d", s.Len(), s.compBytes)
 	}
 	if _, err := s.Get(1); err == nil {
 		t.Error("Get of deleted block succeeded")

@@ -112,7 +112,7 @@ type prefixIndex struct {
 
 	walkScratch []*prefixNode // reusable matched-chain buffer for walk
 
-	hits        int64 // ClaimPrefix calls that matched ≥ 1 block
+	hits        int64 // ClaimPrefixHashed calls that matched ≥ 1 block
 	tokensSaved int64 // prompt tokens served from cache
 	evictions   int64 // cached blocks reclaimed under pressure or cap
 	cowCopies   int64 // shared blocks copied before a write
@@ -190,8 +190,8 @@ func (p *prefixIndex) unlist(n *prefixNode) {
 }
 
 // commitMark remembers how deep a sequence's prompt has already been
-// committed into the trie, so per-chunk CommitPrefix calls resume the
-// walk instead of re-hashing every block from the root each time.
+// committed into the trie, so per-chunk CommitPrefixHashed calls resume
+// the walk instead of re-hashing every block from the root each time.
 type commitMark struct {
 	node *prefixNode
 	full int // full blocks committed so far
@@ -220,9 +220,6 @@ type HashedPrompt struct {
 
 // Len returns the prompt's token count.
 func (hp HashedPrompt) Len() int { return len(hp.tokens) }
-
-// Tokens returns the underlying token ids (not a copy).
-func (hp HashedPrompt) Tokens() []int { return hp.tokens }
 
 // HashPrompt precomputes a prompt's per-block content keys at the
 // manager's block granularity.
@@ -280,7 +277,7 @@ func (m *Manager) CachedBlocks() int { return len(m.prefix.cached) }
 // iteration; a scan would be O(TotalBlocks)).
 func (m *Manager) SharedBlocks() int { return m.prefix.shared }
 
-// PrefixHits returns the number of ClaimPrefix calls that matched at
+// PrefixHits returns the number of ClaimPrefixHashed calls that matched at
 // least one cached block.
 func (m *Manager) PrefixHits() int64 { return m.prefix.hits }
 
@@ -288,44 +285,25 @@ func (m *Manager) PrefixHits() int64 { return m.prefix.hits }
 // cache instead of being re-prefilled.
 func (m *Manager) PrefixTokensSaved() int64 { return m.prefix.tokensSaved }
 
-// PrefixEvictions returns the number of cached blocks reclaimed (by
-// allocation pressure or the capacity bound).
-func (m *Manager) PrefixEvictions() int64 { return m.prefix.evictions }
-
 // Walks returns the lifetime count of prefix-trie walks (lookups,
 // claims and controller probes). Schedulers memoize lookups per trie
 // generation; this counter is how tests prove the duplicated admission
 // walk stays eliminated.
 func (m *Manager) Walks() int64 { return m.prefix.walks }
 
-// CowCopies returns the number of copy-on-write block copies taken
-// before a write into a shared block.
-func (m *Manager) CowCopies() int64 { return m.prefix.cowCopies }
-
-// Lookup walks the prefix trie over the prompt's full blocks and
-// returns how many leading tokens are already cached. The match is
-// block-aligned except when the whole prompt is cached, where it is
-// capped at len(prompt)−1 so the sequence still computes (at least)
-// its final prompt token — the position that samples the first output
-// token. Lookup does not claim anything; ClaimPrefix does.
-func (m *Manager) Lookup(prompt []int) int {
-	matched, _ := m.LookupCost(prompt)
-	return matched
-}
-
-// LookupCost is Lookup plus the admission-capacity price of the
-// match: resurrect counts the matched blocks currently parked in the
+// LookupCostHashed walks the prefix trie over the prompt's full blocks
+// and returns how many leading tokens are already cached, and the
+// admission-capacity price of that match. The match is block-aligned
+// except when the whole prompt is cached, where it is capped at
+// len(prompt)−1 so the sequence still computes (at least) its final
+// prompt token — the position that samples the first output token.
+// resurrect counts the matched blocks currently parked in the
 // refcount-zero cached pool, which FreeBlocks reports as free
 // capacity. Claiming those blocks removes them from the pool, so an
 // admission check must charge them like fresh allocations; only
 // matched blocks still referenced by live sequences are supplied for
-// free.
-func (m *Manager) LookupCost(prompt []int) (matched, resurrect int) {
-	return m.LookupCostHashed(m.HashPrompt(prompt))
-}
-
-// LookupCostHashed is LookupCost over a prompt whose block keys were
-// precomputed with HashPrompt, so the walk hashes nothing.
+// free. The lookup claims nothing (ClaimPrefixHashed does) and, with
+// the prompt's block keys precomputed by HashPrompt, hashes nothing.
 func (m *Manager) LookupCostHashed(hp HashedPrompt) (matched, resurrect int) {
 	matched, nodes := m.walk(hp)
 	for _, n := range nodes {
@@ -370,17 +348,12 @@ func (m *Manager) walk(hp HashedPrompt) (int, []*prefixNode) {
 	return matched, nodes
 }
 
-// ClaimPrefix admits a new sequence whose prompt's cached prefix is
-// claimed by reference instead of allocated: each matched block's
+// ClaimPrefixHashed admits a new sequence whose prompt's cached prefix
+// is claimed by reference instead of allocated: each matched block's
 // refcount is bumped (resurrecting it from the cached pool when it was
 // parked there) and the sequence's block table starts with the shared
 // blocks. It returns the matched token count; 0 means no match and no
 // sequence was created — the caller falls back to plain Allocate.
-func (m *Manager) ClaimPrefix(seqID int, prompt []int) (int, error) {
-	return m.ClaimPrefixHashed(seqID, m.HashPrompt(prompt))
-}
-
-// ClaimPrefixHashed is ClaimPrefix over a prehashed prompt.
 func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 	if !m.prefixOn {
 		return 0, fmt.Errorf("kvcache: prefix cache not enabled")
@@ -414,7 +387,7 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 		st.table[i] = n.block
 	}
 	// Then restore the frozen matches: each thaw pops a fresh physical
-	// block (charged as a resurrection by LookupCost) for the cold
+	// block (charged as a resurrection by LookupCostHashed) for the cold
 	// content.
 	for i, n := range nodes {
 		if st.table[i] >= 0 {
@@ -437,7 +410,7 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 	}
 	st.tokens = matched
 	m.seqs[seqID] = st
-	// The claimed chain is already committed content: later CommitPrefix
+	// The claimed chain is already committed content: later commits
 	// calls resume past it instead of re-walking from the root.
 	m.prefix.committed[seqID] = commitMark{node: nodes[len(nodes)-1], full: len(nodes)}
 	m.prefix.hits++
@@ -446,7 +419,7 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 	return matched, nil
 }
 
-// CommitPrefix registers the sequence's fully prefilled full prompt
+// CommitPrefixHashed registers the sequence's fully prefilled full prompt
 // blocks in the trie so later requests can reuse them. Blocks whose
 // content is already registered under another physical block keep the
 // sequence's private copy unregistered (first writer wins); the walk
@@ -455,12 +428,7 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 // walk resumes from the sequence's last committed depth, so only new
 // full blocks are visited (re-walking from the root would make a
 // small-chunk prefill quadratic in prompt blocks).
-func (m *Manager) CommitPrefix(seqID int, prompt []int, prefilled int) error {
-	return m.CommitPrefixHashed(seqID, m.HashPrompt(prompt), prefilled)
-}
-
-// CommitPrefixHashed is CommitPrefix over a prehashed prompt. With the
-// prefix cache off it does nothing, so the trie stays empty.
+// With the prefix cache off it does nothing, so the trie stays empty.
 func (m *Manager) CommitPrefixHashed(seqID int, hp HashedPrompt, prefilled int) error {
 	if !m.prefixOn {
 		return nil

@@ -8,6 +8,13 @@ import (
 	"testing"
 )
 
+// lookup returns how many leading prompt tokens the trie serves, through
+// the hashed lookup that admission runs.
+func lookup(m *Manager, prompt []int) int {
+	matched, _ := m.LookupCostHashed(m.HashPrompt(prompt))
+	return matched
+}
+
 // toks builds a deterministic token sequence; equal seeds share every
 // position, so prefixes built from one seed are content-identical.
 func toks(n, seed int) []int {
@@ -45,34 +52,34 @@ func TestPrefixLookupClaimAndResurrect(t *testing.T) {
 	if err := m.Allocate(1, 40); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 40); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 40); err != nil {
 		t.Fatal(err)
 	}
 	mustInvariants(t, m)
 
-	if got := m.Lookup(prompt); got != 32 {
+	if got := lookup(m, prompt); got != 32 {
 		t.Fatalf("Lookup(full prompt) = %d, want 32 (two full blocks)", got)
 	}
-	if got := m.Lookup(prompt[:20]); got != 16 {
+	if got := lookup(m, prompt[:20]); got != 16 {
 		t.Fatalf("Lookup(20 tokens) = %d, want 16", got)
 	}
 	// A fully cached block-aligned prompt is capped one token short so
 	// the sequence still computes the position sampling its first
 	// output token.
-	if got := m.Lookup(prompt[:32]); got != 31 {
+	if got := lookup(m, prompt[:32]); got != 31 {
 		t.Fatalf("Lookup(fully cached aligned prompt) = %d, want 31 (capped)", got)
 	}
-	if got := m.Lookup(toks(40, 99)); got != 0 {
+	if got := lookup(m, toks(40, 99)); got != 0 {
 		t.Fatalf("Lookup(unrelated prompt) = %d, want 0", got)
 	}
 
 	// Seq 2 shares the two full prefix blocks by reference.
-	matched, err := m.ClaimPrefix(2, prompt)
+	matched, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt))
 	if err != nil || matched != 32 {
 		t.Fatalf("ClaimPrefix = %d, %v; want 32", matched, err)
 	}
-	t1, _ := m.BlockTable(1)
-	t2, _ := m.BlockTable(2)
+	t1 := blockTable(t, m, 1)
+	t2 := blockTable(t, m, 2)
 	if t1[0] != t2[0] || t1[1] != t2[1] {
 		t.Fatalf("claimed table %v does not share blocks with %v", t2, t1)
 	}
@@ -111,7 +118,7 @@ func TestPrefixLookupClaimAndResurrect(t *testing.T) {
 	mustInvariants(t, m)
 
 	hits := m.PrefixHits()
-	if matched, err = m.ClaimPrefix(3, prompt); err != nil || matched != 32 {
+	if matched, err = m.ClaimPrefixHashed(3, m.HashPrompt(prompt)); err != nil || matched != 32 {
 		t.Fatalf("resurrecting ClaimPrefix = %d, %v; want 32", matched, err)
 	}
 	if m.PrefixHits() != hits+1 {
@@ -145,21 +152,21 @@ func TestFullyCachedPromptClaimsOnlyNeededBlocks(t *testing.T) {
 		if err := m.Allocate(1, len(prompt)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CommitPrefix(1, prompt, len(prompt)); err != nil {
+		if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), len(prompt)); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Free(1); err != nil {
 			t.Fatal(err)
 		}
 		want := BlocksFor(len(prompt)-1, bt)
-		if matched, resurrect := m.LookupCost(prompt); matched != len(prompt)-1 || resurrect != want {
+		if matched, resurrect := m.LookupCostHashed(m.HashPrompt(prompt)); matched != len(prompt)-1 || resurrect != want {
 			t.Fatalf("bt=%d: LookupCost = %d tokens, %d resurrections; want %d, %d",
 				bt, matched, resurrect, len(prompt)-1, want)
 		}
-		if matched, err := m.ClaimPrefix(2, prompt); err != nil || matched != len(prompt)-1 {
+		if matched, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt)); err != nil || matched != len(prompt)-1 {
 			t.Fatalf("bt=%d: ClaimPrefix = %d, %v; want %d", bt, matched, err, len(prompt)-1)
 		}
-		if table, _ := m.BlockTable(2); len(table) != want {
+		if table := blockTable(t, m, 2); len(table) != want {
 			t.Fatalf("bt=%d: claim holds %d blocks for %d tokens, want %d", bt, len(table), len(prompt)-1, want)
 		}
 		mustInvariants(t, m)
@@ -185,27 +192,27 @@ func TestPrefixCopyOnWrite(t *testing.T) {
 	if err := m.Allocate(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 32); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 32); err != nil {
 		t.Fatal(err)
 	}
-	t1, _ := m.BlockTable(1)
+	t1 := blockTable(t, m, 1)
 
-	matched, err := m.ClaimPrefix(2, prompt)
+	matched, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt))
 	if err != nil || matched != 31 {
 		t.Fatalf("ClaimPrefix = %d, %v; want 31 (capped)", matched, err)
 	}
-	if m.Tokens(2) != 31 {
-		t.Fatalf("Tokens(2) = %d, want 31", m.Tokens(2))
+	if liveSeq(t, m, 2).tokens != 31 {
+		t.Fatalf("Tokens(2) = %d, want 31", liveSeq(t, m, 2).tokens)
 	}
 
 	// Recomputing token 31 writes into the shared tail block.
 	if err := m.Extend(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.CowCopies(); got != 1 {
+	if got := m.prefix.cowCopies; got != 1 {
 		t.Fatalf("CowCopies = %d, want 1", got)
 	}
-	t2, _ := m.BlockTable(2)
+	t2 := blockTable(t, m, 2)
 	if t2[0] != t1[0] {
 		t.Fatalf("full interior block not shared: %v vs %v", t2, t1)
 	}
@@ -216,11 +223,11 @@ func TestPrefixCopyOnWrite(t *testing.T) {
 
 	// The advertised content is untouched: a third request still
 	// matches and claims the ORIGINAL blocks.
-	matched, err = m.ClaimPrefix(3, prompt)
+	matched, err = m.ClaimPrefixHashed(3, m.HashPrompt(prompt))
 	if err != nil || matched != 31 {
 		t.Fatalf("post-COW ClaimPrefix = %d, %v; want 31", matched, err)
 	}
-	t3, _ := m.BlockTable(3)
+	t3 := blockTable(t, m, 3)
 	if t3[0] != t1[0] || t3[1] != t1[1] {
 		t.Fatalf("post-COW claim %v, want the original blocks %v", t3, t1)
 	}
@@ -237,26 +244,26 @@ func TestPrefixCowWhenSoleOwnerButAdvertised(t *testing.T) {
 	if err := m.Allocate(1, 32); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 32); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 32); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {
 		t.Fatal(err)
 	}
 
-	matched, err := m.ClaimPrefix(2, prompt)
+	matched, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt))
 	if err != nil || matched != 31 {
 		t.Fatalf("ClaimPrefix = %d, %v; want 31", matched, err)
 	}
 	if err := m.Extend(2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.CowCopies(); got != 1 {
+	if got := m.prefix.cowCopies; got != 1 {
 		t.Fatalf("CowCopies = %d, want 1 (sole owner still may not write cached content)", got)
 	}
 	// The original tail block went back to the cached pool and stays
 	// matchable.
-	if got := m.Lookup(prompt); got != 31 {
+	if got := lookup(m, prompt); got != 31 {
 		t.Fatalf("Lookup after COW = %d, want 31", got)
 	}
 	mustInvariants(t, m)
@@ -273,7 +280,7 @@ func TestPrefixEvictionRacesAdmission(t *testing.T) {
 	if err := m.Allocate(1, 64); err != nil { // all 4 blocks
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 64); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 64); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {
@@ -284,11 +291,11 @@ func TestPrefixEvictionRacesAdmission(t *testing.T) {
 	}
 
 	// Admission claims the first two cached blocks...
-	matched, err := m.ClaimPrefix(2, prompt[:40])
+	matched, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt[:40]))
 	if err != nil || matched != 32 {
 		t.Fatalf("ClaimPrefix = %d, %v; want 32", matched, err)
 	}
-	t2, _ := m.BlockTable(2)
+	t2 := blockTable(t, m, 2)
 
 	// ...so a 3-block allocation exceeds the 2 reclaimable blocks and
 	// must fail atomically without touching the claimed ones.
@@ -305,14 +312,14 @@ func TestPrefixEvictionRacesAdmission(t *testing.T) {
 	if got := m.CachedBlocks(); got != 0 {
 		t.Fatalf("CachedBlocks after pressure = %d, want 0", got)
 	}
-	if m.PrefixEvictions() == 0 {
+	if m.prefix.evictions == 0 {
 		t.Fatal("eviction under pressure not counted")
 	}
-	after, _ := m.BlockTable(2)
+	after := blockTable(t, m, 2)
 	if after[0] != t2[0] || after[1] != t2[1] {
 		t.Fatalf("claimed blocks changed under eviction: %v vs %v", after, t2)
 	}
-	if got := m.Lookup(prompt[:40]); got != 32 {
+	if got := lookup(m, prompt[:40]); got != 32 {
 		t.Fatalf("Lookup(claimed prefix) = %d, want 32 (owned blocks stay advertised)", got)
 	}
 	mustInvariants(t, m)
@@ -328,10 +335,10 @@ func TestPrefixPreemptionReleasesShared(t *testing.T) {
 	if err := m.Allocate(1, 48); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 48); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 48); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ClaimPrefix(2, prompt); err != nil {
+	if _, err := m.ClaimPrefixHashed(2, m.HashPrompt(prompt)); err != nil {
 		t.Fatal(err)
 	}
 	free := m.FreeBlocks()
@@ -366,7 +373,7 @@ func TestPrefixCacheCapBoundsParkedBlocks(t *testing.T) {
 	if err := m.Allocate(1, 48); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, prompt, 48); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(prompt), 48); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(1); err != nil {
@@ -375,7 +382,7 @@ func TestPrefixCacheCapBoundsParkedBlocks(t *testing.T) {
 	if got := m.CachedBlocks(); got > 1 {
 		t.Fatalf("CachedBlocks = %d, want <= 1 (cap)", got)
 	}
-	if m.PrefixEvictions() == 0 {
+	if m.prefix.evictions == 0 {
 		t.Fatal("cap enforcement not counted as evictions")
 	}
 	mustInvariants(t, m)
@@ -410,16 +417,16 @@ func TestPrefixDisabledUnchanged(t *testing.T) {
 		return m
 	}
 	m := newOff()
-	if got := m.Lookup(toks(32, 7)); got != 0 {
+	if got := lookup(m, toks(32, 7)); got != 0 {
 		t.Fatalf("Lookup on disabled cache = %d, want 0", got)
 	}
-	if _, err := m.ClaimPrefix(1, toks(32, 7)); err == nil {
+	if _, err := m.ClaimPrefixHashed(1, m.HashPrompt(toks(32, 7))); err == nil {
 		t.Fatal("ClaimPrefix on disabled cache accepted")
 	}
 	if err := m.Allocate(1, 20); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(1, toks(32, 7), 20); err != nil {
+	if err := m.CommitPrefixHashed(1, m.HashPrompt(toks(32, 7)), 20); err != nil {
 		t.Fatal(err) // no-op, not an error
 	}
 	if err := m.Free(1); err != nil {
@@ -535,7 +542,7 @@ func TestPrefixPoolsMatchReferences(t *testing.T) {
 				nextID++
 				matched, err := 0, error(nil)
 				if rng.Intn(4) != 0 { // else prefill privately, as a batch-mate of the first writer would
-					if matched, err = m.ClaimPrefix(id, prompt); err != nil {
+					if matched, err = m.ClaimPrefixHashed(id, m.HashPrompt(prompt)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -548,12 +555,12 @@ func TestPrefixPoolsMatchReferences(t *testing.T) {
 					t.Fatal(err)
 				}
 				prompts[id] = prompt
-				if err := m.CommitPrefix(id, prompt, rng.Intn(len(prompt)+1)); err != nil {
+				if err := m.CommitPrefixHashed(id, m.HashPrompt(prompt), rng.Intn(len(prompt)+1)); err != nil {
 					t.Fatal(err)
 				}
 			case op < 4 && len(prompts) > 0: // finish committing, then grow (copy-on-write)
 				id := anyKey(rng, prompts)
-				if err := m.CommitPrefix(id, prompts[id], len(prompts[id])); err != nil {
+				if err := m.CommitPrefixHashed(id, m.HashPrompt(prompts[id]), len(prompts[id])); err != nil {
 					t.Fatal(err)
 				}
 				if m.FreeBlocks() > 2 {

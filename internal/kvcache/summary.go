@@ -164,7 +164,7 @@ func HashPromptTokens(tokens []int, blockTokens int) HashedPrompt {
 // trie could serve from cache: the first block must hit the exact Roots
 // set (no false positives at depth 1), deeper blocks extend the match
 // while their path fingerprints test positive in the bloom filter, and
-// — mirroring Manager.Lookup — a fully cached prompt is capped at
+// — mirroring Manager.LookupCostHashed — a fully cached prompt is capped at
 // len−1 so the final token is always computed. The prompt must be
 // hashed at the summary's BlockTokens granularity (HashPromptTokens).
 // Bloom false positives can overestimate by whole blocks; the estimate

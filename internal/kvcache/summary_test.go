@@ -12,7 +12,7 @@ func commitPrompt(t *testing.T, m *Manager, seqID int, prompt []int) {
 	if err := m.Allocate(seqID, len(prompt)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CommitPrefix(seqID, prompt, len(prompt)); err != nil {
+	if err := m.CommitPrefixHashed(seqID, m.HashPrompt(prompt), len(prompt)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -35,7 +35,7 @@ func TestPrefixSummaryMatchMirrorsLookup(t *testing.T) {
 	// shared-prefix prompts of every depth, including the fully cached
 	// len−1 cap, and rejects an unrelated prompt at the root gate.
 	for _, probe := range [][]int{prompt, prompt[:40], prompt[:32], prompt[:16], toks(80, 99)} {
-		want := m.Lookup(probe)
+		want := lookup(m, probe)
 		got := s.MatchTokens(HashPromptTokens(probe, s.BlockTokens))
 		if got != want {
 			t.Errorf("MatchTokens(%d tokens) = %d, want Lookup's %d", len(probe), got, want)
@@ -44,7 +44,7 @@ func TestPrefixSummaryMatchMirrorsLookup(t *testing.T) {
 	// Shared first blocks with a divergent tail: the bloom stops the
 	// match at the divergence (no full-prompt overestimate).
 	mixed := append(append([]int(nil), prompt[:32]...), toks(48, 7)...)
-	if got, want := s.MatchTokens(HashPromptTokens(mixed, s.BlockTokens)), m.Lookup(mixed); got != want {
+	if got, want := s.MatchTokens(HashPromptTokens(mixed, s.BlockTokens)), lookup(m, mixed); got != want {
 		t.Errorf("MatchTokens(divergent tail) = %d, want %d", got, want)
 	}
 	// A sub-block prompt has no full block to match.

@@ -47,12 +47,6 @@ func Attainable(spec gpu.Spec, ci float64) float64 {
 	return peak
 }
 
-// Ridge returns the device's ridge point — the compute intensity at
-// which it transitions from memory- to compute-bound.
-func Ridge(spec gpu.Spec) float64 {
-	return spec.BF16TFLOPS * 1e12 / (spec.MemBWGBps * 1e9)
-}
-
 // Point is one roofline sample for Figure 5.
 type Point struct {
 	Pipeline   string
@@ -63,7 +57,8 @@ type Point struct {
 
 // Figure5 computes the Figure 5 sweep: CI and attainable throughput of
 // the three pipelines for a square M=K weight at the given batch
-// sizes.
+// sizes. Points come batch by batch, GEMM first, then Decoupled and
+// ZipServ.
 func Figure5(spec gpu.Spec, mk int, ns []int, cr float64) []Point {
 	var out []Point
 	for _, n := range ns {

@@ -9,6 +9,12 @@ import (
 
 const paperCR = 1.51 // §3.1 average compression ratio
 
+// ridge returns the device's ridge point — the compute intensity at
+// which it transitions from memory- to compute-bound.
+func ridge(spec gpu.Spec) float64 {
+	return spec.BF16TFLOPS * 1e12 / (spec.MemBWGBps * 1e9)
+}
+
 func TestFig5CIDegradation(t *testing.T) {
 	// §3.3: for M=K=4096 the decoupled pipeline degrades CI by 62.3%,
 	// 62.2%, 62.0% and 61.7% at N = 8, 16, 32, 64.
@@ -61,22 +67,23 @@ func TestCIConvergesAtLargeN(t *testing.T) {
 
 func TestAttainableAndRidge(t *testing.T) {
 	spec := gpu.MustByName("RTX4090")
-	ridge := Ridge(spec)
+	r := ridge(spec)
 	// Below the ridge: memory bound, linear in CI.
-	lo := Attainable(spec, ridge/2)
-	if math.Abs(lo-ridge/2*spec.MemBWGBps*1e9) > 1 {
+	lo := Attainable(spec, r/2)
+	if math.Abs(lo-r/2*spec.MemBWGBps*1e9) > 1 {
 		t.Errorf("below-ridge attainable %.3e, want linear in CI", lo)
 	}
 	// Above the ridge: flat at peak.
-	hi := Attainable(spec, ridge*10)
+	hi := Attainable(spec, r*10)
 	if hi != spec.BF16TFLOPS*1e12 {
 		t.Errorf("above-ridge attainable %.3e, want peak %.3e", hi, spec.BF16TFLOPS*1e12)
 	}
-	// Decode shapes sit far below the ridge on every evaluation GPU
+	// Decode shapes sit far below the ridge on every modelled GPU
 	// (the premise of the whole paper).
-	for _, s := range gpu.EvaluationGPUs() {
-		if ci := CIGemm(4096, 4096, 32); ci > Ridge(s) {
-			t.Errorf("%s: decode GEMM CI %.1f above ridge %.1f", s.Name, ci, Ridge(s))
+	for _, name := range gpu.Names() {
+		s := gpu.MustByName(name)
+		if ci := CIGemm(4096, 4096, 32); ci > ridge(s) {
+			t.Errorf("%s: decode GEMM CI %.1f above ridge %.1f", s.Name, ci, ridge(s))
 		}
 	}
 }

@@ -81,12 +81,9 @@ func (r *Router) EnableAffinity(cfg AffinityConfig) error {
 	return nil
 }
 
-// AffinityEnabled reports whether prefix-affinity dispatch is on.
-func (r *Router) AffinityEnabled() bool { return r.affinity != nil }
-
 // noteDispatch records where an affinity-scored request actually
 // landed: on the replica it wanted (hit) or anywhere else (spill).
-func (r *Router) noteDispatch(landed, preferred Backend) {
+func (r *Router) noteDispatch(landed, preferred leaf) {
 	if preferred == nil {
 		return
 	}

@@ -23,8 +23,10 @@ func (s *acceptStub) Submit(Request) (*Ticket, error) {
 	s.submits++
 	return &Ticket{}, nil
 }
-func (s *acceptStub) Stats() Stats               { return s.st }
-func (s *acceptStub) Stop(context.Context) error { return nil }
+func (s *acceptStub) Stats() Stats                 { return s.st }
+func (s *acceptStub) Stop(context.Context) error   { return nil }
+func (s *acceptStub) acceptHandoff(*handoff) error { return ErrStopped }
+func (s *acceptStub) resubmit(*call) error         { return ErrStopped }
 
 // summaryOf builds a real prefix-trie digest advertising the given
 // prompts, via an actual kvcache manager — stub replicas then claim
@@ -42,7 +44,7 @@ func summaryOf(t testing.TB, prompts ...[]int) *kvcache.PrefixSummary {
 		if err := m.Allocate(i+1, len(p)); err != nil {
 			t.Fatal(err)
 		}
-		if err := m.CommitPrefix(i+1, p, len(p)); err != nil {
+		if err := m.CommitPrefixHashed(i+1, m.HashPrompt(p), len(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,14 +63,14 @@ func TestEnableAffinityValidation(t *testing.T) {
 			t.Errorf("EnableAffinity(%+v) accepted a negative knob", bad)
 		}
 	}
-	if r.AffinityEnabled() {
+	if r.affinity != nil {
 		t.Error("rejected configs must not enable affinity")
 	}
 	if err := r.EnableAffinity(AffinityConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.AffinityEnabled() {
-		t.Error("AffinityEnabled() false after EnableAffinity")
+	if r.affinity == nil {
+		t.Error("affinity off after EnableAffinity")
 	}
 }
 
@@ -267,7 +269,7 @@ func TestAffinityIdleTieBreakOnPublishedStats(t *testing.T) {
 }
 
 // TestRouterAggregatesAffinityStats: the fleet view must sum hit/spill
-// counters (nested routers report their own), take the oldest summary
+// counters, take the oldest summary
 // age, and merge the per-replica digests (blocks summed, roots
 // unioned) — with a summaryless replica folding in cleanly.
 func TestRouterAggregatesAffinityStats(t *testing.T) {

@@ -39,8 +39,8 @@ func referenceAggregateStats(replicas []Stats) Stats {
 		agg.PrefixTokensSaved += st.PrefixTokensSaved
 		agg.CachedKVBlocks += st.CachedKVBlocks
 		agg.SharedKVBlocks += st.SharedKVBlocks
-		// Affinity telemetry: counters sum (nested routers report their
-		// own dispatch outcomes; leaf replicas report 0), the trie
+		// Affinity telemetry: counters sum (servers report 0; the router
+		// adds its own dispatch outcomes in Snapshot), the trie
 		// digests merge below, and the fleet summary age is the oldest
 		// replica's — the staleness bound on any overlap estimate made
 		// from this aggregate.
@@ -65,12 +65,10 @@ func referenceAggregateStats(replicas []Stats) Stats {
 		agg.HandoffBytes += st.HandoffBytes
 		agg.HandoffFailures += st.HandoffFailures
 		agg.HandoffImports += st.HandoffImports
-		// Robustness and health telemetry: counters sum (a dispatching
-		// router adds its own breaker/retry outcomes in Snapshot, like
-		// affinity; nested routers' aggregates fold through here), the
-		// enablement flag ORs, and the census sums nested fleets'
-		// counts. HealthState is a per-replica annotation and never
-		// aggregates.
+		// Robustness and health telemetry: counters and the census sum
+		// (the router adds its own breaker/retry outcomes and census in
+		// Snapshot, like affinity), and the enablement flag ORs.
+		// HealthState is a per-replica annotation and never aggregates.
 		agg.LostRequests += st.LostRequests
 		agg.HandoffDrops += st.HandoffDrops
 		agg.CodecFallbacks += st.CodecFallbacks
@@ -93,11 +91,10 @@ func referenceAggregateStats(replicas []Stats) Stats {
 			agg.PrefillChunkTokens = st.PrefillChunkTokens
 		}
 		// Adaptive-controller telemetry: the fleet budget spread is the
-		// min/max over the replicas' own spreads (nested routers fold
-		// correctly), the headline budget and step-time figures are the
-		// worst replica's, pool targets sum like the capacity they
-		// bound, and the hit-rate EWMA averages the replicas that run
-		// the sizing controller.
+		// min/max over the replicas' own spreads, the headline budget
+		// and step-time figures are the worst replica's, pool targets
+		// sum like the capacity they bound, and the hit-rate EWMA
+		// averages the replicas that run the sizing controller.
 		agg.AdaptiveChunking = agg.AdaptiveChunking || st.AdaptiveChunking
 		agg.AdaptivePrefixCache = agg.AdaptivePrefixCache || st.AdaptivePrefixCache
 		// The fleet's tightest budget is the min over replicas that have
@@ -184,7 +181,7 @@ func (g *statsGen) next() byte {
 }
 
 // names are the string values a snapshot may carry: few, so that
-// replicas often agree, and "mixed" among them, as a nested fold reports.
+// replicas often agree, and "mixed" among them, as a fold of folds reports.
 var names = []string{"", "fifo", "slo", "prefill", "decode", "mixed"}
 
 // leaf fills every Stats field by its kind: ints and floats of either
@@ -229,9 +226,9 @@ func (g *statsGen) leaf() Stats {
 	return st
 }
 
-// fleet decodes up to four snapshots. Down to two levels of nesting, a
-// snapshot may instead be the fold of a nested fleet (a router inside a
-// router), checked against the oracle on the way.
+// fleet decodes up to four snapshots. Down to two levels, a snapshot
+// may instead be the fold of a sub-fleet, checked against the oracle on
+// the way, so the two folds agree on folded inputs too.
 func (g *statsGen) fleet(t *testing.T, depth int) []Stats {
 	fleet := make([]Stats, g.next()%5)
 	for i := range fleet {

@@ -119,9 +119,6 @@ type replicaHealth struct {
 // *Server replica onto one fleet-shared id counter (so resurrection
 // can mint non-colliding scheduler ids) and installs the resurrection
 // hook; neither is synchronised against in-flight submissions.
-// Breaker tracking covers every replica Backend; resurrection requires
-// *Server replicas (lost requests can only be resubmitted to leaf
-// servers this router owns).
 func (r *Router) EnableHealth(cfg HealthConfig) error {
 	if cfg.MaxConsecutiveFailures < 0 {
 		return fmt.Errorf("serve: health MaxConsecutiveFailures must be >= 0, got %d", cfg.MaxConsecutiveFailures)
@@ -146,7 +143,7 @@ func (r *Router) EnableHealth(cfg HealthConfig) error {
 	}
 	cfg.defaults()
 	r.health = &cfg
-	r.healthMap = make(map[Backend]*replicaHealth, len(r.replicas))
+	r.healthMap = make(map[leaf]*replicaHealth, len(r.replicas))
 	// One fleet-shared id counter, seeded past every replica's current
 	// position (a pooled router has already unified them; a plain fleet
 	// has per-server counters): a sequence keeps its scheduler id
@@ -172,17 +169,14 @@ func (r *Router) EnableHealth(cfg HealthConfig) error {
 	return nil
 }
 
-// HealthEnabled reports whether the health state machine is on.
-func (r *Router) HealthEnabled() bool { return r.health != nil }
-
 // classify places replica b in the breaker state machine, judging a
 // live replica's step-time bound against its snapshot st. With arm set
 // (client submissions only) an ejected replica counts one more
 // submission toward its probe cadence, and armed reports that this call
 // made its half-open trial due: the caller's dispatch is the probe. An
-// untracked Backend (possible only before EnableHealth saw it), and
+// untracked replica (possible only before EnableHealth saw it), and
 // every replica of a router without health routing, is healthy.
-func (r *Router) classify(b Backend, st *Stats, arm bool) (state HealthState, armed bool) {
+func (r *Router) classify(b leaf, st *Stats, arm bool) (state HealthState, armed bool) {
 	h := r.healthMap[b]
 	if h == nil {
 		return HealthHealthy, false
@@ -216,7 +210,7 @@ func (r *Router) classify(b Backend, st *Stats, arm bool) (state HealthState, ar
 
 // noteSubmitOK records a successful dispatch: the failure streak
 // resets, and a probing or ejected replica is reinstated.
-func (r *Router) noteSubmitOK(b Backend) {
+func (r *Router) noteSubmitOK(b leaf) {
 	h := r.healthMap[b]
 	if h == nil {
 		return
@@ -239,7 +233,7 @@ func (r *Router) noteSubmitOK(b Backend) {
 // never move the breaker: a probe such a request occupied proved
 // nothing, so it is released and stays due. A failed probe re-arms the
 // ejection; MaxConsecutiveFailures plain failures in a row trip it.
-func (r *Router) noteSubmitErr(b Backend, err error) {
+func (r *Router) noteSubmitErr(b leaf, err error) {
 	if errors.Is(err, ErrNeverFits) || errors.Is(err, ErrInvalidRequest) {
 		r.releaseProbe(b)
 		return
@@ -271,7 +265,7 @@ func (r *Router) noteSubmitErr(b Backend, err error) {
 // releaseProbe returns an undispatched trial: a dispatch that marked
 // this replica probing succeeded earlier in its ranking, so the trial
 // never ran. The replica stays ejected and is due again immediately.
-func (r *Router) releaseProbe(b Backend) {
+func (r *Router) releaseProbe(b leaf) {
 	h := r.healthMap[b]
 	if h == nil {
 		return
@@ -296,7 +290,7 @@ func (h *replicaHealth) decayLocked() {
 // resurrect is the Server.onDeath hook: a dying replica hands over the
 // requests it lost, and the router resubmits each one elsewhere. Runs
 // on the dying replica's scheduler goroutine. The rescue candidates —
-// every other leaf replica, tier by tier — are ranked once per batch,
+// every other replica, tier by tier — are ranked once per batch,
 // least-loaded and never as probes (rescue traffic is not trial
 // traffic), with the liveness guard spanning every tier; the lost set
 // arrives sorted by scheduler id, so a scripted crash resurrects
@@ -304,12 +298,12 @@ func (h *replicaHealth) decayLocked() {
 // requests no replica will take — fail to the client with
 // ErrRetriesExhausted, counted in Stats.RetryExhausted and folded into
 // the fleet's Failed.
-func (r *Router) resurrect(from Backend, lost []*call) {
+func (r *Router) resurrect(from leaf, lost []*call) {
 	cfg := r.health
-	tiers := make([][]Backend, len(r.tiers))
+	tiers := make([][]leaf, len(r.tiers))
 	for t, tier := range r.tiers {
 		for _, b := range tier {
-			if _, ok := b.(leaf); ok && b != from {
+			if b != from {
 				tiers[t] = append(tiers[t], b)
 			}
 		}
@@ -329,7 +323,7 @@ func (r *Router) resurrect(from Backend, lost []*call) {
 		c.retries.Add(1)
 		c.backoff = cfg.RetryBackoff * float64(n+1)
 		var refused error
-		if r.offer(rk, func(b Backend) error { return b.(leaf).resubmit(c) }, &refused) {
+		if r.offer(rk, func(b leaf) error { return b.resubmit(c) }, &refused) {
 			r.resurrections.Add(1)
 		} else if c.finish(Result{Err: fmt.Errorf("%w: no replica accepted the resurrection", ErrRetriesExhausted)}) {
 			r.retryExhausted.Add(1)

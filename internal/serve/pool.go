@@ -46,9 +46,9 @@ func NewPooledRouter(servers ...*Server) (*Router, error) {
 		return nil, fmt.Errorf("serve: pooled router needs at least one server")
 	}
 	var (
-		backends = make([]Backend, len(servers))
-		submit   []Backend
-		decode   []Backend
+		backends = make([]leaf, len(servers))
+		submit   []leaf
+		decode   []leaf
 		prefills []*Server
 	)
 	for i, sv := range servers {
@@ -79,7 +79,7 @@ func NewPooledRouter(servers ...*Server) (*Router, error) {
 	for _, sv := range servers {
 		sv.ids = ids
 	}
-	r := &Router{replicas: backends, tiers: [][]Backend{submit, decode}}
+	r := &Router{replicas: backends, tiers: [][]leaf{submit, decode}}
 	for _, p := range prefills {
 		p.handoffFn = r.dispatchHandoff
 	}
@@ -102,7 +102,7 @@ func NewPooledRouter(servers ...*Server) (*Router, error) {
 func (r *Router) dispatchHandoff(h *handoff) error {
 	refused := fmt.Errorf("serve: no decode replica accepted the handoff")
 	req := Request{Prompt: h.exp.Req.Prompt, PromptLen: h.exp.Req.PromptLen, OutputLen: h.exp.Req.OutputLen}
-	if r.offer(r.rank(r.tiers[1:], req, false), func(b Backend) error { return b.(leaf).acceptHandoff(h) }, &refused) {
+	if r.offer(r.rank(r.tiers[1:], req, false), func(b leaf) error { return b.acceptHandoff(h) }, &refused) {
 		return nil
 	}
 	return refused

@@ -216,7 +216,7 @@ func TestDuplicateHandoffIdempotent(t *testing.T) {
 	if err := src.Admit(req); err != nil {
 		t.Fatal(err)
 	}
-	for src.AdmittedCount() > 0 {
+	for src.InFlight()-src.ActiveCount() > 0 {
 		src.Prefill()
 	}
 	exp, err := src.ExportSequence(req.ID)

@@ -375,11 +375,11 @@ func TestHealthBreakerStateMachine(t *testing.T) {
 	if err := r.EnableHealth(cfg); err != nil {
 		t.Fatal(err)
 	}
-	state := func(bk Backend) HealthState {
+	state := func(bk leaf) HealthState {
 		st, _ := r.classify(bk, &Stats{}, false)
 		return st
 	}
-	rankAB := func() ranking { return r.rank([][]Backend{{a, b}}, Request{}, true) }
+	rankAB := func() ranking { return r.rank([][]leaf{{a, b}}, Request{}, true) }
 
 	// ErrNeverFits is the request's fault: the breaker must not move.
 	for i := 0; i < 5; i++ {
@@ -661,13 +661,13 @@ func TestEnableHealthValidation(t *testing.T) {
 			t.Errorf("EnableHealth(%+v) accepted a bad knob", bad)
 		}
 	}
-	if r.HealthEnabled() {
+	if r.Stats().HealthEnabled {
 		t.Error("rejected configs must not enable health routing")
 	}
 	if err := r.EnableHealth(HealthConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.HealthEnabled() {
-		t.Error("HealthEnabled() false after EnableHealth")
+	if !r.Stats().HealthEnabled {
+		t.Error("stats report health routing off after EnableHealth")
 	}
 }

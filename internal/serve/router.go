@@ -28,10 +28,11 @@ type Backend interface {
 	Stop(context.Context) error
 }
 
-// leaf is a replica the router hands work to beyond Submit: a decode
-// replica taking a prefill replica's handoff, or a survivor taking back
-// a dead replica's lost request. *Server is the one implementation;
-// tests substitute stubs.
+// leaf is a replica a router routes to. Beyond Submit, a router hands
+// it work directly: a decode replica takes a prefill replica's handoff,
+// and a survivor takes a dead replica's lost request. *Server is the
+// one implementation; tests substitute stubs. A *Router is not a leaf:
+// routers route servers and do not nest.
 type leaf interface {
 	Backend
 	acceptHandoff(*handoff) error
@@ -43,17 +44,17 @@ type leaf interface {
 // Stats snapshot — fewest queued+active requests, then most free KV
 // blocks — and fails over down the ranking when a replica's queue is
 // full or it has stopped, so draining one replica reroutes traffic
-// without failed requests. A Router is itself a Backend, so deployments
-// nest (e.g. a router over per-node routers over per-GPU servers).
+// without failed requests. A Router is itself a Backend, so the HTTP
+// layer serves one server and a fleet alike.
 type Router struct {
-	replicas []Backend
+	replicas []leaf
 
 	// tiers are the dispatch tiers in preference order: the flat replica
 	// set for a plain NewRouter, or for NewPooledRouter the submit tier
 	// (prefill + mixed replicas) followed by the decode tier, which
 	// receives handoffs and serves submissions co-located only when every
 	// preferred replica rejects — the prefill-death failover.
-	tiers [][]Backend
+	tiers [][]leaf
 
 	// Router-level admission outcomes. Failover probes bump the
 	// replicas' own rejected counters even when the request lands
@@ -75,7 +76,7 @@ type Router struct {
 	// read-only afterwards; per-replica state lives behind each entry's
 	// own mutex.
 	health         *HealthConfig
-	healthMap      map[Backend]*replicaHealth
+	healthMap      map[leaf]*replicaHealth
 	ejections      atomic.Int64
 	healthProbes   atomic.Int64
 	reinstatements atomic.Int64
@@ -85,24 +86,24 @@ type Router struct {
 
 var _ Backend = (*Router)(nil)
 
-// NewRouter builds a router over the given replicas (at least one).
-// The replicas are typically *Server instances over per-GPU or
-// per-node engines; the router does not start or own their engines.
+// NewRouter builds a router over the given replicas (at least one),
+// each a *Server over a per-GPU or per-node engine; any other Backend,
+// a *Router included, is an error. The router does not start or own
+// the replicas' engines.
 func NewRouter(replicas ...Backend) (*Router, error) {
 	if len(replicas) == 0 {
 		return nil, fmt.Errorf("serve: router needs at least one replica")
 	}
+	leaves := make([]leaf, len(replicas))
 	for i, b := range replicas {
-		if b == nil {
-			return nil, fmt.Errorf("serve: router replica %d is nil", i)
+		l, ok := b.(leaf)
+		if !ok {
+			return nil, fmt.Errorf("serve: router replica %d is %T, not a server", i, b)
 		}
+		leaves[i] = l
 	}
-	replicas = append([]Backend(nil), replicas...)
-	return &Router{replicas: replicas, tiers: [][]Backend{replicas}}, nil
+	return &Router{replicas: leaves, tiers: [][]leaf{leaves}}, nil
 }
-
-// Replicas returns the number of replicas behind the router.
-func (r *Router) Replicas() int { return len(r.replicas) }
 
 // Start launches every replica.
 func (r *Router) Start() {
@@ -123,7 +124,7 @@ func (r *Router) Start() {
 // nothing about replica health.
 func (r *Router) Submit(req Request) (*Ticket, error) {
 	var tk *Ticket
-	try := func(b Backend) (err error) {
+	try := func(b leaf) (err error) {
 		tk, err = b.Submit(req)
 		return err
 	}
@@ -157,7 +158,7 @@ const (
 // candidate is one replica's view for one dispatch, read from a single
 // Stats snapshot.
 type candidate struct {
-	b     Backend
+	b     leaf
 	tier  int
 	group int
 	// pin moves the affinity pick to the front of its group (-1: in
@@ -176,10 +177,10 @@ type candidate struct {
 
 // ranking is one dispatch's offer order.
 type ranking struct {
-	order []Backend
+	order []leaf
 	// preferred is the replica affinity wanted (in band or not); nil
 	// when the dispatch was not affinity-scored.
-	preferred Backend
+	preferred leaf
 	// probes counts the half-open trials this dispatch armed:
 	// order[:probes].
 	probes int
@@ -212,7 +213,7 @@ type ranking struct {
 // Every sort is stable, so remaining ties keep tier order. Requests
 // without prompt tokens are never affinity-scored: there is nothing to
 // match.
-func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
+func (r *Router) rank(tiers [][]leaf, req Request, arm bool) ranking {
 	aff := r.affinity
 	if len(req.Prompt) == 0 {
 		aff = nil
@@ -269,7 +270,7 @@ func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
 	// The replica the request wants: the healthy candidate with the best
 	// overlap, band or no band. Ties break toward lower load, then tier
 	// order.
-	var preferred Backend
+	var preferred leaf
 	want, minLoad := -1, -1
 	for i, c := range cands {
 		if aff == nil || c.group != groupHealthy {
@@ -320,7 +321,7 @@ func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
 		}
 		return x.free > y.free
 	})
-	rk := ranking{order: make([]Backend, 0, len(cands)), preferred: preferred}
+	rk := ranking{order: make([]leaf, 0, len(cands)), preferred: preferred}
 	for _, c := range cands {
 		if c.group != groupOut {
 			rk.order = append(rk.order, c.b)
@@ -338,7 +339,7 @@ func (r *Router) rank(tiers [][]Backend, req Request, arm bool) ranking {
 // never reached is released, so it stays due. Each refusal folds into
 // *refused by Submit's precedence (refusalRank); an invalid request ends
 // the walk at once, since every replica refuses it alike.
-func (r *Router) offer(rk ranking, try func(Backend) error, refused *error) bool {
+func (r *Router) offer(rk ranking, try func(leaf) error, refused *error) bool {
 	for i, b := range rk.order {
 		err := try(b)
 		if err == nil || errors.Is(err, ErrInvalidRequest) {
@@ -396,18 +397,15 @@ func (r *Router) Snapshot() (Stats, []Stats) {
 	agg := aggregateStats(per)
 	agg.Submitted = r.submitted.Load()
 	agg.Rejected = r.rejected.Load()
-	// Affinity outcomes are decided here, at the dispatching router —
-	// replicas always report 0 — but nested routers decide their own, so
-	// this level's counters add to the aggregate instead of replacing it.
+	// Affinity and health outcomes are decided here, at the router; a
+	// server reports 0 for each of them.
 	agg.PrefixAffinityHits += r.affinityHits.Load()
 	agg.AffinitySpills += r.affinitySpills.Load()
 	if r.health != nil {
-		// Health outcomes follow the same rule: this router's breaker
-		// counters and census add to whatever nested health routers
-		// already reported. Resurrections abandoned at this router
-		// (budget exhausted, nowhere to go) were delivered as failures
-		// here, so they fold into the fleet's Failed — no replica's own
-		// snapshot ever counted them.
+		// Resurrections abandoned at this router (budget exhausted,
+		// nowhere to go) were delivered as failures here, so they fold
+		// into the fleet's Failed — no replica's own snapshot ever
+		// counted them.
 		agg.HealthEnabled = true
 		agg.Ejections += r.ejections.Load()
 		agg.HealthProbes += r.healthProbes.Load()
@@ -452,7 +450,7 @@ func (r *Router) Stop(ctx context.Context) error {
 	var wg sync.WaitGroup
 	for i, b := range r.replicas {
 		wg.Add(1)
-		go func(i int, b Backend) {
+		go func(i int, b leaf) {
 			defer wg.Done()
 			errs[i] = b.Stop(ctx)
 		}(i, b)

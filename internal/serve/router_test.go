@@ -277,10 +277,12 @@ func (s *statsStub) Start()                          {}
 func (s *statsStub) Submit(Request) (*Ticket, error) { return nil, ErrStopped }
 func (s *statsStub) Stats() Stats                    { return s.st }
 func (s *statsStub) Stop(context.Context) error      { return nil }
+func (s *statsStub) acceptHandoff(*handoff) error    { return ErrStopped }
+func (s *statsStub) resubmit(*call) error            { return ErrStopped }
 
 // TestRouterAggregatesAdaptiveStats: the fleet view must fold the
 // adaptive-controller telemetry by its documented rules — budget
-// spread as min-of-mins/max-of-maxes (so nested routers compose),
+// spread as min-of-mins/max-of-maxes,
 // headline budget / target / step-time / pressure as the worst
 // replica, pool targets, drain rates and peak batches summed, and the
 // hit-rate EWMA averaged over the replicas actually running the sizing
@@ -340,44 +342,42 @@ func TestRouterAggregatesAdaptiveStats(t *testing.T) {
 	}
 }
 
-// TestNestedHealthFleetStats pins how a health router folds two
-// nested health routers, with 3 and 1 replicas. The census counts the
-// 4 leaves (reported by the inner routers) plus the 2 inner routers
-// themselves (counted by the root as its replicas). The hit-rate EWMA
-// is the mean of the inner routers' means, not of the 4 leaves (0.7).
-// The compression ratio is weighted by compressed bytes, which makes it
+// TestFlatHealthFleetStats pins how a health router folds a flat fleet
+// of 4 replicas, and that it is the only shape: routers route servers,
+// so NewRouter rejects a router replica. The census counts each replica
+// once, the hit-rate EWMA is the mean over the adaptive replicas, and
+// the compression ratio is weighted by compressed bytes, which makes it
 // the fleet's raw/compressed byte ratio.
-func TestNestedHealthFleetStats(t *testing.T) {
-	leaf := func(hit float64, comp int64, ratio float64) Backend {
+func TestFlatHealthFleetStats(t *testing.T) {
+	replica := func(hit float64, comp int64, ratio float64) Backend {
 		return &statsStub{Stats{
 			AdaptivePrefixCache: true, CacheHitRateEWMA: hit,
 			CompressedCacheEnabled: true, CompressedKVBytes: comp, KVCompressionRatio: ratio,
 		}}
 	}
-	healthRouter := func(replicas ...Backend) *Router {
-		r, err := NewRouter(replicas...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.EnableHealth(HealthConfig{}); err != nil {
-			t.Fatal(err)
-		}
-		return r
+	r, err := NewRouter(replica(0.9, 100, 1.2), replica(0.9, 100, 1.2), replica(0.9, 200, 1.5), replica(0.1, 600, 1.4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	root := healthRouter(
-		healthRouter(leaf(0.9, 100, 1.2), leaf(0.9, 100, 1.2), leaf(0.9, 200, 1.5)),
-		healthRouter(leaf(0.1, 600, 1.4)))
-	agg := root.Stats()
-	if agg.ReplicasHealthy != 6 || agg.ReplicasDegraded != 0 || agg.ReplicasEjected != 0 {
-		t.Errorf("census %d/%d/%d healthy/degraded/ejected, want 6/0/0",
+	if err := r.EnableHealth(HealthConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	agg := r.Stats()
+	if agg.ReplicasHealthy != 4 || agg.ReplicasDegraded != 0 || agg.ReplicasEjected != 0 {
+		t.Errorf("census %d/%d/%d healthy/degraded/ejected, want 4/0/0",
 			agg.ReplicasHealthy, agg.ReplicasDegraded, agg.ReplicasEjected)
 	}
-	if agg.CacheHitRateEWMA != 0.5 {
-		t.Errorf("hit-rate EWMA %v, want 0.5", agg.CacheHitRateEWMA)
+	if math.Abs(agg.CacheHitRateEWMA-0.7) > 1e-12 {
+		t.Errorf("hit-rate EWMA %v, want 0.7", agg.CacheHitRateEWMA)
 	}
 	// Raw bytes 120+120+300+840 over compressed bytes 1000.
 	if agg.CompressedKVBytes != 1000 || math.Abs(agg.KVCompressionRatio-1.38) > 1e-12 {
 		t.Errorf("compression %d bytes at ratio %v, want 1000 at 1.38", agg.CompressedKVBytes, agg.KVCompressionRatio)
+	}
+	for _, replicas := range [][]Backend{{r}, {replica(0.5, 0, 1), r}} {
+		if _, err := NewRouter(replicas...); err == nil {
+			t.Errorf("NewRouter accepted a router among %d replicas", len(replicas))
+		}
 	}
 }
 

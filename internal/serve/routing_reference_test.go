@@ -22,14 +22,14 @@ import (
 // knob and counter no longer exist), refRankForRequest breaks a load
 // tie toward the digest advertising fewer blocks before free blocks
 // (so new prefixes spread over an idle fleet), and refResurrectTargets
-// selects leaf replicas rather than *Server, so stub fleets can stand
-// in.
+// considers every replica but the dead one rather than only *Server
+// replicas, so stub fleets can stand in.
 
 // refRankByLoad orders backends least-loaded first by their Stats
 // snapshots: fewest queued+active requests, then most free KV blocks.
-func refRankByLoad(backends []Backend) []Backend {
+func refRankByLoad(backends []leaf) []leaf {
 	type candidate struct {
-		b    Backend
+		b    leaf
 		load int
 		free int
 	}
@@ -44,7 +44,7 @@ func refRankByLoad(backends []Backend) []Backend {
 		}
 		return cands[i].free > cands[j].free
 	})
-	out := make([]Backend, len(cands))
+	out := make([]leaf, len(cands))
 	for i, c := range cands {
 		out[i] = c.b
 	}
@@ -53,7 +53,7 @@ func refRankByLoad(backends []Backend) []Backend {
 
 // refAffinityCandidate is one replica's scored view for a dispatch.
 type refAffinityCandidate struct {
-	b           Backend
+	b           leaf
 	idx         int // original tier index, the final determinism tie-break
 	load        int // queued+active
 	cached      int // trie blocks the digest advertises
@@ -71,7 +71,7 @@ type refAffinityCandidate struct {
 // in-band-and-fitting one first. preferred then names the replica the
 // request *wants* (the best overlap, in or out of band): landing there
 // counts as an affinity hit, landing anywhere else as a spill.
-func (r *Router) refRankForRequest(tier []Backend, req Request) (ranked []Backend, preferred Backend) {
+func (r *Router) refRankForRequest(tier []leaf, req Request) (ranked []leaf, preferred leaf) {
 	if r.affinity == nil || len(req.Prompt) == 0 {
 		return refRankByLoad(tier), nil
 	}
@@ -142,7 +142,7 @@ func (r *Router) refRankForRequest(tier []Backend, req Request) (ranked []Backen
 		return cands[i].free > cands[j].free
 	})
 
-	ranked = make([]Backend, 0, len(cands))
+	ranked = make([]leaf, 0, len(cands))
 	if want >= 0 {
 		preferred = tier[want]
 		pc := cands[0] // locate the wanted candidate post-sort
@@ -197,7 +197,7 @@ func (r *Router) refRankForRequest(tier []Backend, req Request) (ranked []Backen
 // Liveness guard: when the whole tier is ejected with no probe due,
 // every replica is tried — a fully tripped breaker must degrade to
 // plain dispatch, not to guaranteed failure.
-func (r *Router) refHealthRank(tier []Backend, req Request) (ranked []Backend, preferred Backend, probes []Backend) {
+func (r *Router) refHealthRank(tier []leaf, req Request) (ranked []leaf, preferred leaf, probes []leaf) {
 	if r.health == nil {
 		ranked, preferred = r.refRankForRequest(tier, req)
 		return ranked, preferred, nil
@@ -206,8 +206,8 @@ func (r *Router) refHealthRank(tier []Backend, req Request) (ranked []Backend, p
 	if len(healthy)+len(degraded)+len(probes) == 0 {
 		return refRankByLoad(tier), nil, nil
 	}
-	ranked = append([]Backend(nil), probes...)
-	var affRanked []Backend
+	ranked = append([]leaf(nil), probes...)
+	var affRanked []leaf
 	affRanked, preferred = r.refRankForRequest(healthy, req)
 	ranked = append(ranked, affRanked...)
 	if len(degraded) > 0 {
@@ -217,9 +217,9 @@ func (r *Router) refHealthRank(tier []Backend, req Request) (ranked []Backend, p
 }
 
 // refHealthPartition classifies a tier's replicas for one dispatch and
-// advances the probe cadence of ejected ones. An untracked Backend
+// advances the probe cadence of ejected ones. An untracked replica
 // (possible only before EnableHealth saw it) counts as healthy.
-func (r *Router) refHealthPartition(tier []Backend) (healthy, degraded, probes []Backend) {
+func (r *Router) refHealthPartition(tier []leaf) (healthy, degraded, probes []leaf) {
 	cfg := r.health
 	for _, b := range tier {
 		h := r.healthMap[b]
@@ -269,11 +269,11 @@ func (r *Router) refHealthPartition(tier []Backend) (healthy, degraded, probes [
 // dispatch paths that rank but never probe (handoff dispatch). Probe
 // cadences are untouched — a handoff is not a half-open trial. The
 // liveness guard applies: a fully ejected tier is returned whole.
-func (r *Router) refLiveCandidates(tier []Backend) []Backend {
+func (r *Router) refLiveCandidates(tier []leaf) []leaf {
 	if r.health == nil {
 		return tier
 	}
-	live := make([]Backend, 0, len(tier))
+	live := make([]leaf, 0, len(tier))
 	for _, b := range tier {
 		h := r.healthMap[b]
 		if h != nil {
@@ -294,7 +294,7 @@ func (r *Router) refLiveCandidates(tier []Backend) []Backend {
 
 // refHealthStateOf classifies a replica for the stats surface, reusing
 // an already-taken snapshot for the step-time bound.
-func (r *Router) refHealthStateOf(b Backend, st *Stats) HealthState {
+func (r *Router) refHealthStateOf(b leaf, st *Stats) HealthState {
 	cfg := r.health
 	h := r.healthMap[b]
 	if h == nil {
@@ -317,17 +317,17 @@ func (r *Router) refHealthStateOf(b Backend, st *Stats) HealthState {
 }
 
 // refResurrectTargets ranks the live rescue candidates for a dying
-// replica's lost requests: every non-ejected leaf in tier order,
+// replica's lost requests: every non-ejected replica in tier order,
 // least-loaded first, excluding the dead replica. When the breaker has
-// everything ejected, every live leaf is tried anyway (the liveness
+// everything ejected, every live replica is tried anyway (the liveness
 // guard again). Probe cadences are not advanced — resurrection is
 // rescue traffic, not trial traffic.
-func (r *Router) refResurrectTargets(from Backend) []Backend {
-	pick := func(includeEjected bool) []Backend {
-		var out []Backend
+func (r *Router) refResurrectTargets(from leaf) []leaf {
+	pick := func(includeEjected bool) []leaf {
+		var out []leaf
 		for _, tier := range r.tiers {
 			for _, b := range refRankByLoad(tier) {
-				if _, ok := b.(leaf); !ok || b == from {
+				if b == from {
 					continue
 				}
 				if !includeEjected {
@@ -402,10 +402,10 @@ func (r *Router) refSubmit(req Request) (*Ticket, error) {
 
 // refOfferHandoff is the reference handoff offer loop over a given
 // ranking of decode replicas.
-func (r *Router) refOfferHandoff(ranked []Backend, preferred Backend, h *handoff) error {
+func (r *Router) refOfferHandoff(ranked []leaf, preferred leaf, h *handoff) error {
 	err := fmt.Errorf("serve: no decode replica accepted the handoff")
 	for _, b := range ranked {
-		if e := b.(leaf).acceptHandoff(h); e == nil {
+		if e := b.acceptHandoff(h); e == nil {
 			r.noteSubmitOK(b)
 			r.noteDispatch(b, preferred)
 			return nil
@@ -419,7 +419,7 @@ func (r *Router) refOfferHandoff(ranked []Backend, preferred Backend, h *handoff
 
 // refResurrectOver is the reference resurrection loop over a given
 // ranking of rescue targets.
-func (r *Router) refResurrectOver(targets []Backend, lost []*call) {
+func (r *Router) refResurrectOver(targets []leaf, lost []*call) {
 	cfg := r.health
 	for _, c := range lost {
 		if c.done.Load() {
@@ -436,7 +436,7 @@ func (r *Router) refResurrectOver(targets []Backend, lost []*call) {
 		c.backoff = cfg.RetryBackoff * float64(n+1)
 		delivered := false
 		for _, srv := range targets {
-			err := srv.(leaf).resubmit(c)
+			err := srv.resubmit(c)
 			if err == nil {
 				r.noteSubmitOK(srv)
 				r.resurrections.Add(1)
@@ -458,8 +458,8 @@ func (r *Router) refResurrectOver(targets []Backend, lost []*call) {
 // healthy ones ranked as refRankForRequest ranks them and degraded ones
 // after them least-loaded — the order refHealthRank gives a Submit,
 // without arming probes. ranked is nil when nothing is left.
-func (r *Router) refDegradedLast(tier []Backend, req Request) (ranked []Backend, preferred Backend, degraded int) {
-	var healthy, slow []Backend
+func (r *Router) refDegradedLast(tier []leaf, req Request) (ranked []leaf, preferred leaf, degraded int) {
+	var healthy, slow []leaf
 	for _, b := range tier {
 		st := b.Stats()
 		switch r.refHealthStateOf(b, &st) {
@@ -534,7 +534,7 @@ func stubFleet(t testing.TB, stats []Stats, split int) (*Router, []*fleetStub, *
 		t.Fatal(err)
 	}
 	if split > 0 {
-		r.tiers = [][]Backend{backends[:split], backends[split:]}
+		r.tiers = [][]leaf{r.replicas[:split], r.replicas[split:]}
 	}
 	return r, stubs, log
 }
@@ -557,7 +557,7 @@ func breakerOf(h *replicaHealth) breakerSpec {
 	return breakerSpec{h.ejected, h.probing, h.consecFails, h.sinceEject, h.recentFails, h.recentCount}
 }
 
-func stubIDs(bs []Backend) []int {
+func stubIDs(bs []leaf) []int {
 	ids := make([]int, len(bs))
 	for i, b := range bs {
 		ids[i] = b.(*fleetStub).id
@@ -757,10 +757,10 @@ func FuzzDispatchRankEquivalence(f *testing.F) {
 				}
 			case 2:
 				from := rng.Intn(count)
-				var want []Backend
+				var want []leaf
 				degraded := 0
 				for _, tier := range rB.tiers {
-					var cands []Backend
+					var cands []leaf
 					for _, b := range tier {
 						if b != stubsB[from] {
 							cands = append(cands, b)

@@ -34,7 +34,7 @@ type Server struct {
 	// the requests a dying replica lost (crash, hang-at-stop, dropped
 	// handoff) so the router can resurrect them on another replica.
 	// Nil means lost requests fail to the client.
-	onDeath func(from Backend, lost []*call)
+	onDeath func(from leaf, lost []*call)
 
 	// ids assigns request IDs. Private per server by default;
 	// NewPooledRouter points every pooled replica at one shared counter,

@@ -164,7 +164,7 @@ func TestCodewordCoverageMeasured(t *testing.T) {
 
 func TestGaussianExponentLawIsDistribution(t *testing.T) {
 	for _, sigma := range []float64{1e-4, 0.01, 0.02, 0.1, 1, 100} {
-		p := GaussianExponentLaw(sigma)
+		p := gaussianExponentLaw(sigma)
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 {
@@ -180,7 +180,7 @@ func TestGaussianExponentLawIsDistribution(t *testing.T) {
 		}
 	}
 	// σ=0 degenerates to point mass at zero.
-	p := GaussianExponentLaw(0)
+	p := gaussianExponentLaw(0)
 	if p[0] != 1 {
 		t.Error("σ=0 law is not a point mass at exponent 0")
 	}
@@ -189,8 +189,8 @@ func TestGaussianExponentLawIsDistribution(t *testing.T) {
 func TestTheoremA1Unimodality(t *testing.T) {
 	// Theorem A.1: the law is unimodal for every σ.
 	for _, sigma := range []float64{1e-6, 1e-3, 0.02, 0.5, 3, 1e4} {
-		p := GaussianExponentLaw(sigma)
-		if !IsUnimodal(p[:]) {
+		p := gaussianExponentLaw(sigma)
+		if !isUnimodal(p[:]) {
 			t.Errorf("σ=%g: Gaussian exponent law is not unimodal", sigma)
 		}
 	}
@@ -200,7 +200,7 @@ func TestTheoremA2ContiguityFollowsFromUnimodality(t *testing.T) {
 	// Theorem A.2: for a unimodal law the top-k set is contiguous.
 	// Verify on sampled histograms from the law.
 	for _, sigma := range []float64{0.01, 0.02, 0.05} {
-		p := GaussianExponentLaw(sigma)
+		p := gaussianExponentLaw(sigma)
 		var h Histogram
 		for e := range h {
 			h[e] = int64(p[e] * 1e9)
@@ -218,12 +218,12 @@ func TestLawPredictsEmpiricalHistogram(t *testing.T) {
 	// the erf law: compare entropy and window coverage.
 	sigma := 0.02
 	h := ExponentHistogram(gaussianMatrix(t, 512, sigma, 7))
-	p := GaussianExponentLaw(sigma)
-	if d := math.Abs(h.Entropy() - ExpectedEntropy(p[:])); d > 0.1 {
+	p := gaussianExponentLaw(sigma)
+	if d := math.Abs(h.Entropy() - expectedEntropy(p[:])); d > 0.1 {
 		t.Errorf("entropy gap empirical vs law = %.3f bits", d)
 	}
 	empCov := h.BestWindowCoverage(7)
-	lawCov := ExpectedWindowCoverage(p[:], 7)
+	lawCov := expectedWindowCoverage(p[:], 7)
 	if d := math.Abs(empCov - lawCov); d > 0.02 {
 		t.Errorf("window coverage gap %.4f (empirical %.4f, law %.4f)", d, empCov, lawCov)
 	}
@@ -246,8 +246,8 @@ func TestIsUnimodalCases(t *testing.T) {
 		{"single", []float64{5}, true},
 	}
 	for _, c := range cases {
-		if got := IsUnimodal(c.dist); got != c.want {
-			t.Errorf("%s: IsUnimodal = %v, want %v", c.name, got, c.want)
+		if got := isUnimodal(c.dist); got != c.want {
+			t.Errorf("%s: isUnimodal = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

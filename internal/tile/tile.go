@@ -93,21 +93,12 @@ type Coord struct {
 	Pos   int // element position within the FragTile, row-major 0..63
 }
 
-// fragIndexInBlock returns the storage index of the FragTile containing
-// local coordinates (r, c) within a BlockTile. TensorCoreTiles are laid
-// out row-major within the block; FragTiles within a TensorCoreTile are
-// stored COLUMN-MAJOR (§4.2: "FragTiles within a TensorCoreTile are
-// stored in column-major order, mirroring the operand register layout").
-func fragIndexInBlock(r, c int) int {
-	tcRow, tcCol := r/TCDim, c/TCDim
-	tcIndex := tcRow*TCsPerBlockSide + tcCol
-	fr, fc := (r%TCDim)/FragDim, (c%TCDim)/FragDim
-	fragInTC := fc*FragsPerTCSide + fr // column-major 2×2
-	return tcIndex*FragsPerTC + fragInTC
-}
-
-// fragOrigin is the inverse of fragIndexInBlock: the (row, col) of the
-// FragTile's top-left element within its BlockTile.
+// fragOrigin returns the (row, col) of the top-left element of the
+// FragTile with storage index frag within its BlockTile.
+// TensorCoreTiles are laid out row-major within the block; FragTiles
+// within a TensorCoreTile are stored COLUMN-MAJOR (§4.2: "FragTiles
+// within a TensorCoreTile are stored in column-major order, mirroring
+// the operand register layout").
 func fragOrigin(frag int) (r, c int) {
 	tcIndex, fragInTC := frag/FragsPerTC, frag%FragsPerTC
 	tcRow, tcCol := tcIndex/TCsPerBlockSide, tcIndex%TCsPerBlockSide
@@ -139,21 +130,6 @@ func (g Grid) BlockOrigin(b int) (r, c int) {
 	return b / g.BlockCols * BlockDim, b % g.BlockCols * BlockDim
 }
 
-// ToCoord maps padded-matrix coordinates (r, c) to a hierarchy Coord.
-// r and c may address padding (up to PaddedRows/PaddedCols).
-func (g Grid) ToCoord(r, c int) Coord {
-	if r < 0 || r >= g.PaddedRows || c < 0 || c >= g.PaddedCols {
-		panic(fmt.Sprintf("tile: coordinate (%d,%d) outside padded %d×%d", r, c, g.PaddedRows, g.PaddedCols))
-	}
-	br, bc := r/BlockDim, c/BlockDim
-	lr, lc := r%BlockDim, c%BlockDim
-	return Coord{
-		Block: br*g.BlockCols + bc,
-		Frag:  fragIndexInBlock(lr, lc),
-		Pos:   (lr%FragDim)*FragDim + lc%FragDim,
-	}
-}
-
 // FromCoord maps a hierarchy Coord back to padded-matrix coordinates.
 func (g Grid) FromCoord(co Coord) (r, c int) {
 	br, bc := g.BlockOrigin(co.Block)
@@ -161,30 +137,6 @@ func (g Grid) FromCoord(co Coord) (r, c int) {
 	return br + fr + co.Pos/FragDim, bc + fc + co.Pos%FragDim
 }
 
-// GlobalFrag returns the global FragTile index of a Coord: FragTiles
-// are numbered block-by-block, in storage order within each block.
-// This is the index into the bitmap arrays of the encoding.
-func (g Grid) GlobalFrag(co Coord) int { return co.Block*FragsPerBlock + co.Frag }
-
 // InBounds reports whether padded coordinates (r, c) address a real
 // (non-padding) element of the original matrix.
 func (g Grid) InBounds(r, c int) bool { return r < g.Rows && c < g.Cols }
-
-// LanePositions returns the two FragTile positions owned by warp lane
-// l, matching the Tensor Core fragment layout where lane i's .bf16x2
-// register holds positions 2i and 2i+1 (§4.3.2, Figure 7).
-func LanePositions(lane int) (p0, p1 int) {
-	if lane < 0 || lane >= WarpLanes {
-		panic(fmt.Sprintf("tile: lane %d outside warp of %d", lane, WarpLanes))
-	}
-	return 2 * lane, 2*lane + 1
-}
-
-// LaneForPosition returns the warp lane that owns FragTile position p
-// and which of its two register slots (0 = a0, 1 = a1) holds it.
-func LaneForPosition(p int) (lane, slot int) {
-	if p < 0 || p >= FragElems {
-		panic(fmt.Sprintf("tile: position %d outside FragTile of %d", p, FragElems))
-	}
-	return p / ElemsPerLane, p % ElemsPerLane
-}

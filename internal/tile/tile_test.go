@@ -1,9 +1,38 @@
 package tile
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
+
+// toCoord maps padded-matrix coordinates (r, c) to a hierarchy Coord,
+// the element-to-fragment oracle that FromCoord and the FragOrigin
+// table are checked against. r and c may address padding (up to
+// PaddedRows/PaddedCols).
+func toCoord(g Grid, r, c int) Coord {
+	if r < 0 || r >= g.PaddedRows || c < 0 || c >= g.PaddedCols {
+		panic(fmt.Sprintf("tile: coordinate (%d,%d) outside padded %d×%d", r, c, g.PaddedRows, g.PaddedCols))
+	}
+	br, bc := r/BlockDim, c/BlockDim
+	lr, lc := r%BlockDim, c%BlockDim
+	return Coord{
+		Block: br*g.BlockCols + bc,
+		Frag:  fragIndexInBlock(lr, lc),
+		Pos:   (lr%FragDim)*FragDim + lc%FragDim,
+	}
+}
+
+// fragIndexInBlock returns the storage index of the FragTile containing
+// local coordinates (r, c) within a BlockTile: the inverse of
+// fragOrigin, written from the layout rule independently.
+func fragIndexInBlock(r, c int) int {
+	tcRow, tcCol := r/TCDim, c/TCDim
+	tcIndex := tcRow*TCsPerBlockSide + tcCol
+	fr, fc := (r%TCDim)/FragDim, (c%TCDim)/FragDim
+	fragInTC := fc*FragsPerTCSide + fr // column-major 2×2
+	return tcIndex*FragsPerTC + fragInTC
+}
 
 func TestGridDimensions(t *testing.T) {
 	cases := []struct {
@@ -59,7 +88,7 @@ func TestCoordRoundTripExhaustiveSmall(t *testing.T) {
 	seen := make(map[Coord]bool)
 	for r := 0; r < g.PaddedRows; r++ {
 		for c := 0; c < g.PaddedCols; c++ {
-			co := g.ToCoord(r, c)
+			co := toCoord(g, r, c)
 			if co.Block < 0 || co.Block >= g.NumBlocks() {
 				t.Fatalf("(%d,%d): block %d out of range", r, c, co.Block)
 			}
@@ -97,18 +126,18 @@ func TestFragColumnMajorWithinTensorCoreTile(t *testing.T) {
 		{8, 8, 3},
 	}
 	for _, w := range wants {
-		co := g.ToCoord(w.r, w.c)
+		co := toCoord(g, w.r, w.c)
 		if co.Frag != w.frag {
-			t.Errorf("ToCoord(%d,%d).Frag = %d, want %d (column-major frag order)", w.r, w.c, co.Frag, w.frag)
+			t.Errorf("toCoord(%d,%d).Frag = %d, want %d (column-major frag order)", w.r, w.c, co.Frag, w.frag)
 		}
 	}
 	// Second TensorCoreTile along the row starts at frag 4.
-	if co := g.ToCoord(0, 16); co.Frag != 4 {
-		t.Errorf("ToCoord(0,16).Frag = %d, want 4", co.Frag)
+	if co := toCoord(g, 0, 16); co.Frag != 4 {
+		t.Errorf("toCoord(0,16).Frag = %d, want 4", co.Frag)
 	}
 	// Second TensorCoreTile row starts at frag 16 (4 TCs × 4 frags).
-	if co := g.ToCoord(16, 0); co.Frag != 16 {
-		t.Errorf("ToCoord(16,0).Frag = %d, want 16", co.Frag)
+	if co := toCoord(g, 16, 0); co.Frag != 16 {
+		t.Errorf("toCoord(16,0).Frag = %d, want 16", co.Frag)
 	}
 }
 
@@ -134,28 +163,17 @@ func TestOriginTablesMatchCoords(t *testing.T) {
 
 func TestPositionRowMajorWithinFrag(t *testing.T) {
 	g := NewGrid(64, 64)
-	if co := g.ToCoord(0, 0); co.Pos != 0 {
+	if co := toCoord(g, 0, 0); co.Pos != 0 {
 		t.Errorf("pos(0,0) = %d, want 0", co.Pos)
 	}
-	if co := g.ToCoord(0, 7); co.Pos != 7 {
+	if co := toCoord(g, 0, 7); co.Pos != 7 {
 		t.Errorf("pos(0,7) = %d, want 7", co.Pos)
 	}
-	if co := g.ToCoord(1, 0); co.Pos != 8 {
+	if co := toCoord(g, 1, 0); co.Pos != 8 {
 		t.Errorf("pos(1,0) = %d, want 8", co.Pos)
 	}
-	if co := g.ToCoord(7, 7); co.Pos != 63 {
+	if co := toCoord(g, 7, 7); co.Pos != 63 {
 		t.Errorf("pos(7,7) = %d, want 63", co.Pos)
-	}
-}
-
-func TestGlobalFrag(t *testing.T) {
-	g := NewGrid(128, 128)  // 2×2 blocks
-	co := g.ToCoord(64, 64) // block (1,1) = block index 3
-	if co.Block != 3 {
-		t.Fatalf("block = %d, want 3", co.Block)
-	}
-	if got := g.GlobalFrag(co); got != 3*FragsPerBlock {
-		t.Errorf("GlobalFrag = %d, want %d", got, 3*FragsPerBlock)
 	}
 }
 
@@ -169,54 +187,6 @@ func TestInBounds(t *testing.T) {
 	}
 }
 
-func TestLaneMapping(t *testing.T) {
-	// Lane i owns positions 2i, 2i+1 (Figure 7: thread 19 ↔ bit 38).
-	p0, p1 := LanePositions(19)
-	if p0 != 38 || p1 != 39 {
-		t.Errorf("LanePositions(19) = %d,%d, want 38,39", p0, p1)
-	}
-	lane, slot := LaneForPosition(38)
-	if lane != 19 || slot != 0 {
-		t.Errorf("LaneForPosition(38) = lane %d slot %d, want 19/0", lane, slot)
-	}
-	lane, slot = LaneForPosition(13)
-	if lane != 6 || slot != 1 {
-		t.Errorf("LaneForPosition(13) = lane %d slot %d, want 6/1", lane, slot)
-	}
-	// The lane mapping must partition all 64 positions.
-	covered := make([]bool, FragElems)
-	for l := 0; l < WarpLanes; l++ {
-		a, b := LanePositions(l)
-		if covered[a] || covered[b] {
-			t.Fatalf("lane %d re-covers a position", l)
-		}
-		covered[a], covered[b] = true, true
-	}
-	for p, ok := range covered {
-		if !ok {
-			t.Fatalf("position %d not covered by any lane", p)
-		}
-	}
-}
-
-func TestLanePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { LanePositions(-1) },
-		func() { LanePositions(32) },
-		func() { LaneForPosition(-1) },
-		func() { LaneForPosition(64) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic for out-of-range lane/position")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestQuickCoordRoundTrip(t *testing.T) {
 	// Property: for arbitrary grids and in-range coordinates, the
 	// hierarchy mapping round-trips.
@@ -226,7 +196,7 @@ func TestQuickCoordRoundTrip(t *testing.T) {
 		g := NewGrid(rw, cl)
 		rr := int(r) % g.PaddedRows
 		cc := int(c) % g.PaddedCols
-		co := g.ToCoord(rr, cc)
+		co := toCoord(g, rr, cc)
 		br, bc := g.FromCoord(co)
 		return br == rr && bc == cc
 	}

@@ -120,11 +120,6 @@ func (m Model) BlockShapes() []Shape {
 	return out
 }
 
-// AllShapes returns the block shapes plus the LM head.
-func (m Model) AllShapes() []Shape {
-	return append(m.BlockShapes(), m.LayerShape(LMHead))
-}
-
 // WeightElements returns the total parameter count of all GEMM weights
 // (blocks × layers + embedding + head). Embedding is counted at the
 // LM-head shape, matching standard parameter accounting.
@@ -148,14 +143,4 @@ func (m Model) WeightGiB() float64 { return float64(m.WeightBytes()) / (1 << 30)
 // bytes: 2 tensors (K and V) × kv-heads × head-dim × layers × 2 bytes.
 func (m Model) KVBytesPerToken() int64 {
 	return 2 * 2 * int64(m.NumKVHeads) * int64(m.HeadDim) * int64(m.NumLayers)
-}
-
-// DecodeFLOPsPerToken approximates the dense-GEMM FLOPs to generate a
-// single token (2 × weight elements touched per forward pass).
-func (m Model) DecodeFLOPsPerToken() int64 {
-	var perBlock int64
-	for _, s := range m.BlockShapes() {
-		perBlock += s.Elements()
-	}
-	return 2 * (perBlock*int64(m.NumLayers) + m.LayerShape(LMHead).Elements())
 }

@@ -103,33 +103,19 @@ func Reference(w, x *bf16.Matrix) (*Result, error) {
 // consumed by the multiply-accumulate loop — no decompressed weight
 // matrix ever exists.
 func Fused(cw *core.Compressed, x *bf16.Matrix) (*Result, error) {
-	res, _, err := fused(cw, x, false)
-	return res, err
-}
-
-// FusedCounted is Fused plus the architectural event counters used by
-// the Figure 12 micro-analysis.
-func FusedCounted(cw *core.Compressed, x *bf16.Matrix) (*Result, core.Counters, error) {
-	return fused(cw, x, true)
-}
-
-func fused(cw *core.Compressed, x *bf16.Matrix, count bool) (*Result, core.Counters, error) {
-	var total core.Counters
 	g := cw.Grid
 	if x.Rows != g.Cols {
-		return nil, total, fmt.Errorf("zipgemm: weight K=%d does not match activation rows %d", g.Cols, x.Rows)
+		return nil, fmt.Errorf("zipgemm: weight K=%d does not match activation rows %d", g.Cols, x.Rows)
 	}
 	m, k, n := g.Rows, g.Cols, x.Cols
 	if n == 0 {
-		return nil, total, fmt.Errorf("zipgemm: activation matrix has zero columns")
+		return nil, fmt.Errorf("zipgemm: activation matrix has zero columns")
 	}
 	out := &Result{M: m, N: n, Data: make([]float32, m*n)}
 	xf := x.ToFloat32()
 
-	var mu sync.Mutex
 	parallelRows(g.BlockRows, func(b0, b1 int) {
 		var fv core.FragView
-		var local core.Counters
 		// blockW is the decoded 64×64 register image of one BlockTile,
 		// indexed [localRow][localK].
 		var blockW [tile.BlockDim][tile.BlockDim]float32
@@ -145,11 +131,7 @@ func fused(cw *core.Compressed, x *bf16.Matrix, count bool) (*Result, core.Count
 				startH, startL := cw.HighOff[block], cw.FullOff[block]
 				for f := 0; f < tile.FragsPerBlock; f++ {
 					frag := block*tile.FragsPerBlock + f
-					var ctr *core.Counters
-					if count {
-						ctr = &local
-					}
-					cw.DecodeFragAt(frag, startH, startL, &fv, ctr)
+					cw.DecodeFragAt(frag, startH, startL, &fv, nil)
 					hi := 0
 					ind := cw.Indicator(frag)
 					for p := 0; p < tile.FragElems; p++ {
@@ -188,16 +170,8 @@ func fused(cw *core.Compressed, x *bf16.Matrix, count bool) (*Result, core.Count
 				}
 			}
 		}
-		if count {
-			mu.Lock()
-			total.Add(local)
-			mu.Unlock()
-		}
 	})
-	if count {
-		total.BytesRead = int64(cw.SizeBytes()) + int64(len(xf)*2) // compressed W + BF16 X
-	}
-	return out, total, nil
+	return out, nil
 }
 
 // Decoupled runs the baseline pipeline of Figure 4: fully decompress

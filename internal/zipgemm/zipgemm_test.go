@@ -173,36 +173,6 @@ func TestDecoupledEqualsFused(t *testing.T) {
 	}
 }
 
-func TestFusedCountedMatchesUncounted(t *testing.T) {
-	w := weights.Gaussian(128, 192, 0.02, 15)
-	x := activations(t, 192, 8, 16)
-	cw, _ := core.Compress(w)
-	plain, err := Fused(cw, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counted, ctr, err := FusedCounted(cw, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plain.Equal(counted) {
-		t.Error("counted and uncounted fused kernels disagree")
-	}
-	if ctr.Elements != int64(cw.Grid.PaddedRows*cw.Grid.PaddedCols) {
-		t.Errorf("counted %d elements, want %d", ctr.Elements, cw.Grid.PaddedRows*cw.Grid.PaddedCols)
-	}
-	// Fused kernel reads compressed weights + activations.
-	wantBytes := int64(cw.SizeBytes()) + int64(x.SizeBytes())
-	if ctr.BytesRead != wantBytes {
-		t.Errorf("BytesRead = %d, want %d", ctr.BytesRead, wantBytes)
-	}
-	// DRAM traffic must be well below the dense weight footprint —
-	// the 29.3% DRAM-read reduction of Figure 12 comes from here.
-	if ctr.BytesRead >= int64(w.SizeBytes()) {
-		t.Errorf("fused kernel read %d bytes ≥ dense %d: no traffic saving", ctr.BytesRead, w.SizeBytes())
-	}
-}
-
 func TestFusedShapeErrors(t *testing.T) {
 	w := weights.Gaussian(64, 64, 0.02, 17)
 	cw, _ := core.Compress(w)

@@ -390,8 +390,10 @@ type LiveBackend = serve.Backend
 // full or stopped.
 type LiveRouter = serve.Router
 
-// NewLiveRouter builds a router over the given replicas (at least
-// one). A router is itself a LiveBackend, so deployments nest.
+// NewLiveRouter builds a router over the given servers (at least one).
+// A router is itself a LiveBackend, so the HTTP layer serves one server
+// and a fleet alike, but it routes servers only: a router replica is an
+// error.
 func NewLiveRouter(replicas ...LiveBackend) (*LiveRouter, error) {
 	return serve.NewRouter(replicas...)
 }
