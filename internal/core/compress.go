@@ -26,13 +26,6 @@ func CompressWithOptions(m *bf16.Matrix, opts Options) (*Compressed, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One exponent → codeword table serves both selection modes and
-	// every element: 0 marks an outlier.
-	var codes [256]uint8
-	for i, e := range c.Codebook {
-		codes[e] = uint8(i + 1)
-	}
-
 	// Phase II: tile encoding. Blocks are visited row-major; frags in
 	// storage order; positions row-major within each frag — the same
 	// order the decoder uses, so offsets line up with no per-element
@@ -40,18 +33,24 @@ func CompressWithOptions(m *bf16.Matrix, opts Options) (*Compressed, error) {
 	// parallel across GOMAXPROCS workers into per-block buffers that
 	// are stitched in order afterwards: output bytes are identical to
 	// the sequential encoder's (the checkpoint tests rely on that
-	// determinism).
+	// determinism). A one-block matrix — every KV block — encodes
+	// inline straight into its own buffers.
 	g := c.Grid
 	nb := g.NumBlocks()
 	c.Planes = make([]uint64, g.NumFrags()*opts.CodewordBits)
 	c.HighOff = make([]int64, nb+1)
 	c.FullOff = make([]int64, nb+1)
+	if nb == 1 {
+		c.High, c.Full = c.encodeBlock(m, 0)
+		c.HighOff[1], c.FullOff[1] = int64(len(c.High)), int64(len(c.Full))
+		return c, nil
+	}
 
 	highs := make([][]uint8, nb)
 	fulls := make([][]uint16, nb)
 	parallelBlocks(nb, func(lo, hi int) {
 		for b := lo; b < hi; b++ {
-			highs[b], fulls[b] = c.encodeBlock(m, b, &codes)
+			highs[b], fulls[b] = c.encodeBlock(m, b)
 		}
 	})
 	for b := 0; b < nb; b++ {
@@ -147,7 +146,14 @@ func selectExponents(hist *[256]int64, opts Options) (cb [maxWindowSize]uint8) {
 // byte, and one multiply-gather per bit-plane moves bit b of each into
 // the plane's byte for that row (codes are below 2^CodewordBits, so
 // the planes past CodewordBits gather zeros and are not stored).
-func (c *Compressed) encodeBlock(m *bf16.Matrix, b int, codes *[256]uint8) (high []uint8, full []uint16) {
+func (c *Compressed) encodeBlock(m *bf16.Matrix, b int) (high []uint8, full []uint16) {
+	// One exponent → codeword table serves both selection modes and
+	// every element: 0 marks an outlier. Each block builds its own, on
+	// its stack, so no worker shares it.
+	var codes [256]uint8
+	for i, e := range c.Codebook {
+		codes[e] = uint8(i + 1)
+	}
 	var hs [tile.FragsPerBlock * tile.FragElems]uint8
 	var fs [tile.FragsPerBlock * tile.FragElems]uint16
 	nh, nf := 0, 0
@@ -157,7 +163,7 @@ func (c *Compressed) encodeBlock(m *bf16.Matrix, b int, codes *[256]uint8) (high
 		var planes [4]uint64
 		for r := 0; r < tile.FragDim; r++ {
 			var row uint64
-			row, nh, nf = encodeRow(fragRow(m, br+fr+r, bc+fc), codes, &hs, &fs, nh, nf)
+			row, nh, nf = encodeRow(fragRow(m, br+fr+r, bc+fc), &codes, &hs, &fs, nh, nf)
 			s := uint(8 * r)
 			planes[0] |= gather(row) << s
 			planes[1] |= gather(row>>1) << s
@@ -246,12 +252,8 @@ func fragRow(m *bf16.Matrix, r, c int) []bf16.BF16 {
 	return m.Data[i : i+min(tile.FragDim, m.Cols-c)]
 }
 
-// concat joins per-block buffers in block order. A one-block matrix —
-// every KV block — keeps its block's buffer instead of a copy.
+// concat joins per-block buffers in block order.
 func concat[T any](parts [][]T) []T {
-	if len(parts) == 1 {
-		return parts[0]
-	}
 	n := 0
 	for _, p := range parts {
 		n += len(p)

@@ -194,6 +194,24 @@ func TestRoundTripTopFrequencySelection(t *testing.T) {
 	}
 }
 
+// TestCompressOneBlockAllocs pins the allocations of encoding one
+// 64×64 block, the shape of every KV block: the Compressed, its
+// codebook, its bit-planes, its two offset tables and its two value
+// buffers. The block encodes inline, so no worker closure, per-block
+// buffer list or heap-moved code table is allocated.
+func TestCompressOneBlockAllocs(t *testing.T) {
+	m := gaussianMatrix(t, tile.BlockDim, tile.BlockDim, 0.02, 1)
+	opts := DefaultOptions()
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := CompressWithOptions(m, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 7 {
+		t.Errorf("encoding one block made %v allocations, want 7", got)
+	}
+}
+
 func TestCompressRejectsBadOptions(t *testing.T) {
 	m := bf16.NewMatrix(8, 8)
 	for _, opts := range []Options{

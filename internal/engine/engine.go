@@ -168,10 +168,14 @@ func (e *Engine) MaxConcurrent(totalLen int) int {
 // FitsKV reports whether a request's full prompt+output KV
 // reservation can ever fit the device plan. It is block-granular,
 // mirroring Stepper.CanAdmit at an empty system, so every admission
-// path (offline Serve validation, live Submit) rejects exactly the
-// requests the scheduler could never admit.
+// path (offline Serve validation, live Submit, Stepper.Admit and
+// ImportSequence) rejects exactly the requests the scheduler could
+// never admit. The lengths are tested against the plan's token
+// capacity without forming their sum, which for lengths near the int
+// limit would wrap negative and pass.
 func (e *Engine) FitsKV(promptLen, outputLen int) bool {
-	return kvcache.BlocksFor(promptLen+outputLen, kvcache.DefaultBlockTokens) <= e.plan.Blocks
+	capacity := e.plan.Blocks * kvcache.DefaultBlockTokens
+	return promptLen <= capacity && outputLen <= capacity-promptLen
 }
 
 // shardedShape divides a layer across tensor-parallel ranks: QKV and

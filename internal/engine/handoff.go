@@ -124,8 +124,8 @@ func (s *Stepper) ImportSequence(exp *SequenceExport) error {
 	}
 	matched, resurrect := s.lookupCost(exp.Req)
 	if !s.fits(exp.Req, matched, resurrect) {
-		return fmt.Errorf("%w: sequence %d (%d tokens)", ErrImportNoCapacity, id,
-			exp.Req.PromptLen+exp.Req.OutputLen)
+		return fmt.Errorf("%w: sequence %d (%d+%d tokens)", ErrImportNoCapacity, id,
+			exp.Req.PromptLen, exp.Req.OutputLen)
 	}
 	res := s.reservationFor(exp.Req, matched)
 	stats, err := s.mgr.ImportKV(exp.KV)

@@ -88,8 +88,8 @@ func (e *Engine) Serve(reqs []Request) (TraceStats, []RequestMetrics, error) {
 		// here, or the FIFO admission loop below could never make
 		// progress.
 		if !e.FitsKV(r.PromptLen, r.OutputLen) {
-			return st, nil, fmt.Errorf("engine: request %d (%d tokens) can never fit in KV memory",
-				r.ID, r.PromptLen+r.OutputLen)
+			return st, nil, fmt.Errorf("engine: request %d (%d+%d tokens) can never fit in KV memory",
+				r.ID, r.PromptLen, r.OutputLen)
 		}
 	}
 

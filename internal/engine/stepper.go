@@ -413,8 +413,12 @@ func (s *Stepper) lookupCost(r Request) (matched, resurrect int) {
 // granted capacity right now: either its full uncredited footprint
 // fits (sharing can then only help), or the uncached reservation plus
 // the cached-pool resurrections fit. The resurrect charge is what
-// keeps every outstanding reservation backed by physical blocks.
+// keeps every outstanding reservation backed by physical blocks. A
+// request FitsKV refuses never fits: its block count may have wrapped.
 func (s *Stepper) fits(r Request, matched, resurrect int) bool {
+	if !s.e.FitsKV(r.PromptLen, r.OutputLen) {
+		return false
+	}
 	free := s.mgr.FreeBlocks() - s.reserved
 	if kvcache.BlocksFor(r.PromptLen+r.OutputLen, kvcache.DefaultBlockTokens) <= free {
 		return true
@@ -427,6 +431,9 @@ func (s *Stepper) fits(r Request, matched, resurrect int) bool {
 // unreserved. It assumes no prefix reuse; CanAdmitRequest also credits
 // a request's cached-prefix match.
 func (s *Stepper) CanAdmit(promptLen, outputLen int) bool {
+	if !s.e.FitsKV(promptLen, outputLen) {
+		return false
+	}
 	need := kvcache.BlocksFor(promptLen+outputLen, kvcache.DefaultBlockTokens)
 	return need <= s.mgr.FreeBlocks()-s.reserved
 }
@@ -487,8 +494,8 @@ func (s *Stepper) Admit(r Request) error {
 	}
 	matched, resurrect := s.lookupCost(r)
 	if !s.fits(r, matched, resurrect) {
-		return fmt.Errorf("engine: request %d (%d tokens) does not fit in free KV capacity",
-			r.ID, r.PromptLen+r.OutputLen)
+		return fmt.Errorf("engine: request %d (%d+%d tokens) does not fit in free KV capacity",
+			r.ID, r.PromptLen, r.OutputLen)
 	}
 	res := s.reservationFor(r, matched)
 	var hp kvcache.HashedPrompt

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"zipserv/internal/gpu"
+	"zipserv/internal/kvcache"
 	"zipserv/internal/weights"
 )
 
@@ -20,6 +23,52 @@ func stepperEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// TestFitsKVRefusesWrappingLengths: lengths whose sum plus a block's
+// rounding wraps past the int limit must never fit. Before FitsKV
+// compared them against the plan's token capacity, the wrapped block
+// count was negative, so such a request was admitted and the stepper
+// panicked when its first chunk claimed past the reservation.
+func TestFitsKVRefusesWrappingLengths(t *testing.T) {
+	e := stepperEngine(t)
+	capacity := e.Plan().Blocks * kvcache.DefaultBlockTokens
+	for _, tc := range []struct {
+		prompt, output int
+		want           bool
+	}{
+		{4, math.MaxInt, false},
+		{math.MaxInt - 7, 8, false},
+		{math.MaxInt, math.MaxInt, false},
+		{capacity - 8, 8, true},
+		{capacity - 8, 9, false},
+		{capacity, 1, false},
+		{1, capacity - 1, true},
+	} {
+		if got := e.FitsKV(tc.prompt, tc.output); got != tc.want {
+			t.Errorf("FitsKV(%d, %d) = %v, want %v", tc.prompt, tc.output, got, tc.want)
+		}
+		if tc.want {
+			continue
+		}
+		sp, err := NewStepper(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := Request{ID: 1, PromptLen: tc.prompt, OutputLen: tc.output}
+		if sp.CanAdmit(r.PromptLen, r.OutputLen) || sp.CanAdmitRequest(r) {
+			t.Errorf("%d+%d tokens: CanAdmit reports a fit", tc.prompt, tc.output)
+		}
+		if err := sp.Admit(r); err == nil {
+			t.Errorf("Admit of %d+%d tokens succeeded", tc.prompt, tc.output)
+		}
+		if err := sp.ImportSequence(&SequenceExport{Req: r}); !errors.Is(err, ErrImportNoCapacity) {
+			t.Errorf("ImportSequence of %d+%d tokens = %v, want ErrImportNoCapacity", tc.prompt, tc.output, err)
+		}
+		if sp.InFlight() != 0 {
+			t.Errorf("%d+%d tokens: a refused request is in flight", tc.prompt, tc.output)
+		}
+	}
 }
 
 // TestStepperPreempt exercises the preempt-and-requeue hook: evicting a

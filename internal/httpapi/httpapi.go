@@ -28,6 +28,16 @@
 // Live-endpoint failures carry a machine-readable body:
 //
 //	{"error":{"code":"queue_full"|"kv_never_fits"|"stopped"|"invalid_request","message":"..."}}
+//
+// Every POST body is one JSON value of at most 1 MiB, with no unknown
+// field and nothing but whitespace after it, decoded by encoding/json.
+// /v1/generate, the hot endpoint, reads its body once and decodes it in
+// one pass with a scanner for prompt_len, output_len and the prompt
+// token array, the fields the hot bodies carry. Any other body (one
+// with stream, priority or ttft_deadline_ms among them) goes, bytes and
+// all, to the same encoding/json decoder, so the endpoint accepts and
+// rejects the same bodies, decodes the same struct and writes the same
+// 400 bodies as that decoder alone would.
 package httpapi
 
 import (
@@ -246,12 +256,22 @@ func handleCompress(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxBodyBytes caps every POST body.
+const maxBodyBytes = 1 << 20
+
 func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), dst)
+}
+
+// decodeJSON decodes body, which must hold exactly one JSON value with
+// no field dst lacks, into dst, or writes the 400 response and returns
+// false.
+func decodeJSON(w http.ResponseWriter, body io.Reader, dst any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())

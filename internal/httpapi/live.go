@@ -128,7 +128,7 @@ func retryAfterSeconds(st serve.Stats) string {
 func handleGenerate(live serve.Backend) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req GenerateRequest
-		if !decodePost(w, r, &req) {
+		if !decodeGenerate(w, r, &req) {
 			return
 		}
 		class := serve.Class(req.Priority)

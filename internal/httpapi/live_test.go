@@ -544,3 +544,47 @@ func TestStatsExposesAdaptiveControllers(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateWrappingLengthsNeverFit: lengths whose sum wraps past the
+// int limit get 422 kv_never_fits, on one replica and on a router, and
+// the next request is served. Before the KV check compared the lengths
+// without summing them, either body was admitted and crashed the
+// replica loop.
+func TestGenerateWrappingLengthsNeverFit(t *testing.T) {
+	one := newLiveBackend(t, serve.Config{QueueDepth: 8})
+	router, err := serve.NewRouter(newLiveBackend(t, serve.Config{QueueDepth: 8}),
+		newLiveBackend(t, serve.Config{QueueDepth: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, live := range map[string]serve.Backend{"one replica": one, "two replicas": router} {
+		live.Start()
+		srv := httptest.NewServer(NewLiveMux(live))
+		t.Cleanup(srv.Close)
+		for _, body := range []string{
+			`{"prompt_len":4,"output_len":9223372036854775807}`,
+			`{"prompt_len":9223372036854775800,"output_len":8}`,
+		} {
+			resp, err := srv.Client().Post(srv.URL+"/v1/generate", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e struct {
+				Error apiError `json:"error"`
+			}
+			if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(got, &e) != nil ||
+				e.Error.Code != ErrCodeNeverFits || strings.Contains(e.Error.Message, "-") {
+				t.Errorf("%s: %s got %d %s, want 422 %s without a negative count", name, body, resp.StatusCode, got, ErrCodeNeverFits)
+			}
+		}
+		resp, got := doJSON(t, srv, http.MethodPost, "/v1/generate", GenerateRequest{PromptLen: 16, OutputLen: 4})
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: the next request got %d %s, want 200", name, resp.StatusCode, got)
+		}
+	}
+}

@@ -30,7 +30,8 @@ import (
 // a node's first freeze records its sizes from one pass over the
 // synthesized values, without building the tensor or encoding it, and
 // the payload itself is made only when a thaw first reads it — content
-// frozen and evicted unclaimed is never compressed. A claim validates
+// frozen and evicted unclaimed is never compressed — and kept only
+// while claims keep thawing it (payloadHorizon). A claim validates
 // the payload it thaws (load compressed, compute decompressed) without
 // decoding it: nothing in the simulation reads the decoded tensor, and
 // the cost model charges the decompress time regardless.
@@ -140,15 +141,28 @@ func (m *Manager) freeze(b int, node *prefixNode) bool {
 	return true
 }
 
+// payloadHorizon is how many prefix claims in a row may leave a node
+// unthawed before it loses its payload (dropIdlePayloads); its next
+// thaw encodes the same bytes again. So the payloads a Manager holds
+// follow the content its recent claims share (a prefix that one claim
+// in 32 reuses keeps its payload), not every block the pool still
+// advertises: how many of those a replica re-thaws depends on how often
+// whole prompts recur, and kept for good their payloads (~6.5 KB each)
+// swung one replica between ~100 and ~1000 of them from run to run of
+// the same workload.
+const payloadHorizon = 32
+
 // thaw restores a frozen node into a freshly popped physical block so
-// a claim can reference it. A node's first thaw is the first reader of
-// its bytes, so it encodes the payload from the key; the node keeps it
-// until it is evicted, so no later thaw or freeze encodes again. The
-// claim's integrity check on the payload is the structural Validate
-// that decoding runs first — once it passes, decoding cannot fail — so
-// the payload is never decoded here. The caller has verified capacity
-// (frozen matches are charged as resurrections by LookupCostHashed) and owns
-// the refcount it acquires here.
+// a claim can reference it. A thaw of a node holding no payload is the
+// first reader of its bytes, so it encodes the payload from the key;
+// the node keeps it while later claims keep thawing it
+// (payloadHorizon), so a freeze never encodes, and neither does a thaw
+// within the horizon. The claim's integrity check on the payload
+// is the structural Validate that decoding runs first — once it
+// passes, decoding cannot fail — so the payload is never decoded here.
+// The caller has verified capacity (frozen matches are charged as
+// resurrections by LookupCostHashed) and owns the refcount it acquires
+// here.
 func (m *Manager) thaw(n *prefixNode) error {
 	if n.payload == nil {
 		sb, err := encode(m.synthesize(n.key))
@@ -157,6 +171,7 @@ func (m *Manager) thaw(n *prefixNode) error {
 		}
 		n.payload = sb
 	}
+	m.prefix.keepPayload(n)
 	if cm := n.payload.cm; cm != nil {
 		if err := cm.Validate(); err != nil {
 			return fmt.Errorf("kvcache: thawing a frozen block: %w", err)
@@ -168,6 +183,39 @@ func (m *Manager) thaw(n *prefixNode) error {
 	m.prefix.byBlock[n.block] = n
 	m.decompClaims++
 	return nil
+}
+
+// keepPayload moves a node a claim is thawing, which holds a payload,
+// to the front of the payload list and stamps it with the claim's
+// number (the claims before it, hits).
+func (p *prefixIndex) keepPayload(n *prefixNode) {
+	if n.payNext != nil {
+		p.unlinkPayload(n)
+	}
+	head := &p.payloads
+	n.payPrev, n.payNext = head, head.payNext
+	head.payNext.payPrev = n
+	head.payNext = n
+	p.npayloads++
+	n.thawedAt = p.hits
+}
+
+// dropIdlePayloads ends a claim's thaws: it drops the payload of every
+// node that neither this claim nor the payloadHorizon−1 before it
+// thawed. The list is in stamp order, so those nodes are at its back.
+func (p *prefixIndex) dropIdlePayloads() {
+	head := &p.payloads
+	for last := head.payPrev; last != head && last.thawedAt+payloadHorizon <= p.hits; last = head.payPrev {
+		last.payload = nil
+		p.unlinkPayload(last)
+	}
+}
+
+// unlinkPayload takes a node out of the payload list.
+func (p *prefixIndex) unlinkPayload(n *prefixNode) {
+	n.payPrev.payNext, n.payNext.payPrev = n.payNext, n.payPrev
+	n.payPrev, n.payNext = nil, nil
+	p.npayloads--
 }
 
 // kvSeed and kvStep are the generator behind a block's synthesized

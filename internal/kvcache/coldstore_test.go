@@ -454,6 +454,83 @@ func TestRefreezeReattachesThawedPayload(t *testing.T) {
 	mustInvariants(t, m)
 }
 
+// TestPayloadOutlivesItsThawByTheHorizon: a node re-thawed before
+// payloadHorizon claims in a row have passed it by reuses its payload;
+// once that many have, it is back to its recorded sizes alone, and its
+// next thaw encodes a payload that decodes to the same content. The
+// other prompt's claims keep its own payloads throughout.
+func TestPayloadOutlivesItsThawByTheHorizon(t *testing.T) {
+	m := newCompressedManager(t, 8, 0)
+	a, b := toks(40, 1), toks(40, 2) // 2 full cacheable blocks each
+	for id, p := range [][]int{a, b} {
+		if err := m.Allocate(id+1, len(p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.CommitPrefixHashed(id+1, m.HashPrompt(p), len(p)); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Free(id + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := 2
+	claimFree := func(p []int, times int) {
+		t.Helper()
+		for ; times > 0; times-- {
+			id++
+			if got, err := m.ClaimPrefixHashed(id, m.HashPrompt(p)); err != nil || got != 32 {
+				t.Fatalf("ClaimPrefix(%d) = %d, %v; want 32", id, got, err)
+			}
+			if err := m.Free(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	payloads := func(p []int) []*storedBlock {
+		var out []*storedBlock
+		for _, n := range chainNodes(m, p) {
+			out = append(out, n.payload)
+		}
+		return out
+	}
+
+	claimFree(a, 1)
+	kept := payloads(a)
+	claimFree(b, payloadHorizon-1)
+	claimFree(a, 1)
+	for i, sb := range payloads(a) {
+		if sb == nil || sb != kept[i] {
+			t.Fatalf("node %d re-thawed within the horizon holds payload %p, want %p", i, sb, kept[i])
+		}
+	}
+	mustInvariants(t, m)
+
+	bKept := payloads(b)
+	claimFree(b, payloadHorizon)
+	for i, sb := range payloads(a) {
+		if sb != nil {
+			t.Fatalf("node %d passed by %d claims in a row still holds payload %p", i, payloadHorizon, sb)
+		}
+	}
+	for i, sb := range payloads(b) {
+		if sb != bKept[i] {
+			t.Fatalf("node %d of the prompt claimed every time holds payload %p, want %p", i, sb, bKept[i])
+		}
+	}
+	if m.prefix.npayloads != 2 {
+		t.Fatalf("%d nodes hold payloads, want the 2 of the prompt claimed last", m.prefix.npayloads)
+	}
+	mustInvariants(t, m) // the sizes a dropped payload leaves behind still hold
+
+	claimFree(a, 1)
+	for i, sb := range payloads(a) {
+		if sb == nil || sb == kept[i] {
+			t.Fatalf("node %d after a thaw past the horizon holds payload %p, want a fresh encode", i, sb)
+		}
+	}
+	mustInvariants(t, m) // the fresh payload decodes to the node's content
+}
+
 // TestInvariantsCheckRetainedPayloads: CheckInvariants fails when a
 // node's payload no longer decodes to its key's content, whether the
 // node is thawed (the payload kept for its next freeze) or frozen (the

@@ -250,7 +250,8 @@ func (m *Manager) pop() int {
 // the trie: the flat node list is exactly the reachable nodes, each
 // node carries its path fingerprint, each pool heap holds exactly the
 // pooled nodes of its kind in heap order, every payload a node holds
-// decodes to the content its key addresses, every recorded size is the
+// decodes to the content its key addresses, the payload list links
+// exactly the nodes holding one, in thaw order, every recorded size is the
 // one its key's content encodes to, and the frozen byte sums match the
 // frozen pool. Tests and the engine's failure-injection suite call
 // this after every mutation batch.
@@ -348,7 +349,7 @@ func (m *Manager) checkTrie() error {
 	if p.root.path != fnvOffset64 || p.root.heapIdx != -1 {
 		return fmt.Errorf("kvcache: trie root carries fingerprint %#x, pool slot %d", p.root.path, p.root.heapIdx)
 	}
-	reachable, indexed, pooledReachable := 0, 0, 0
+	reachable, indexed, pooledReachable, payloads := 0, 0, 0, 0
 	var orig, comp int64
 	var walk func(*prefixNode) error
 	walk = func(x *prefixNode) error {
@@ -386,6 +387,13 @@ func (m *Manager) checkTrie() error {
 			if err := m.checkContent(c); err != nil {
 				return fmt.Errorf("kvcache: trie node for block %d: %w", c.block, err)
 			}
+			if (c.payload != nil) != (c.payNext != nil) {
+				return fmt.Errorf("kvcache: trie node for block %d holds payload %p but payload list link %p",
+					c.block, c.payload, c.payNext)
+			}
+			if c.payload != nil {
+				payloads++
+			}
 			if err := walk(c); err != nil {
 				return err
 			}
@@ -405,6 +413,19 @@ func (m *Manager) checkTrie() error {
 	if orig != m.frozenOrig || comp != m.frozenComp {
 		return fmt.Errorf("kvcache: frozen byte sums %d/%d, frozen nodes record %d/%d",
 			m.frozenOrig, m.frozenComp, orig, comp)
+	}
+	// The payload list holds the reachable nodes that hold a payload (each
+	// linked, counted above) and nothing else, most recently thawed first.
+	listed, head := 0, &p.payloads
+	for x := head.payNext; x != head; x = x.payNext {
+		if listed++; listed > payloads || x.payNext.payPrev != x ||
+			x.payNext != head && x.payNext.thawedAt > x.thawedAt {
+			return fmt.Errorf("kvcache: payload list out of thaw order or longer than the %d payloads the trie holds", payloads)
+		}
+	}
+	if listed != payloads || p.npayloads != payloads {
+		return fmt.Errorf("kvcache: payload list holds %d nodes and counts %d, trie holds %d payloads",
+			listed, p.npayloads, payloads)
 	}
 	return nil
 }

@@ -46,12 +46,19 @@ type prefixNode struct {
 	heapIdx int // position in its pool's heap (-1 = not pooled)
 
 	// size is this content's byte accounting, recorded by the node's
-	// first freeze from its key alone (zero = never frozen). payload is
-	// its compressed form, made by the node's first thaw, the first
-	// reader of the bytes (nil = never thawed). The node keeps both
-	// until it is evicted, so no later freeze or thaw recomputes either.
+	// first freeze from its key alone (zero = never frozen); the node
+	// keeps it until it is evicted, so no later freeze recomputes it.
+	// payload is its compressed form, made by a thaw, the first reader of
+	// the bytes, and kept while claims keep thawing the node (nil = not
+	// thawed within the payload horizon; see coldstore.go).
 	size    blockSize
 	payload *storedBlock
+	// The nodes holding a payload form the index's payload list, most
+	// recently thawed first: payPrev and payNext link it (nil while the
+	// node holds none), and thawedAt is the claim count (hits) when a
+	// claim last thawed the node.
+	payPrev, payNext *prefixNode
+	thawedAt         int64
 }
 
 // poolHeap is one pool's eviction order: a min-heap of pooled trie
@@ -112,6 +119,11 @@ type prefixIndex struct {
 
 	walkScratch []*prefixNode // reusable matched-chain buffer for walk
 
+	// payloads is the sentinel of the payload list (keepPayload);
+	// npayloads counts the nodes on it.
+	payloads  prefixNode
+	npayloads int
+
 	hits        int64 // ClaimPrefixHashed calls that matched ≥ 1 block
 	tokensSaved int64 // prompt tokens served from cache
 	evictions   int64 // cached blocks reclaimed under pressure or cap
@@ -121,11 +133,13 @@ type prefixIndex struct {
 
 // newPrefixIndex returns an empty trie.
 func newPrefixIndex() *prefixIndex {
-	return &prefixIndex{
+	p := &prefixIndex{
 		root:      &prefixNode{block: -1, path: fnvOffset64, heapIdx: -1},
 		byBlock:   make(map[int]*prefixNode),
 		committed: make(map[int]commitMark),
 	}
+	p.payloads.payPrev, p.payloads.payNext = &p.payloads, &p.payloads
+	return p
 }
 
 // pool returns the heap a pooled node belongs to: frozen nodes in the
@@ -408,6 +422,7 @@ func (m *Manager) ClaimPrefixHashed(seqID int, hp HashedPrompt) (int, error) {
 		m.prefix.touch(n)
 		st.table[i] = n.block
 	}
+	m.prefix.dropIdlePayloads()
 	st.tokens = matched
 	m.seqs[seqID] = st
 	// The claimed chain is already committed content: later commits
@@ -570,7 +585,10 @@ func (m *Manager) unregister(n *prefixNode) {
 		} else {
 			delete(p.byBlock, x.block)
 		}
-		x.payload = nil
+		if x.payload != nil {
+			x.payload = nil
+			p.unlinkPayload(x)
+		}
 		for _, c := range x.children {
 			dfs(c)
 		}

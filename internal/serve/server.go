@@ -293,9 +293,8 @@ func (s *Server) Submit(req Request) (*Ticket, error) {
 		return nil, fmt.Errorf("%w: TTFT deadline must be finite, got %v", ErrInvalidRequest, req.TTFTDeadline)
 	}
 	if !s.cfg.Engine.FitsKV(req.PromptLen, req.OutputLen) {
-		return nil, fmt.Errorf("%w: needs %d KV blocks, plan has %d", ErrNeverFits,
-			kvcache.BlocksFor(req.PromptLen+req.OutputLen, kvcache.DefaultBlockTokens),
-			s.cfg.Engine.Plan().Blocks)
+		return nil, fmt.Errorf("%w: %d prompt + %d output tokens exceed the plan's %d KV blocks of %d",
+			ErrNeverFits, req.PromptLen, req.OutputLen, s.cfg.Engine.Plan().Blocks, kvcache.DefaultBlockTokens)
 	}
 	arrival := req.Arrival
 	if arrival < 0 {
