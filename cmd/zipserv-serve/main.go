@@ -16,9 +16,10 @@
 // same cells as CSV, and -require-X-win turns the comparison into a CI
 // gate that exits non-zero with a "perf regression" error when the win
 // does not hold. Each mode is one row of the scenario table in
-// scenarios.go, and -h names the workload flags each one reads. The
-// CSVs of all but -compare-disagg and -compare-affinity reproduce byte
-// for byte and are pinned in testdata/golden:
+// scenarios.go, and -h names the workload flags each one reads. Every
+// fleet replays on one goroutine in virtual time (zipserv.ReplayLive),
+// never paced against the wall clock, so every mode's CSV reproduces
+// byte for byte and is pinned in testdata/golden:
 //
 // -compare-policies replays one mixed interactive/batch trace under each
 // admission policy (fifo, priority, slo) and reports per-class TTFT
@@ -71,8 +72,6 @@
 package main
 
 import (
-	"cmp"
-	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -300,10 +299,9 @@ type scenario struct {
 type workload struct {
 	header string // one-line description printed above the table
 	reqs   []zipserv.LiveRequest
-	// wave, when set, submits reqs in order wave requests at a time:
-	// the first wave before the fleet starts, each later one once the
-	// previous wave has drained. Zero submits every request before the
-	// fleet starts.
+	// wave, when set, submits reqs in order wave requests at a time,
+	// each once the fleet has run the previous one dry: a barrier in
+	// virtual time. Zero submits every request at once.
 	wave int
 	// faults scripts replica failures. A workload with a plan is a
 	// drill: failed requests are outcomes to count, not errors, and
@@ -379,32 +377,12 @@ func (f fleet) backend(w *workload, p params) (zipserv.LiveBackend, error) {
 	return r, err
 }
 
-// replay drives w through b wave by wave, starting b once the first
-// wave is queued, collects the results in request order, stops b with
-// a drain window and snapshots its stats. Every result must describe
-// its request; outside a fault drill every request must succeed.
+// replay drives w through b wave by wave in virtual time, which leaves
+// b stopped, and snapshots its stats. Every result must describe its
+// request; outside a fault drill every request must succeed.
 func replay(b zipserv.LiveBackend, w *workload) ([]zipserv.LiveResult, zipserv.LiveStats, error) {
-	size := cmp.Or(w.wave, len(w.reqs))
-	results := make([]zipserv.LiveResult, len(w.reqs))
-	for lo := 0; lo < len(w.reqs); lo += size {
-		tickets := make([]*zipserv.LiveTicket, min(size, len(w.reqs)-lo))
-		for i := range tickets {
-			var err error
-			if tickets[i], err = b.Submit(w.reqs[lo+i]); err != nil {
-				return nil, zipserv.LiveStats{}, err
-			}
-		}
-		if lo == 0 {
-			b.Start()
-		}
-		for i, t := range tickets {
-			results[lo+i] = <-t.Result()
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	// A crashed replica stops at once; the survivors drain.
-	if err := b.Stop(ctx); err != nil {
+	results, err := zipserv.ReplayLive(b, w.reqs, w.wave)
+	if err != nil {
 		return nil, zipserv.LiveStats{}, err
 	}
 	for i, res := range results {

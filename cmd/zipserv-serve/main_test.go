@@ -43,35 +43,21 @@ func serve(t *testing.T, args ...string) (stdout, stderr string, code int) {
 }
 
 // TestCompareModesMatchGolden runs every compare invocation the CI
-// perf-regression job runs. Six modes are deterministic virtual-time
-// replays whose CSVs must match testdata/golden byte for byte;
-// -compare-disagg wall-paces its decode replica and -compare-affinity
-// routes on live load snapshots, so only their CSV header and row
-// labels are pinned. Every -require-*-win gate must pass.
+// perf-regression job runs. Each mode replays its fleets in virtual
+// time on one goroutine, so its CSV must match testdata/golden byte for
+// byte, and every -require-*-win gate must pass.
 func TestCompareModesMatchGolden(t *testing.T) {
 	for _, tc := range []struct {
 		mode string
 		args []string
-		// header and labels pin a gate-only CSV; empty means the CSV
-		// must equal testdata/golden/compare-<mode>.csv.
-		header string
-		labels []string
 	}{
 		{mode: "policies"},
 		{mode: "prefix", args: []string{"-requests", "40", "-out", "64", "-require-prefix-win"}},
 		{mode: "chunking", args: []string{"-requests", "40", "-out", "128"}},
 		{mode: "adaptive", args: []string{"-require-adaptive-win"}},
 		{mode: "compress", args: []string{"-require-compress-win"}},
-		{
-			mode: "disagg", args: []string{"-requests", "48", "-require-disagg-win"},
-			header: "fleet,decode_tpot_p50_s,decode_tpot_p99_s,max_decode_gap_s,goodput_rps,completed,handoffs,handoff_bytes,handoff_failures",
-			labels: []string{"colo-mono", "colo-chunk256", "colo-chunk1024", "disagg-1p1d"},
-		},
-		{
-			mode: "affinity", args: []string{"-requests", "64", "-require-affinity-win"},
-			header: "routing,ttft_p50_s,ttft_p99_s,prefix_hits,prefix_tokens_saved,prefix_affinity_hits,affinity_spills,completed,goodput_rps",
-			labels: []string{"least-loaded", "affinity"},
-		},
+		{mode: "disagg", args: []string{"-requests", "48", "-require-disagg-win"}},
+		{mode: "affinity", args: []string{"-requests", "64", "-require-affinity-win"}},
 		{mode: "chaos", args: []string{"-requests", "64", "-require-chaos-win"}},
 	} {
 		t.Run(tc.mode, func(t *testing.T) {
@@ -86,26 +72,12 @@ func TestCompareModesMatchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.header == "" {
-				want, err := os.ReadFile(filepath.Join("testdata", "golden", "compare-"+tc.mode+".csv"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("compare-%s.csv drifted from its golden copy\ngot:\n%s\nwant:\n%s", tc.mode, got, want)
-				}
-				return
+			want, err := os.ReadFile(filepath.Join("testdata", "golden", "compare-"+tc.mode+".csv"))
+			if err != nil {
+				t.Fatal(err)
 			}
-			lines := strings.Split(strings.TrimSuffix(string(got), "\n"), "\n")
-			if lines[0] != tc.header {
-				t.Errorf("CSV header\n got %s\nwant %s", lines[0], tc.header)
-			}
-			var labels []string
-			for _, row := range lines[1:] {
-				labels = append(labels, strings.SplitN(row, ",", 2)[0])
-			}
-			if strings.Join(labels, " ") != strings.Join(tc.labels, " ") {
-				t.Errorf("CSV row labels %v, want %v", labels, tc.labels)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("compare-%s.csv drifted from its golden copy\ngot:\n%s\nwant:\n%s", tc.mode, got, want)
 			}
 		})
 	}

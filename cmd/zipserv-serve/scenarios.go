@@ -16,8 +16,7 @@ const chaosPlan = "seed 42\nslow replica=2 at=0 factor=6\ncrash replica=1 at=0.5
 
 // scenarios is every -compare-<name> mode, in the package doc's order.
 // Each -compare-<name> and -require-<name>-win flag is registered from
-// its row, and the CSV of every mode but disagg and affinity is pinned
-// by testdata/golden.
+// its row, and every mode's CSV is pinned by testdata/golden.
 var scenarios = []scenario{
 	{
 		// Alternating interactive requests (the flag lengths, a 250 ms
@@ -255,16 +254,9 @@ var scenarios = []scenario{
 			{label: "colo-mono", replicas: same(2, zipserv.LiveConfig{PrefixCache: true})},
 			{label: "colo-chunk256", replicas: same(2, zipserv.LiveConfig{PrefixCache: true, PrefillChunkTokens: 256})},
 			{label: "colo-chunk1024", replicas: same(2, zipserv.LiveConfig{PrefixCache: true, PrefillChunkTokens: 1024})},
-			// The prefill replica runs flat out, so every handoff is
-			// queued ahead of the decode replica's clock. The decode
-			// replica paces against the wall clock, so each import lands
-			// at its virtual ready time instead of wherever the goroutine
-			// race left the clock: that keeps the gated TPOT numbers
-			// stable. Co-located fleets have no cross-replica events, so
-			// pacing would only slow them down.
 			{label: "disagg-1p1d", router: pooled, replicas: []zipserv.LiveConfig{
 				{PrefixCache: true, Pool: zipserv.LivePoolPrefill},
-				{PrefixCache: true, Pool: zipserv.LivePoolDecode, TimeScale: 0.5},
+				{PrefixCache: true, Pool: zipserv.LivePoolDecode},
 			}},
 		},
 		key: "fleet",
@@ -357,9 +349,10 @@ var scenarios = []scenario{
 	{
 		// One deterministic workload through a 3-replica fleet under
 		// chaosPlan, with health-aware routing (breakers, retries and
-		// resurrection) on and off. Everything is submitted before the
-		// fleet starts, so dispatch sees only deterministic queue depths
-		// and each replay deals the crash the same victims.
+		// resurrection) on and off. Every request is submitted at once
+		// and the fleet replays on one goroutine in virtual time, so the
+		// crash deals the same victims on each replay and their
+		// resurrections land on the same survivors.
 		name:  "chaos",
 		about: "replay one deterministic workload through a 3-replica fleet under a scripted fault plan with health-aware routing off and on, comparing losses",
 		reads: []string{"requests"},

@@ -73,34 +73,6 @@ func mixedAdaptiveTrace(bursts, perBurst, prompt, out int, gap float64) []Reques
 	return reqs
 }
 
-// replayTrace submits every request up front (virtual arrivals pace
-// the replay deterministically), drains all results, and returns them
-// with the final stats snapshot.
-func replayTrace(t *testing.T, cfg Config, reqs []Request) ([]Result, Stats) {
-	t.Helper()
-	if cfg.QueueDepth == 0 {
-		cfg.QueueDepth = len(reqs)
-	}
-	s := newServer(t, cfg)
-	tickets := make([]*Ticket, len(reqs))
-	for i, r := range reqs {
-		tk, err := s.Submit(r)
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		tickets[i] = tk
-	}
-	s.Start()
-	results := make([]Result, len(reqs))
-	for i, tk := range tickets {
-		results[i] = awaitResult(t, tk)
-		if results[i].Err != nil {
-			t.Fatalf("request %d failed: %v", i, results[i].Err)
-		}
-	}
-	return results, s.Stats()
-}
-
 // decoderTPOTp99 summarises the short decoders' cadence (the long
 // prompts, recognisable by their 8-token outputs, are the disturbance,
 // not the measurement).
@@ -135,7 +107,7 @@ func TestAdaptiveChunkingBeatsStaticTPOT(t *testing.T) {
 	bestStatic := math.Inf(1)
 	var bestStaticGoodput float64
 	for _, chunk := range []int{64, 256, 1024} {
-		results, st := replayTrace(t, Config{
+		results, st := replay(t, Config{
 			Engine:             testEngine(t, engine.BackendZipServ),
 			PrefillChunkTokens: chunk,
 			PrefixCache:        true,
@@ -147,7 +119,7 @@ func TestAdaptiveChunkingBeatsStaticTPOT(t *testing.T) {
 		}
 	}
 
-	results, st := replayTrace(t, Config{
+	results, st := replay(t, Config{
 		Engine:              testEngine(t, engine.BackendZipServ),
 		AdaptiveChunking:    true,
 		TargetStepTime:      adaptiveCompareTarget,
@@ -195,12 +167,12 @@ func TestAdaptiveCacheNeverAdmitsFewer(t *testing.T) {
 		reqs[i] = Request{Prompt: tokens, OutputLen: 4096, Arrival: float64(i) * 0.01}
 	}
 
-	_, static := replayTrace(t, Config{
+	_, static := replay(t, Config{
 		Engine:            testEngine(t, engine.BackendZipServ),
 		PrefixCache:       true,
 		PrefixCacheBlocks: 64,
 	}, reqs)
-	_, adaptive := replayTrace(t, Config{
+	_, adaptive := replay(t, Config{
 		Engine:              testEngine(t, engine.BackendZipServ),
 		PrefixCache:         true,
 		PrefixCacheBlocks:   64,

@@ -26,8 +26,9 @@ import (
 //	              router's resurrection hook when health-aware routing
 //	              is on, failed otherwise).
 //	hang        — the replica stops making progress at T but keeps
-//	              accepting submissions until its queue fills; its
-//	              stranded requests fail only when it is stopped.
+//	              accepting submissions until its queue fills; it
+//	              loses its stranded requests like a crash's only when
+//	              it is stopped (by Stop, or when a Replay ends).
 //	slow        — step-time slowdown: every virtual step duration is
 //	              multiplied by Factor from T (optionally for a window),
 //	              modelling thermal throttling or a noisy neighbour.

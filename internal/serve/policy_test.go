@@ -27,30 +27,6 @@ func mixedTrace(n int) []Request {
 	return reqs
 }
 
-// replay submits reqs up front, runs the server to completion and
-// returns per-request results in submission order.
-func replay(t *testing.T, cfg Config, reqs []Request) []Result {
-	t.Helper()
-	s := newServer(t, cfg)
-	tickets := make([]*Ticket, len(reqs))
-	for i, r := range reqs {
-		tk, err := s.Submit(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tickets[i] = tk
-	}
-	s.Start()
-	results := make([]Result, len(reqs))
-	for i, tk := range tickets {
-		results[i] = awaitResult(t, tk)
-		if results[i].Err != nil {
-			t.Fatalf("request %d failed: %v", i, results[i].Err)
-		}
-	}
-	return results
-}
-
 func p50(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
@@ -80,8 +56,8 @@ func TestPriorityBeatsFIFOInteractiveTTFT(t *testing.T) {
 	reqs := mixedTrace(48)
 	// MaxBatch forces admission contention regardless of KV headroom,
 	// so the policies differ deterministically.
-	fifo := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: FIFOPolicy{}}, reqs)
-	prio := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: PriorityPolicy{}}, reqs)
+	fifo, _ := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: FIFOPolicy{}}, reqs)
+	prio, _ := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: PriorityPolicy{}}, reqs)
 
 	fifoP50 := p50(classTTFTs(reqs, fifo, ClassInteractive))
 	prioP50 := p50(classTTFTs(reqs, prio, ClassInteractive))
@@ -97,8 +73,8 @@ func TestPriorityBeatsFIFOInteractiveTTFT(t *testing.T) {
 func TestSLOBeatsFIFOInteractiveTTFT(t *testing.T) {
 	eng := testEngine(t, engine.BackendZipServ)
 	reqs := mixedTrace(48)
-	fifo := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: FIFOPolicy{}}, reqs)
-	slo := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: SLOPolicy{}}, reqs)
+	fifo, _ := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: FIFOPolicy{}}, reqs)
+	slo, _ := replay(t, Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: SLOPolicy{}}, reqs)
 
 	fifoP50 := p50(classTTFTs(reqs, fifo, ClassInteractive))
 	sloP50 := p50(classTTFTs(reqs, slo, ClassInteractive))
@@ -130,7 +106,7 @@ func TestBatchNotStarvedUnderInteractiveLoad(t *testing.T) {
 			Arrival: 0.1 + float64(i)*0.01, Class: ClassBatch})
 	}
 
-	results := replay(t, Config{
+	results, _ := replay(t, Config{
 		Engine: eng, QueueDepth: len(reqs), MaxBatch: 4,
 		Policy: PriorityPolicy{AgingSeconds: aging},
 	}, reqs)
@@ -229,8 +205,8 @@ func TestFIFOPolicyMatchesLegacyBehaviour(t *testing.T) {
 	for i, r := range trace {
 		reqs[i] = Request{PromptLen: r.PromptLen, OutputLen: r.OutputLen, Arrival: r.ArrivalSeconds}
 	}
-	def := replay(t, Config{Engine: eng, QueueDepth: len(reqs)}, reqs)
-	fifo := replay(t, Config{Engine: eng, QueueDepth: len(reqs), Policy: FIFOPolicy{}}, reqs)
+	def, _ := replay(t, Config{Engine: eng, QueueDepth: len(reqs)}, reqs)
+	fifo, _ := replay(t, Config{Engine: eng, QueueDepth: len(reqs), Policy: FIFOPolicy{}}, reqs)
 	for i := range def {
 		if def[i].Admitted != fifo[i].Admitted || def[i].Finished != fifo[i].Finished {
 			t.Fatalf("request %d schedules diverge: default %+v vs fifo %+v", i, def[i], fifo[i])

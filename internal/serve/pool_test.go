@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -31,47 +30,18 @@ func poolServer(t testing.TB, pool PoolRole) *Server {
 	return s
 }
 
-// waitStats polls until cond holds: counters published by one replica's
-// loop are not synchronised with result delivery on another's.
-func waitStats(t *testing.T, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatal("stats condition not reached within 5s")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// submitAll submits n requests through the router (half sharing one
-// prompt, to exercise the decode side's content-addressed dedup) and
-// waits for every result.
-func submitAll(t *testing.T, r *Router, n int) []Result {
-	t.Helper()
-	results := make([]Result, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+// sharedPrompts is a burst of n requests, half sharing one prompt, to
+// exercise the decode side's content-addressed dedup.
+func sharedPrompts(n int) []Request {
+	reqs := make([]Request, n)
+	for i := range reqs {
 		seed := i
 		if i%2 == 0 {
 			seed = 0
 		}
-		tk, err := r.Submit(Request{
-			Prompt:    seqTokens(256+16*seed, seed),
-			OutputLen: 16,
-			Arrival:   ArrivalNow,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func(i int, tk *Ticket) {
-			defer wg.Done()
-			results[i] = awaitResult(t, tk)
-		}(i, tk)
+		reqs[i] = Request{Prompt: seqTokens(256+16*seed, seed), OutputLen: 16, Arrival: ArrivalNow}
 	}
-	wg.Wait()
-	return results
+	return reqs
 }
 
 // TestPooledRouterDisaggregatedServes is the end-to-end disaggregation
@@ -85,13 +55,9 @@ func TestPooledRouterDisaggregatedServes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
 
 	const n = 8
-	for i, res := range submitAll(t, r, n) {
-		if res.Err != nil {
-			t.Fatalf("request %d failed: %v", i, res.Err)
-		}
+	for i, res := range replayAll(t, r, sharedPrompts(n)) {
 		if res.Handoffs != 1 {
 			t.Errorf("request %d made %d handoffs, want exactly 1", i, res.Handoffs)
 		}
@@ -100,7 +66,6 @@ func TestPooledRouterDisaggregatedServes(t *testing.T) {
 		}
 	}
 
-	waitStats(t, func() bool { return prefill.Stats().Handoffs == n })
 	ps, ds := prefill.Stats(), decode.Stats()
 	if ps.Completed != 0 || ds.Completed != n {
 		t.Errorf("completions: prefill %d decode %d, want 0/%d", ps.Completed, ds.Completed, n)
@@ -150,8 +115,14 @@ func TestPooledRouterDecodeDeathFailsOver(t *testing.T) {
 		defer cancel()
 		stopErr <- d0.Stop(ctx)
 	}()
-	for i, res := range submitAll(t, r, n) {
-		if res.Err != nil {
+	tickets := make([]*Ticket, n)
+	for i, req := range sharedPrompts(n) {
+		if tickets[i], err = r.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tk := range tickets {
+		if res := awaitResult(t, tk); res.Err != nil {
 			t.Fatalf("request %d failed across decode-replica death: %v", i, res.Err)
 		}
 	}
@@ -175,26 +146,18 @@ func TestPooledRouterColocatedFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Start()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := decode.Stop(ctx); err != nil {
-		t.Fatal(err)
-	}
+	decode.closeGate() // what Stop does first: every later handoff is refused
 
 	const n = 6
-	for i, res := range submitAll(t, r, n) {
-		if res.Err != nil {
-			t.Fatalf("request %d failed without a decode pool: %v", i, res.Err)
-		}
+	for i, res := range replayAll(t, r, sharedPrompts(n)) {
 		if res.Handoffs != 0 {
 			t.Errorf("request %d counts %d handoffs but none succeeded", i, res.Handoffs)
 		}
 	}
-	waitStats(t, func() bool { return prefill.Stats().Completed == n })
 	ps := prefill.Stats()
-	if ps.Handoffs != 0 || ps.HandoffFailures != n {
-		t.Errorf("prefill handoffs %d failures %d, want 0/%d", ps.Handoffs, ps.HandoffFailures, n)
+	if ps.Completed != n || ps.Handoffs != 0 || ps.HandoffFailures != n {
+		t.Errorf("prefill completed %d, handoffs %d, failures %d, want %d/0/%d",
+			ps.Completed, ps.Handoffs, ps.HandoffFailures, n, n)
 	}
 }
 
@@ -240,29 +203,25 @@ func TestDuplicateHandoffIdempotent(t *testing.T) {
 	if err := decode.acceptHandoff(h); err != nil {
 		t.Fatal(err)
 	}
-	decode.Start()
-
-	var res Result
-	select {
-	case res = <-c.result:
-	case <-time.After(30 * time.Second):
-		t.Fatal("no result within 30s")
+	// Replaying no requests runs the decode replica dry: both copies are
+	// served or dropped by the time it returns.
+	if _, err := Replay(decode, nil, 0); err != nil {
+		t.Fatal(err)
 	}
+
+	if len(c.result) != 1 {
+		t.Fatalf("%d results buffered after the replay, want exactly 1", len(c.result))
+	}
+	res := <-c.result
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
 	if res.ID != req.ID || res.Handoffs != 1 {
 		t.Errorf("result %+v, want id %d with 1 handoff", res, req.ID)
 	}
-	select {
-	case dup := <-c.result:
-		t.Fatalf("duplicate handoff delivered a second result: %+v", dup)
-	case <-time.After(50 * time.Millisecond):
-	}
-	waitStats(t, func() bool { return decode.Stats().Completed == 1 })
 	ds := decode.Stats()
-	if ds.HandoffImports != 1 {
-		t.Errorf("decode imported %d sequences from 2 copies, want 1", ds.HandoffImports)
+	if ds.Completed != 1 || ds.HandoffImports != 1 {
+		t.Errorf("decode completed %d and imported %d sequences from 2 copies, want 1 each", ds.Completed, ds.HandoffImports)
 	}
 	if ds.Failed != 0 {
 		t.Errorf("duplicate handoff failed a request: %d", ds.Failed)

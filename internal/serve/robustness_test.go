@@ -236,7 +236,7 @@ func TestResurrectionDuplicateIdempotence(t *testing.T) {
 	if len(c.result) != 0 {
 		t.Error("a second result is buffered: duplicate delivery")
 	}
-	waitStats(t, func() bool { return rescuer.Stats().Completed == 1 })
+	// The rescuer published its completion before delivering it.
 	if got := r.Stats().Completed; got != 1 {
 		t.Errorf("fleet Completed = %d, want 1", got)
 	}
@@ -570,35 +570,21 @@ func TestStaleStatsFreezesSnapshot(t *testing.T) {
 	if res := awaitResult(t, tk); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	waitStats(t, func() bool { return bounded.Stats().Completed == 1 })
+	if got := bounded.Stats().Completed; got != 1 {
+		t.Errorf("Completed = %d after the window closed, want 1", got)
+	}
 }
 
 // TestDropHandoffFaultLosesThenResurrects: a scripted transfer drop on
 // a disaggregated fleet fails the request without health routing, and
 // resurrects it with — both runs counting the drop.
 func TestDropHandoffFaultLosesThenResurrects(t *testing.T) {
-	build := func(withHealth bool) (*Router, *FaultPlan) {
+	build := func(withHealth bool) *Router {
 		plan := mustPlan(t, "drophandoff replica=0 at=0\n")
-		p, err := New(Config{Engine: prefixTestEngine(t), QueueDepth: 4,
+		p := newServer(t, Config{Engine: prefixTestEngine(t), QueueDepth: 4,
 			PrefixCache: true, Pool: PoolPrefill, Faults: plan.Replica(0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := New(Config{Engine: prefixTestEngine(t), QueueDepth: 4,
+		d := newServer(t, Config{Engine: prefixTestEngine(t), QueueDepth: 4,
 			PrefixCache: true, Pool: PoolDecode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range []*Server{p, d} {
-			srv := s
-			t.Cleanup(func() {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				defer cancel()
-				if err := srv.Stop(ctx); err != nil {
-					t.Errorf("Stop: %v", err)
-				}
-			})
-		}
 		r, err := NewPooledRouter(p, d)
 		if err != nil {
 			t.Fatal(err)
@@ -608,14 +594,15 @@ func TestDropHandoffFaultLosesThenResurrects(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		r.Start()
-		return r, plan
+		return r
 	}
+	req := Request{Prompt: seqTokens(256, 9), OutputLen: 16}
 
-	// Without health: the dropped request fails to the client, and the
-	// failure is published before it is delivered.
-	r, _ := build(false)
-	tk, err := r.Submit(Request{Prompt: seqTokens(256, 9), OutputLen: 16})
+	// Without health, live: the dropped request fails to the client, and
+	// the failure is published before it is delivered.
+	r := build(false)
+	r.Start()
+	tk, err := r.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,23 +614,22 @@ func TestDropHandoffFaultLosesThenResurrects(t *testing.T) {
 			st.HandoffDrops, st.LostRequests, st.Failed)
 	}
 
-	// With health: the drop victim resurrects and completes.
-	r2, _ := build(true)
-	tk2, err := r2.Submit(Request{Prompt: seqTokens(256, 9), OutputLen: 16})
+	// With health, replayed: the drop victim resurrects and completes.
+	// The router counts a resurrection after handing it to the rescuer,
+	// which may deliver first on a live fleet, so only a replay can
+	// check the count once the Result is in.
+	r = build(true)
+	results, err := Replay(r, []Request{req}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := awaitResult(t, tk2)
-	if res.Err != nil {
-		t.Fatalf("drop victim not resurrected: %v", res.Err)
+	if res := results[0]; res.Err != nil || res.Resurrected != 1 {
+		t.Fatalf("drop victim: err %v, resurrected %d; want served after 1 resurrection", res.Err, res.Resurrected)
 	}
-	if res.Resurrected != 1 {
-		t.Errorf("Resurrected = %d, want 1", res.Resurrected)
+	if st := r.Stats(); st.HandoffDrops != 1 || st.Resurrections != 1 || st.Completed != 1 || st.Failed != 0 {
+		t.Errorf("drops/resurrections/completed/failed = %d/%d/%d/%d, want 1/1/1/0",
+			st.HandoffDrops, st.Resurrections, st.Completed, st.Failed)
 	}
-	waitStats(t, func() bool {
-		st := r2.Stats()
-		return st.HandoffDrops == 1 && st.Resurrections == 1 && st.Completed == 1 && st.Failed == 0
-	})
 }
 
 // TestEnableHealthValidation rejects nonsense knobs.

@@ -80,6 +80,19 @@ func TestRouterSpreadsLoad(t *testing.T) {
 	}
 }
 
+// waitStats polls until cond holds: a loop that holds its admission
+// window publishes on its own goroutine.
+func waitStats(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("stats condition not reached within 5s")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 // TestRouterSplitsBurstWhileLoopsHold: a replica's loop takes a
 // submission off its channel long before the iteration that serves it
 // ends — here both loops sit in a two-second admission window — and

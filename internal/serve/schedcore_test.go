@@ -377,7 +377,8 @@ func TestScoreboardReplayMatchesLinear(t *testing.T) {
 	reqs := mixedTrace(48)
 	for _, p := range []Policy{FIFOPolicy{}, PriorityPolicy{}, SLOPolicy{}} {
 		cfg := Config{Engine: eng, QueueDepth: len(reqs), MaxBatch: 8, Policy: p}
-		checkGoldenSchedule(t, "replay/"+p.Name(), replay(t, cfg, reqs))
+		results, _ := replay(t, cfg, reqs)
+		checkGoldenSchedule(t, "replay/"+p.Name(), results)
 	}
 }
 
@@ -395,7 +396,7 @@ func TestScoreboardPreemptionMatchesLinear(t *testing.T) {
 		{PromptLen: 256, OutputLen: 64, Arrival: 0.001, Class: ClassInteractive, TTFTDeadline: 1},
 	}
 	cfg := Config{Engine: eng, QueueDepth: 8, PrefillChunkTokens: 128, Policy: SLOPolicy{}}
-	results := replay(t, cfg, reqs)
+	results, _ := replay(t, cfg, reqs)
 	checkGoldenSchedule(t, "preempt/slo", results)
 	preempts := 0
 	for _, r := range results {

@@ -9,10 +9,11 @@
 // The package separates the three decisions a serving stack must keep
 // open, each behind its own abstraction:
 //
-//   - Server — the engine loop. One scheduler goroutine owns an
-//     engine.Stepper (the iteration-level continuous-batching state
-//     machine over the paged KV-cache plan) and loops over admission →
-//     prefill → decode, exactly as a vLLM-class engine loop does.
+//   - Server — the engine loop. It owns an engine.Stepper (the
+//     iteration-level continuous-batching state machine over the paged
+//     KV-cache plan) and runs admission → prefill → decode one
+//     iteration (step) at a time, exactly as a vLLM-class engine loop
+//     does.
 //   - Policy — who runs next. Admission ordering is one of three
 //     built-in policies: FIFOPolicy (the default, head-of-line order),
 //     PriorityPolicy (interactive before batch, starvation-free via
@@ -38,10 +39,16 @@
 // releasing finished sequences' KV blocks immediately to fund the next
 // admissions.
 //
-// Time inside the loop is virtual (the engine cost model's step
-// durations); arrival, queueing and completion are real goroutine and
-// channel events, so the scheduler is exercised under true concurrency
-// while latency numbers stay deterministic for a given arrival order.
+// Time inside an iteration is virtual (the engine cost model's step
+// durations), and two drivers run the same iteration. Start launches
+// the live driver, one scheduler goroutine per replica: arrival,
+// queueing and completion are real goroutine and channel events, so the
+// scheduler is exercised under true concurrency, and it alone blocks or
+// reads the wall clock (the idle wait, AdmissionWindow, TimeScale,
+// shutdown). Replay runs a trace through an unstarted server or fleet on
+// the caller's goroutine, always stepping the replica whose next event
+// is earliest in virtual time, so a fleet replay, handoffs, waves and
+// fault plans included, is byte-identical on any GOMAXPROCS.
 //
 // Submit never blocks: when the admission queue is full it fails fast
 // with ErrQueueFull, which the HTTP layer maps to 429 Too Many

@@ -371,12 +371,14 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// loop is the scheduler goroutine: admission → prefill → decode, one
-// iteration at a time, until stopped and drained.
+// loop is the live driver, the scheduler goroutine: it runs step, one
+// iteration at a time, until stopped and drained, and keeps everything
+// that blocks or reads the wall clock — the force-fail check, the idle
+// wait, the admission window, pacing and shutdown. Replay is the other
+// driver.
 func (s *Server) loop() {
 	defer close(s.done)
 
-	sp := s.sp
 	wasIdle := false
 	for {
 		// Force-fail check first: Stop's context expired, so the drain
@@ -387,24 +389,17 @@ func (s *Server) loop() {
 			return
 		default:
 		}
-		// Scripted death next, on this replica's own virtual clock. A
-		// crash loses everything the replica holds at once. A hang is a
-		// livelock: the replica stays up (submissions keep landing until
-		// the queue fills, nothing completes, stats freeze) and loses
-		// what it holds only when stopped, like a real wedged process.
-		if f := s.cfg.Faults; f.active() {
-			if f.crashedAt(sp.Clock()) {
-				s.exit(fmt.Errorf("%w: replica crashed", ErrStopped), true)
-				return
+		// Scripted death next: a hung replica waits to be stopped.
+		if s.crashed() {
+			return
+		}
+		if s.hung() {
+			select {
+			case <-s.stop:
+			case <-s.kill:
 			}
-			if f.hungAt(sp.Clock()) {
-				select {
-				case <-s.stop:
-				case <-s.kill:
-				}
-				s.exit(fmt.Errorf("%w: replica hung", ErrStopped), true)
-				return
-			}
+			s.exit(errHung, true)
+			return
 		}
 		// Observe idleness before draining the channels: whatever the
 		// drain below (or the blocking select) picks up is then the
@@ -447,53 +442,89 @@ func (s *Server) loop() {
 			wasIdle = false
 			s.coalesce()
 		}
-
-		// Land handed-off sequences before admission: an import advances
-		// the clock past its transfer, which can make queued arrivals
-		// eligible for the same batch.
-		s.importHandoffs()
-		s.admit()
-
-		// Prefill newcomers (packed, at most one chunk budget's worth of
-		// prompt tokens), then one decode iteration.
-		prefilled, prefillElapsed := sp.Prefill()
-		for _, m := range prefilled {
-			if c := s.inflight[m.ID]; c != nil {
-				c.emit(Event{Type: EventFirstToken, SimSeconds: m.FirstToken, TTFT: m.TTFT})
-			}
-		}
-		if s.handoffFn != nil {
-			s.dispatchHandoffs(prefilled)
-		}
-		finished, decodeElapsed, err := sp.DecodeStep()
-		if err != nil {
-			// Scheduler invariant broken (unreachable under the
-			// conservative reservation): settle what this iteration
-			// already concluded, then fail everything and halt.
-			s.settle()
-			s.exit(err, false)
+		elapsed, ok := s.step()
+		if !ok {
 			return
 		}
-		for _, m := range finished {
-			if c := s.retire(m.ID); c != nil {
-				s.conclude(c, Result{
-					PromptLen: c.req.PromptLen, OutputLen: c.req.OutputLen,
-					Arrival: m.Arrival, Admitted: m.Admitted,
-					FirstToken: m.FirstToken, Finished: m.Finished,
-					TTFT: m.TTFT, TPOT: m.TPOT,
-					QueueWait: m.Admitted - m.Arrival, Latency: m.Latency,
-					CachedTokens: m.CachedTokens,
-				})
-			}
-		}
-		// Close the admission epoch: the cache-sizing controller
-		// consumes this iteration's admission outcomes and resizes the
-		// cached pool before the snapshot below reports the new target.
-		sp.AdaptEpoch()
-		s.settle()
-		s.pace(prefillElapsed + decodeElapsed)
+		s.pace(elapsed)
 	}
 }
+
+// step runs one scheduler iteration, the only one either driver runs:
+// import handoffs, admit, prefill, dispatch handoffs, decode, conclude,
+// adapt and settle. It never blocks and never reads the wall clock for
+// a decision, so a replay and the live loop schedule alike. It returns
+// the iteration's virtual step time, and false when a broken stepper
+// invariant ended the replica.
+func (s *Server) step() (float64, bool) {
+	sp := s.sp
+	// Land handed-off sequences before admission: an import advances
+	// the clock past its transfer, which can make queued arrivals
+	// eligible for the same batch.
+	s.importHandoffs()
+	s.admit()
+
+	// Prefill newcomers (packed, at most one chunk budget's worth of
+	// prompt tokens), then one decode iteration.
+	prefilled, prefillElapsed := sp.Prefill()
+	for _, m := range prefilled {
+		if c := s.inflight[m.ID]; c != nil {
+			c.emit(Event{Type: EventFirstToken, SimSeconds: m.FirstToken, TTFT: m.TTFT})
+		}
+	}
+	if s.handoffFn != nil {
+		s.dispatchHandoffs(prefilled)
+	}
+	finished, decodeElapsed, err := sp.DecodeStep()
+	if err != nil {
+		// Scheduler invariant broken (unreachable under the
+		// conservative reservation): settle what this iteration
+		// already concluded, then fail everything and halt.
+		s.settle()
+		s.exit(err, false)
+		return 0, false
+	}
+	for _, m := range finished {
+		if c := s.retire(m.ID); c != nil {
+			s.conclude(c, Result{
+				PromptLen: c.req.PromptLen, OutputLen: c.req.OutputLen,
+				Arrival: m.Arrival, Admitted: m.Admitted,
+				FirstToken: m.FirstToken, Finished: m.Finished,
+				TTFT: m.TTFT, TPOT: m.TPOT,
+				QueueWait: m.Admitted - m.Arrival, Latency: m.Latency,
+				CachedTokens: m.CachedTokens,
+			})
+		}
+	}
+	// Close the admission epoch: the cache-sizing controller
+	// consumes this iteration's admission outcomes and resizes the
+	// cached pool before the snapshot below reports the new target.
+	sp.AdaptEpoch()
+	s.settle()
+	return prefillElapsed + decodeElapsed, true
+}
+
+// errHung is what a hung replica's requests are lost with once it is
+// stopped.
+var errHung = fmt.Errorf("%w: replica hung", ErrStopped)
+
+// crashed applies a scripted crash once the replica's own virtual clock
+// reaches it: the replica exits at once, losing everything it holds.
+// Both drivers check it, and hung, before every iteration.
+func (s *Server) crashed() bool {
+	if !s.cfg.Faults.crashedAt(s.sp.Clock()) {
+		return false
+	}
+	s.exit(fmt.Errorf("%w: replica crashed", ErrStopped), true)
+	return true
+}
+
+// hung reports a scripted hang the replica's virtual clock has reached.
+// A hang is a livelock: the replica stays up (submissions keep landing
+// until the queue fills, nothing completes, stats freeze), its driver
+// steps it no more, and it loses what it holds only when stopped, with
+// exit(errHung, true), like a real wedged process.
+func (s *Server) hung() bool { return s.cfg.Faults.hungAt(s.sp.Clock()) }
 
 // idle reports whether the loop holds no work: nothing running,
 // queued on the core or awaiting import.

@@ -398,6 +398,17 @@ func NewLiveRouter(replicas ...LiveBackend) (*LiveRouter, error) {
 	return serve.NewRouter(replicas...)
 }
 
+// ReplayLive runs reqs through b — an unstarted LiveServer, or a
+// LiveRouter over unstarted servers — on the calling goroutine in
+// virtual time, wave requests at a time (all at once when wave <= 0),
+// and returns one LiveResult per request, in order, leaving the fleet
+// stopped. The same backend, trace and fault plan replay
+// byte-identically on any GOMAXPROCS; AdmissionWindow and TimeScale act
+// only on a started backend.
+func ReplayLive(b LiveBackend, reqs []LiveRequest, wave int) ([]LiveResult, error) {
+	return serve.Replay(b, reqs, wave)
+}
+
 // LiveAffinityConfig tunes a router's prefix-affinity dispatch
 // (LiveRouter.EnableAffinity): requests steer toward the replica whose
 // prefix-trie digest best overlaps their prompt tokens, spilling to
